@@ -206,8 +206,21 @@ def _run(args) -> int:
     return 0
 
 
+def _radius_usage_error(args) -> str | None:
+    """One-line diagnostic for inconsistent radius flags, or None."""
+    if args.radius < 0:
+        return f"--radius must be >= 0 (got {args.radius})"
+    if args.verify_radius is not None and args.verify_radius < args.radius:
+        return f"--verify-radius must be >= --radius (got {args.verify_radius} < {args.radius})"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    usage_error = _radius_usage_error(args)
+    if usage_error:
+        print(f"error: {usage_error}", file=sys.stderr)
+        return 2
     try:
         return _run(args)
     except FreeGroupError as exc:

@@ -12,10 +12,11 @@ computed symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Union
 
 from .errors import AlphabetError, RootError
-from .words import Alphabet, Word, _ball_data, _invert_data, parse_word
+from .words import BALL_CACHE_SIZE, Alphabet, Word, _ball_data, _invert_data, parse_word
 
 DEFAULT_VARIABLE = "x"
 
@@ -108,15 +109,61 @@ class OneVarWord:
         return f"<OneVarWord {str(self)!r} var={self.variable!r}>"
 
 
+def _abelianization(data: tuple[int, ...], rank: int) -> tuple[int, ...]:
+    """Exponent sum of each of the first ``rank`` letters in ``data``."""
+    ab = [0] * rank
+    for v in data:
+        if v > 0:
+            ab[v - 1] += 1
+        else:
+            ab[-v - 1] -= 1
+    return tuple(ab)
+
+
+@lru_cache(maxsize=BALL_CACHE_SIZE)
+def _ball_buckets(rank: int, radius: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The radius ball split by abelianization, each bucket in shortlex order.
+
+    Buckets hold the tuples of :func:`_ball_data` itself, not copies.
+    """
+    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for gd in _ball_data(rank, radius):
+        buckets.setdefault(_abelianization(gd, rank), []).append(gd)
+    return {ab: tuple(members) for ab, members in buckets.items()}
+
+
 def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
-    """All g in the radius ball with ``w.evaluate(g)`` trivial, shortlex order."""
+    """All g in the radius ball with ``w.evaluate(g)`` trivial, shortlex order.
+
+    Only ball elements that pass the abelianization test are evaluated.
+    Let sigma be the exponent sum of the variable in ``w`` and ab(c) the
+    vector of exponent sums of its coefficient letters.  Abelianizing
+    ``w(g) = 1`` gives ``sigma * ab(g) + ab(c) = 0``.  So if sigma = 0 and
+    ab(c) != 0, or if sigma does not divide ab(c), there is no solution
+    at all; if sigma != 0, every solution has ``ab(g) = -ab(c) / sigma``
+    and lies in that one bucket of the ball.  Only sigma = 0 with
+    ab(c) = 0 walks the whole ball.  A bucket lists its members in the
+    order of the ball walk, which is shortlex, so the solutions come out
+    in shortlex order either way.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    rank = len(w.alphabet)
+    *coeff_ab, sigma = _abelianization(w.body.data, rank + 1)
+    if sigma == 0:
+        if any(coeff_ab):
+            return []
+        candidates = _ball_data(rank, radius)
+    else:
+        if any(a % sigma for a in coeff_ab):
+            return []
+        target = tuple([-a // sigma for a in coeff_ab])
+        candidates = _ball_buckets(rank, radius).get(target, ())
     vc = w._var_code
     body = w.body.data
     alphabet = w.alphabet
     sols = []
-    for gd in _ball_data(len(alphabet), radius):
+    for gd in candidates:
         gi = _invert_data(gd)
         stack: list[int] = []
         for v in body:

@@ -1,12 +1,13 @@
 """Solve one-variable equations over a free group.
 
-The solution set of ``w = 1`` is computed in coset normal form: brute
-force finds the solutions inside a discovery ball, every pair of them
-proposes a cyclic line, and each proposed line is verified symbolically
-by parametric reduction.  Lines that vanish identically become cosets;
-the rest contribute isolated solutions.  The assembled set is then
-checked against the brute-force oracle on a larger ball, escalating the
-discovery radius on mismatch.
+The solution set of ``w = 1`` is computed in coset normal form.  Each
+round walks the verification ball once with the brute-force oracle.  The
+solutions inside the smaller discovery ball are a prefix of that walk's
+shortlex-ordered output; every pair of them proposes a cyclic line, and
+each proposed line is verified symbolically by parametric reduction.
+Lines that vanish identically become cosets; the rest contribute
+isolated solutions.  The assembled set is then checked against the whole
+walk, escalating the discovery radius on mismatch.
 
 Soundness is unconditional: every emitted component is symbolically
 verified.  Completeness is certified only relative to the verification
@@ -18,12 +19,13 @@ made.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Union
 
 from .algset import WHOLE_GROUP, AlgebraicSet, CyclicCoset, _WholeGroupType, to_json_dict
 from .errors import SolverError
 from .onevar import OneVarWord, brute_solutions, reduce_parametric, substitute_line
-from .words import Word, enumerate_ball
+from .words import Word
 
 DEFAULT_DISCOVERY_RADIUS = 6
 DEFAULT_MAX_ESCALATIONS = 3
@@ -79,13 +81,40 @@ class SolveReport:
         return d
 
 
-def verify_against_oracle(w: OneVarWord, s: AlgebraicSet, radius: int) -> OracleReport:
-    """Compare set membership with brute-force solutions on a ball."""
-    solutions = set(brute_solutions(w, radius))
-    missing = tuple(g for g in sorted(solutions, key=Word.sort_key) if not s.member(g))
-    extra = tuple(
-        g for g in enumerate_ball(w.alphabet, radius) if s.member(g) and g not in solutions
-    )
+def _members_in_ball(s: AlgebraicSet, radius: int) -> set[Word]:
+    """Every element of ``s`` of length at most ``radius``.
+
+    A coset ``rep<root>`` with ``root = u core u^-1`` (``core`` cyclically
+    reduced) has ``|root^m| = 2|u| + |m| |core|`` for m != 0, so
+    ``|rep root^m| >= |root^m| - |rep| >= |m| |core| - |rep|``.  An
+    element of length at most R therefore has
+    ``|m| <= (R + |rep|) / |core|``, and listing every m up to
+    ``(R + |rep|) // |core| + 1`` in absolute value misses none.
+    """
+    members = {p for p in s.points if len(p) <= radius}
+    for c in s.cosets:
+        bound = (radius + len(c.rep)) // len(c.root.cyclic_decomposition().core) + 1
+        for m in range(-bound, bound + 1):
+            g = c.element(m)
+            if len(g) <= radius:
+                members.add(g)
+    return members
+
+
+def verify_against_oracle(
+    w: OneVarWord, s: AlgebraicSet, radius: int, solutions: list[Word] | None = None
+) -> OracleReport:
+    """Compare set membership with brute-force solutions on a ball.
+
+    ``solutions`` is ``brute_solutions(w, radius)`` when the caller has it
+    already.  ``missing`` lists the solutions outside ``s``; ``extra``
+    lists the members of ``s`` in the ball (see :func:`_members_in_ball`)
+    that are not solutions.  Both are in shortlex order.
+    """
+    if solutions is None:
+        solutions = brute_solutions(w, radius)
+    missing = tuple(g for g in solutions if not s.member(g))
+    extra = tuple(sorted(_members_in_ball(s, radius).difference(solutions), key=Word.sort_key))
     return OracleReport(not missing and not extra, missing, extra, radius)
 
 
@@ -133,6 +162,11 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
 
     Words without the variable are degenerate: the solution set is the
     whole group when the coefficient word is trivial and empty otherwise.
+
+    Each round makes one oracle walk, at the verification radius.  Its
+    solutions are in shortlex order, so the discovery solutions are the
+    prefix of those with length at most the discovery radius; the whole
+    walk then feeds verification.
     """
     cfg = cfg or SolveConfig()
     verify_radius = cfg.effective_verify_radius
@@ -144,10 +178,11 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     gap = verify_radius - discovery
     last_report = None
     for escalation in range(cfg.max_escalations + 1):
-        discovered = brute_solutions(w, discovery)
+        solutions = brute_solutions(w, discovery + gap)
+        discovered = list(takewhile(lambda g: len(g) <= discovery, solutions))
         cosets, extra_points = _candidate_components(w, discovered, cfg.max_pairs)
         result = AlgebraicSet.of(w.alphabet, discovered + extra_points, cosets)
-        last_report = verify_against_oracle(w, result, discovery + gap)
+        last_report = verify_against_oracle(w, result, discovery + gap, solutions)
         if last_report.match:
             return SolveReport(result, last_report.radius, escalation)
         if not cfg.escalate:

@@ -27,6 +27,9 @@ _TERM_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 #: Names that may never be letters: they denote the identity in word text.
 RESERVED_NAMES = ("1", "e")
 
+#: Entries kept by each per-ball cache: distinct (rank, radius) pairs.
+BALL_CACHE_SIZE = 8
+
 
 class Alphabet:
     """Ordered finite set of generator names.
@@ -118,7 +121,11 @@ def _concat_data(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _invert_data(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-v for v in reversed(a))
+    # Hot kernels build tuples from lists: tuple() of a generator allocates
+    # ten slots and resizes, which drains the interpreter's size-10 tuple
+    # free list into the others, and those then hold memory until a full
+    # garbage collection.
+    return tuple([-v for v in reversed(a)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,7 +196,7 @@ class Word:
 
     def sort_key(self) -> tuple:
         """Canonical order: length first, then letter index, then sign (+ before -)."""
-        return (len(self.data), tuple((abs(v) - 1, 0 if v > 0 else 1) for v in self.data))
+        return (len(self.data), tuple([(abs(v) - 1, 0 if v > 0 else 1) for v in self.data]))
 
     def __lt__(self, other: "Word") -> bool:
         self._check_same_alphabet(other)
@@ -322,7 +329,7 @@ def centralizer(b: Word) -> Word:
     return b.primitive_root().root
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BALL_CACHE_SIZE)
 def _ball_data(rank: int, radius: int) -> tuple[tuple[int, ...], ...]:
     """All reduced int-tuples of length <= radius, in shortlex order."""
     if radius <= 0:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
-from fgz.words import Alphabet, Word
+from hypothesis import strategies as st
+
+from fgz.onevar import OneVarWord
+from fgz.words import Alphabet, Word, _reduce_data, enumerate_ball
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -44,3 +47,41 @@ def brute_reduce(alphabet: Alphabet, letters) -> Word:
             return Word(alphabet, tuple(seq))
         i = rng.choice(pairs)
         del seq[i : i + 2]
+
+
+@st.composite
+def reduced_data(draw, rank: int, max_len: int, min_len: int = 0) -> tuple[int, ...]:
+    """Strategy: a reduced int-tuple over ``rank`` letters, length in
+    ``[min_len, max_len]``."""
+    signed = [v for i in range(1, rank + 1) for v in (i, -i)]
+    data: list[int] = []
+    for _ in range(draw(st.integers(min_len, max_len))):
+        data.append(draw(st.sampled_from([v for v in signed if not data or v != -data[-1]])))
+    return tuple(data)
+
+
+@st.composite
+def one_var_words(draw, alphabet: Alphabet, max_occurrences: int = 3) -> OneVarWord:
+    """Strategy: coefficient segments around up to ``max_occurrences``
+    signed variable letters, so the exponent sum of the variable lies in
+    ``[-max_occurrences, max_occurrences]``; zero occurrences give a
+    variable-free body.  Half the draws are multiplied on the right by
+    ``w(g)^-1`` for a drawn ``g``, which plants ``g`` as a solution."""
+    rank = len(alphabet)
+    var = rank + 1
+    raw: list[int] = []
+    for _ in range(draw(st.integers(0, max_occurrences))):
+        raw += draw(reduced_data(rank, 3))
+        raw.append(draw(st.sampled_from((var, -var))))
+    raw += draw(reduced_data(rank, 3))
+    extended = alphabet.extend("x")
+    word = OneVarWord.from_body(Word(extended, _reduce_data(raw)))
+    if draw(st.booleans()):
+        g = Word(alphabet, draw(reduced_data(rank, 4)))
+        word = OneVarWord.from_body(word.body * Word(extended, (~word.evaluate(g)).data))
+    return word
+
+
+def plain_solutions(word: OneVarWord, radius: int) -> list[Word]:
+    """Reference oracle: evaluate every ball element, no filtering."""
+    return [g for g in enumerate_ball(word.alphabet, radius) if word.evaluate(g).is_identity]

@@ -173,6 +173,23 @@ class TestInvocation:
             main(["--alphabet", "a,b", "frobnicate"])
         assert exc.value.code == 2
 
+    def test_negative_radius_solve_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "--alphabet", "a,b", "--radius", "-1", "solve", "x a")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "--radius" in err
+
+    def test_negative_radius_oracle_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "--alphabet", "a,b", "--radius", "-1", "oracle", "x a")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "--radius" in err
+
+    def test_verify_radius_below_radius_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "--alphabet", "a,b", "--radius", "3", "--verify-radius", "2", "solve", "x a"
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "--verify-radius" in err
+
     def test_deterministic_output(self, capsys):
         first = run(capsys, "--alphabet", "a,b", "solve", "x b a b^-1 x^-1 a^-1")
         second = run(capsys, "--alphabet", "a,b", "solve", "x b a b^-1 x^-1 a^-1")

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fgz import onevar
 from fgz.errors import AlphabetError, RootError
 from fgz.onevar import (
     ConcreteBlock,
@@ -9,13 +12,14 @@ from fgz.onevar import (
     OneVarWord,
     ParametricWord,
     PowerBlock,
+    _ball_buckets,
     brute_solutions,
     reduce_parametric,
     substitute_line,
 )
-from fgz.words import Alphabet, Word, parse_word
+from fgz.words import BALL_CACHE_SIZE, Alphabet, Word, _ball_data, parse_word
 
-from helpers import AB, random_reduced_data, random_word
+from helpers import AB, ABC, one_var_words, plain_solutions, random_reduced_data, random_word
 
 X = AB.extend("x")
 
@@ -112,6 +116,39 @@ class TestBruteSolutions:
             u = OneVarWord.from_body(Word(X, random_reduced_data(rng, 3, rng.randint(0, 3))))
             conjugated = u * word * ~u
             assert brute_solutions(word, 3) == brute_solutions(conjugated, 3)
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(
+        word=st.sampled_from((AB, ABC)).flatmap(one_var_words),
+        radius=st.integers(0, 5),
+    )
+    @example(word=ov("x^2 a"), radius=4)
+    @example(word=ov("x^3 a^3 b^-2"), radius=5)
+    @example(word=ov("x^-2 a^-2 b^4"), radius=5)
+    @example(word=ov("a b a^-1 b^-1"), radius=3)
+    @example(word=ov("a a^-1"), radius=2)
+    def test_filter_matches_plain_evaluation(self, word, radius):
+        assert brute_solutions(word, radius) == plain_solutions(word, radius)
+
+    def test_abelianization_rules_out_without_walking(self, monkeypatch):
+        def no_walk(rank, radius):
+            raise AssertionError("walked the ball")
+
+        _ball_buckets(2, 5)
+        monkeypatch.setattr(onevar, "_ball_data", no_walk)
+        assert brute_solutions(ov("x a^-1"), 5) == [w("a")]  # one bucket, from the cache
+        monkeypatch.setattr(onevar, "_ball_buckets", no_walk)
+        assert brute_solutions(ov("x a x^-1 b"), 5) == []  # sigma = 0, ab(c) != 0
+        assert brute_solutions(ov("x^2 a b^2"), 5) == []  # sigma = 2 does not divide ab(c)
+
+    def test_ball_caches_stay_bounded(self):
+        word = OneVarWord.parse("x a^-1", Alphabet(("a",)))
+        for radius in range(3 * BALL_CACHE_SIZE):
+            assert [str(g) for g in brute_solutions(word, radius)] == (["a"] if radius else [])
+        for cache in (_ball_data, _ball_buckets):
+            info = cache.cache_info()
+            assert info.maxsize == BALL_CACHE_SIZE
+            assert info.currsize <= BALL_CACHE_SIZE
 
 
 class TestSubstituteLine:

@@ -1,14 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgz.algset import WHOLE_GROUP, AlgebraicSet, CyclicCoset
 from fgz.errors import SolverError
 from fgz.onevar import OneVarWord, reduce_parametric, substitute_line
-from fgz.solver import SolveConfig, solve, verify_against_oracle
+from fgz.solver import OracleReport, SolveConfig, solve, verify_against_oracle
 from fgz.words import Word, enumerate_ball, parse_word
 
-from helpers import AB, random_reduced_data
+from helpers import AB, one_var_words, plain_solutions, random_reduced_data, reduced_data
 
 X = AB.extend("x")
 
@@ -26,6 +28,45 @@ def coset(rep, root):
 
 
 FAST = SolveConfig(discovery_radius=3, verify_radius=5)
+
+
+def full_ball_oracle(w, s, radius):
+    """Reference for verify_against_oracle: test membership of every ball element."""
+    solutions = plain_solutions(w, radius)
+    missing = tuple(g for g in solutions if not s.member(g))
+    extra = tuple(g for g in enumerate_ball(AB, radius) if s.member(g) and g not in solutions)
+    return OracleReport(not missing and not extra, missing, extra, radius)
+
+
+@st.composite
+def raw_cosets(draw, radius):
+    """A coset ``rep<root>`` built without canonicalization, so ``rep`` may be
+    longer than the coset's shortest element.  Half the roots are conjugates
+    of a letter (core length 1) and half the reps have length ``radius``:
+    the configuration where the sweep's bound on m is tightest."""
+    if draw(st.booleans()):
+        u = Word(AB, draw(reduced_data(2, 3)))
+        root = u * Word(AB, (draw(st.sampled_from((1, -1, 2, -2))),)) * ~u
+    else:
+        root = Word(AB, draw(reduced_data(2, 4, min_len=1))).primitive_root().root
+    if draw(st.booleans()):
+        rep = Word(AB, draw(reduced_data(2, radius, min_len=radius)))
+    else:
+        rep = Word(AB, draw(reduced_data(2, radius + 2))) * root ** draw(st.integers(-3, 3))
+    return CyclicCoset(rep, root)
+
+
+@st.composite
+def oracle_cases(draw):
+    radius = draw(st.integers(0, 5))
+    word = draw(one_var_words(AB))
+    points = draw(st.lists(reduced_data(2, radius + 1), max_size=4))
+    cosets = draw(st.lists(raw_cosets(radius), max_size=3))
+    s = AlgebraicSet(AB, tuple(Word(AB, d) for d in points), tuple(cosets))
+    if draw(st.booleans()) and word.contains_variable:
+        solved = solve(word, SolveConfig(discovery_radius=2, verify_radius=4)).result
+        s = AlgebraicSet(AB, s.points + solved.points, s.cosets + solved.cosets)
+    return word, s, radius
 
 
 class TestWorkedInstances:
@@ -73,6 +114,19 @@ class TestVerifyAgainstOracle:
         s = AlgebraicSet.of(AB, points=[w("a")])
         assert verify_against_oracle(ov("x a^-1"), s, 4).match
 
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(oracle_cases())
+    def test_matches_full_ball_sweep(self, case):
+        word, s, radius = case
+        assert verify_against_oracle(word, s, radius) == full_ball_oracle(word, s, radius)
+
+    def test_sweep_reaches_the_bound_on_m(self):
+        # a^-4 <a> at R = 4 holds a^m for |m| <= 4, that is rep * a^k for k in 0..8
+        s = AlgebraicSet(AB, (), (CyclicCoset(w("a^-4"), w("a")),))
+        report = verify_against_oracle(ov("x b x^-1 b^-1"), s, 4)
+        assert report == full_ball_oracle(ov("x b x^-1 b^-1"), s, 4)
+        assert report.extra == tuple(w(f"a^{m}") for k in range(1, 5) for m in (k, -k))
+
     def test_deliberately_wrong_set(self):
         s = AlgebraicSet.of(AB, points=[w("1")])
         report = verify_against_oracle(ov("x a x^-1 a^-1"), s, 2)
@@ -87,6 +141,11 @@ class TestSolvePipeline:
         report = solve(ov("x a x^-1 a^-1"), cfg)
         assert report.escalations >= 1
         assert report.result == AlgebraicSet.of(AB, cosets=[coset("1", "a")])
+
+    def test_discovery_includes_its_boundary(self):
+        report = solve(ov("x a^-3"), FAST)
+        assert report.escalations == 0
+        assert report.result == AlgebraicSet.of(AB, points=[w("a^3")])
 
     def test_escalation_disabled_raises(self):
         cfg = SolveConfig(discovery_radius=0, verify_radius=2, escalate=False)
@@ -103,6 +162,17 @@ class TestSolvePipeline:
             SolveConfig(discovery_radius=4, verify_radius=2)
         with pytest.raises(ValueError):
             SolveConfig(discovery_radius=-1)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(word=one_var_words(AB), radius=st.integers(0, 4))
+    def test_zero_gap_verifies_on_the_discovery_ball(self, word, radius):
+        # every solution in the ball is discovered and every component is
+        # verified, so a zero gap never escalates
+        if not word.contains_variable:
+            return
+        report = solve(word, SolveConfig(discovery_radius=radius, verify_radius=radius))
+        assert (report.complete_on_radius, report.escalations) == (radius, 0)
+        assert full_ball_oracle(word, report.result, radius).match
 
     def test_result_holds_beyond_verify_radius(self):
         word = ov("x a^4 x a^-6")
