@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import AlphabetError, RootError
+from .errors import AlphabetError, ParseError, RootError
 from .words import Alphabet, Word, parse_word
 
 
@@ -288,16 +288,40 @@ def to_json_dict(s: Union[AlgebraicSet, _WholeGroupType]) -> dict:
     }
 
 
-def from_json_dict(d: dict, alphabet: Alphabet) -> Union[AlgebraicSet, _WholeGroupType]:
-    if d.get("whole_group"):
+def _json_list(d: dict, key: str) -> list:
+    value = d.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"set JSON {key!r} must be a list, got {json.dumps(value)}")
+    return value
+
+
+def _json_word(text, alphabet: Alphabet) -> Word:
+    if not isinstance(text, str):
+        raise ParseError(f"set JSON words must be strings, got {json.dumps(text)}")
+    return parse_word(text, alphabet)
+
+
+def from_json_dict(d: object, alphabet: Alphabet) -> Union[AlgebraicSet, _WholeGroupType]:
+    """Read the documented JSON shape; any other shape raises :class:`ParseError`."""
+    if not isinstance(d, dict):
+        raise ParseError(f"set JSON must be an object, got {json.dumps(d)}")
+    whole_group = d.get("whole_group", False)
+    if not isinstance(whole_group, bool):
+        raise ParseError(f"set JSON 'whole_group' must be a boolean, got {json.dumps(whole_group)}")
+    if whole_group:
         return WHOLE_GROUP
-    points = [parse_word(t, alphabet) for t in d.get("points", ())]
-    cosets = [
-        (parse_word(c["rep"], alphabet), parse_word(c["root"], alphabet))
-        for c in d.get("cosets", ())
-    ]
+    points = [_json_word(t, alphabet) for t in _json_list(d, "points")]
+    cosets = []
+    for c in _json_list(d, "cosets"):
+        if not isinstance(c, dict) or "rep" not in c or "root" not in c:
+            raise ParseError(f"set JSON coset {json.dumps(c)} needs a 'rep' and a 'root'")
+        cosets.append((_json_word(c["rep"], alphabet), _json_word(c["root"], alphabet)))
     return AlgebraicSet.of(alphabet, points, cosets)
 
 
 def from_json_text(text: str, alphabet: Alphabet) -> Union[AlgebraicSet, _WholeGroupType]:
-    return from_json_dict(json.loads(text), alphabet)
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed set JSON: {exc}") from None
+    return from_json_dict(d, alphabet)

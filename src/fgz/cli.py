@@ -210,6 +210,8 @@ def _radius_usage_error(args) -> str | None:
     """One-line diagnostic for inconsistent radius flags, or None."""
     if args.radius < 0:
         return f"--radius must be >= 0 (got {args.radius})"
+    if args.command == "embed-check" and args.radius < 1:
+        return f"--radius must be >= 1 for embed-check (got {args.radius})"
     if args.verify_radius is not None and args.verify_radius < args.radius:
         return f"--verify-radius must be >= --radius (got {args.verify_radius} < {args.radius})"
     return None

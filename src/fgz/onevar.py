@@ -7,12 +7,18 @@ symbol.  Substituting a group element for the variable gives the
 evaluation homomorphism; substituting a whole cyclic line ``a * r^n``
 with a formal integer n gives a parametric word whose vanishing set is
 computed symbolically.
+
+The brute-force oracle evaluates only ball elements that pass a cheap
+necessary condition: the abelianization of the equation, or, when that
+says nothing (exponent sum of the variable and of every letter zero),
+the image of the equation in the finite quotient PSL(2, 7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Union
 
 from .errors import AlphabetError, RootError
@@ -132,19 +138,146 @@ def _ball_buckets(rank: int, radius: int) -> dict[tuple[int, ...], tuple[tuple[i
     return {ab: tuple(members) for ab, members in buckets.items()}
 
 
+#: Order of the finite quotient G = PSL(2, 7) used to filter sigma = 0 words.
+QUOTIENT_ORDER = 168
+
+#: Images in SL(2, 7) of the first letters.  The first two generate
+#: Sanov's free subgroup of SL(2, Z) (reduced mod 7 they generate all of
+#: G); the other two are elements of order 7 chosen so that ranks 3 and 4
+#: have no kernel word shorter than 5 letters.  Letter k > 4 reuses the
+#: image of letter k - 4.  Any images are sound; none is the identity.
+_QUOTIENT_LETTERS = (((1, 2), (0, 1)), ((1, 0), (2, 1)), ((2, 3), (4, 3)), ((0, 2), (3, 2)))
+
+
+def _mobius(m: tuple[tuple[int, int], tuple[int, int]]) -> tuple[int, ...]:
+    """Action of ``m`` on the projective line over F_7 (point 7 is infinity)."""
+    (p, q), (r, s) = m
+    out = []
+    for z in range(8):
+        num, den = (p, r) if z == 7 else ((p * z + q) % 7, (r * z + s) % 7)
+        out.append(7 if den == 0 else num * pow(den, -1, 7) % 7)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _quotient() -> tuple[bytes, bytes, tuple[int, ...]]:
+    """Multiplication table, inverse table and letter images of G = PSL(2, 7).
+
+    The elements are the permutations of the projective line that the
+    letter images generate, numbered 0..167 in lexicographic order, so the
+    identity is 0.  ``mul[168 * g + h]`` is the product g h (h acts
+    first), which makes a word's image the left-to-right product of its
+    letters' images.  Built on first use, not at import.
+    """
+    gens = [_mobius(m) for m in _QUOTIENT_LETTERS]
+    elements = {tuple(range(8))}
+    frontier = list(elements)
+    while frontier:
+        grown = []
+        for p in frontier:
+            for g in gens:
+                q = tuple([p[k] for k in g])
+                if q not in elements:
+                    elements.add(q)
+                    grown.append(q)
+        frontier = grown
+    perms = sorted(elements)
+    index = {p: i for i, p in enumerate(perms)}
+    mul = bytes([index[tuple([p[k] for k in q])] for p in perms for q in perms])
+    n = len(perms)
+    inv = bytes([mul[n * g : n * g + n].index(0) for g in range(n)])
+    return mul, inv, tuple(index[g] for g in gens)
+
+
+def _letter_images(rank: int) -> list[int]:
+    """Images in G of the signed letter codes: entry v is the image of code v.
+
+    Negative codes index from the end, where the inverses sit in reverse.
+    """
+    _, inv, gens = _quotient()
+    images = [gens[i % len(gens)] for i in range(rank)]
+    return [0, *images, *[inv[g] for g in reversed(images)]]
+
+
+@lru_cache(maxsize=BALL_CACHE_SIZE)
+def _quotient_buckets(rank: int, radius: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """The radius ball split by image in G, each bucket in shortlex order.
+
+    One pass over :func:`_ball_data`: a word's image is its prefix's image
+    times its last letter's.  The ball lists the children of each word of
+    one layer together and in that layer's order (2 * rank children of
+    the empty word, 2 * rank - 1 of any other), so the prefix of the j-th
+    word of the next layer is the (j // fan)-th word of this one and only
+    one layer of images is kept.  Buckets hold the tuples of
+    :func:`_ball_data` itself, not copies.
+    """
+    mul = _quotient()[0]
+    letters = _letter_images(rank)
+    ball = _ball_data(rank, radius)
+    members: list[list[tuple[int, ...]]] = [[] for _ in range(QUOTIENT_ORDER)]
+    members[0].append(ball[0])
+    prev = bytes(1)
+    start, fan = 1, 2 * rank
+    for _ in range(radius):
+        layer = bytearray(len(prev) * fan)
+        for j in range(len(layer)):
+            gd = ball[start + j]
+            h = layer[j] = mul[QUOTIENT_ORDER * prev[j // fan] + letters[gd[-1]]]
+            members[h].append(gd)
+        start += len(layer)
+        prev, fan = layer, 2 * rank - 1
+    return {h: tuple(bucket) for h, bucket in enumerate(members) if bucket}
+
+
+def _quotient_survivors(w: OneVarWord, radius: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The buckets of :func:`_quotient_buckets` whose image h has w(h) = 1 in G."""
+    mul, inv, _ = _quotient()
+    n = QUOTIENT_ORDER
+    letters = _letter_images(len(w.alphabet))
+    vc = w._var_code
+    # w = c_0 x^(e_1) c_1 ... x^(e_k) c_k, each segment c_i folded to its image
+    segments = [0]
+    signs = []
+    for v in w.body.data:
+        if abs(v) == vc:
+            signs.append(v > 0)
+            segments.append(0)
+        else:
+            segments[-1] = mul[n * segments[-1] + letters[v]]
+    steps = list(zip(signs, segments[1:]))
+    survivors = []
+    for h, bucket in _quotient_buckets(len(w.alphabet), radius).items():
+        hi = inv[h]
+        image = segments[0]
+        for positive, segment in steps:
+            image = mul[n * mul[n * image + (h if positive else hi)] + segment]
+        if image == 0:
+            survivors.append(bucket)
+    return survivors
+
+
 def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
     """All g in the radius ball with ``w.evaluate(g)`` trivial, shortlex order.
 
-    Only ball elements that pass the abelianization test are evaluated.
+    Only ball elements that pass a necessary condition are evaluated.
     Let sigma be the exponent sum of the variable in ``w`` and ab(c) the
     vector of exponent sums of its coefficient letters.  Abelianizing
     ``w(g) = 1`` gives ``sigma * ab(g) + ab(c) = 0``.  So if sigma = 0 and
     ab(c) != 0, or if sigma does not divide ab(c), there is no solution
     at all; if sigma != 0, every solution has ``ab(g) = -ab(c) / sigma``
-    and lies in that one bucket of the ball.  Only sigma = 0 with
-    ab(c) = 0 walks the whole ball.  A bucket lists its members in the
-    order of the ball walk, which is shortlex, so the solutions come out
-    in shortlex order either way.
+    and lies in that one bucket of the ball.
+
+    If sigma = 0 and ab(c) = 0 the abelianization says nothing, and the
+    finite quotient G = PSL(2, 7) filters instead.  The homomorphism phi
+    from the free group onto G extends to the free group on the letters
+    and the variable by sending the variable to phi(g), so ``w(g) = 1``
+    implies ``w(phi(g)) = 1`` in G.  Only the buckets of ball elements
+    with an image h satisfying ``w(h) = 1`` are evaluated, which drops
+    non-solutions only.
+
+    A bucket lists its members in the order of the ball walk, which is
+    shortlex.  Solutions from one bucket come out in that order; the
+    quotient filter draws them from many buckets, so they are sorted.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -153,17 +286,17 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
     if sigma == 0:
         if any(coeff_ab):
             return []
-        candidates = _ball_data(rank, radius)
+        buckets = _quotient_survivors(w, radius)
     else:
         if any(a % sigma for a in coeff_ab):
             return []
         target = tuple([-a // sigma for a in coeff_ab])
-        candidates = _ball_buckets(rank, radius).get(target, ())
+        buckets = [_ball_buckets(rank, radius).get(target, ())]
     vc = w._var_code
     body = w.body.data
     alphabet = w.alphabet
     sols = []
-    for gd in candidates:
+    for gd in chain.from_iterable(buckets):
         gi = _invert_data(gd)
         stack: list[int] = []
         for v in body:
@@ -179,6 +312,8 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
                 stack.append(v)
         if not stack:
             sols.append(Word(alphabet, gd))
+    if len(buckets) > 1:
+        sols.sort(key=Word.sort_key)
     return sols
 
 

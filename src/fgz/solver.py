@@ -1,7 +1,9 @@
 """Solve one-variable equations over a free group.
 
 The solution set of ``w = 1`` is computed in coset normal form.  Each
-round walks the verification ball once with the brute-force oracle.  The
+round walks the verification ball once with the brute-force oracle,
+which evaluates only the ball elements that the abelianization or the
+image in the finite quotient PSL(2, 7) does not rule out.  The
 solutions inside the smaller discovery ball are a prefix of that walk's
 shortlex-ordered output; every pair of them proposes a cyclic line, and
 each proposed line is verified symbolically by parametric reduction.

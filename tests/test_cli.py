@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from fgz.algset import AlgebraicSet, CyclicCoset, from_json_dict, to_json_dict
+from fgz.algset import AlgebraicSet, CyclicCoset, from_json_dict, from_json_text, to_json_dict
 from fgz.cli import main
+from fgz.errors import ParseError
 from fgz.words import parse_word
 
 from helpers import AB
@@ -189,6 +190,29 @@ class TestInvocation:
         )
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "--verify-radius" in err
+
+    def test_zero_radius_embed_check_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "--alphabet", "a,b", "--radius", "0", "embed-check", "--target", "c,d"
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "--radius" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{bad", "malformed set JSON"),
+            ("[1]", "must be an object"),
+            ('{"cosets":[{"rep":"a"}]}', "needs a 'rep' and a 'root'"),
+            ('{"whole_group":"no"}', "must be a boolean"),
+        ],
+    )
+    def test_bad_set_json_is_one_line_error(self, capsys, text, message):
+        code, out, err = run(capsys, "--alphabet", "a,b", "member", text, "a")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        with pytest.raises(ParseError):
+            from_json_text(text, AB)
 
     def test_deterministic_output(self, capsys):
         first = run(capsys, "--alphabet", "a,b", "solve", "x b a b^-1 x^-1 a^-1")

@@ -12,14 +12,35 @@ from fgz.onevar import (
     OneVarWord,
     ParametricWord,
     PowerBlock,
+    QUOTIENT_ORDER,
     _ball_buckets,
+    _letter_images,
+    _quotient,
+    _quotient_buckets,
+    _quotient_survivors,
     brute_solutions,
     reduce_parametric,
     substitute_line,
 )
-from fgz.words import BALL_CACHE_SIZE, Alphabet, Word, _ball_data, parse_word
+from fgz.words import (
+    BALL_CACHE_SIZE,
+    Alphabet,
+    Word,
+    _ball_data,
+    _concat_data,
+    _reduce_data,
+    parse_word,
+)
 
-from helpers import AB, ABC, one_var_words, plain_solutions, random_reduced_data, random_word
+from helpers import (
+    AB,
+    ABC,
+    one_var_words,
+    plain_solutions,
+    random_reduced_data,
+    random_word,
+    reduced_data,
+)
 
 X = AB.extend("x")
 
@@ -143,12 +164,137 @@ class TestBruteSolutions:
 
     def test_ball_caches_stay_bounded(self):
         word = OneVarWord.parse("x a^-1", Alphabet(("a",)))
+        commutator = OneVarWord.parse("x a x^-1 a^-1", Alphabet(("a",)))
         for radius in range(3 * BALL_CACHE_SIZE):
             assert [str(g) for g in brute_solutions(word, radius)] == (["a"] if radius else [])
-        for cache in (_ball_data, _ball_buckets):
+            assert len(brute_solutions(commutator, radius)) == 2 * radius + 1
+        for cache in (_ball_data, _ball_buckets, _quotient_buckets):
             info = cache.cache_info()
             assert info.maxsize == BALL_CACHE_SIZE
             assert info.currsize <= BALL_CACHE_SIZE
+
+
+N = QUOTIENT_ORDER
+
+
+def image(data, rank):
+    """Image in PSL(2, 7) of an int-coded word, one letter at a time."""
+    mul = _quotient()[0]
+    letters = _letter_images(rank)
+    h = 0
+    for v in data:
+        h = mul[N * h + letters[v]]
+    return h
+
+
+def quotient_value(word: OneVarWord, h: int) -> int:
+    """w(h) in PSL(2, 7): the image of the body with the variable sent to h."""
+    mul, inv, _ = _quotient()
+    letters = _letter_images(len(word.alphabet))
+    vc = word._var_code
+    out = 0
+    for v in word.body.data:
+        step = h if v == vc else inv[h] if v == -vc else letters[v]
+        out = mul[N * out + step]
+    return out
+
+
+@st.composite
+def balanced_words(draw, rank: int) -> OneVarWord:
+    """Strategy: sigma = 0, ab(c) = 0 bodies.
+
+    Either the conjugacy shape ``x u x^-1 c u^-1 c^-1`` (solution c
+    planted) or a commutator ``[s, t]`` of one-variable words, which half
+    the time gets ``w(g)^-1`` appended to plant g; that keeps sigma and
+    ab(c) at zero.
+    """
+    alphabet = Alphabet("abcd"[:rank])
+    extended = alphabet.extend("x")
+    var = rank + 1
+    if draw(st.booleans()):
+        u = draw(reduced_data(rank, 4, min_len=1))
+        c = draw(reduced_data(rank, 3))
+        raw = [var, *u, -var, *c, *[-v for v in reversed(u)], *[-v for v in reversed(c)]]
+        return OneVarWord.from_body(Word(extended, _reduce_data(raw)))
+    s = Word(extended, draw(reduced_data(var, 3)))
+    t = Word(extended, draw(reduced_data(var, 3)))
+    word = OneVarWord.from_body(s.commutator(t))
+    if draw(st.booleans()):
+        g = Word(alphabet, draw(reduced_data(rank, 4)))
+        word = OneVarWord.from_body(word.body * Word(extended, (~word.evaluate(g)).data))
+    return word
+
+
+class TestQuotientFilter:
+    def test_table_is_a_group(self):
+        mul, inv, _ = _quotient()
+        assert len(mul) == N * N and len(inv) == N
+        for g in range(N):
+            row = mul[N * g : N * g + N]
+            assert sorted(row) == list(range(N))  # a Latin square: closed, cancellative
+            assert mul[g] == g and row[0] == g  # 0 is the identity
+            assert row[inv[g]] == 0 and mul[N * inv[g] + g] == 0
+        rng = random.Random(31)
+        for _ in range(5000):
+            f, g, h = rng.randrange(N), rng.randrange(N), rng.randrange(N)
+            assert mul[N * mul[N * f + g] + h] == mul[N * f + mul[N * g + h]]
+
+    def test_no_letter_maps_to_identity(self):
+        letters = _letter_images(9)
+        assert all(letters[v] and letters[-v] for v in range(1, 10))
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_image_is_a_homomorphism(self, rank):
+        mul = _quotient()[0]
+        rng = random.Random(32 + rank)
+        for _ in range(300):
+            u = random_reduced_data(rng, rank, rng.randint(0, 10))
+            v = random_reduced_data(rng, rank, rng.randint(0, 10))
+            assert image(_concat_data(u, v), rank) == mul[N * image(u, rank) + image(v, rank)]
+
+    def test_buckets_partition_the_ball_by_image(self):
+        for rank, radius in ((2, 5), (3, 3), (4, 2)):
+            buckets = _quotient_buckets(rank, radius)
+            assert sum(map(len, buckets.values())) == len(_ball_data(rank, radius))
+            for h, bucket in buckets.items():
+                assert all(image(gd, rank) == h for gd in bucket)
+                keys = [Word(Alphabet("abcd"[:rank]), gd).sort_key() for gd in bucket]
+                assert keys == sorted(keys)
+
+    def test_rank_two_kernel_has_no_short_words(self):
+        assert _quotient_buckets(2, 5)[0] == ((),)
+        kernel = _quotient_buckets(2, 6)[0]
+        ab3 = parse_word("a b a b a b", AB).data
+        assert len(kernel) > 1 and ab3 in kernel
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_higher_rank_kernel_has_no_words_shorter_than_five(self, rank):
+        assert _quotient_buckets(rank, 4)[0] == ((),)
+        assert len(_quotient_buckets(rank, 5)[0]) > 1
+
+    @settings(deadline=None, derandomize=True, max_examples=120)
+    @given(
+        word=st.sampled_from((2, 3, 4)).flatmap(balanced_words),
+        radius=st.integers(0, 6),
+    )
+    @example(word=ov("x a x^-1 a^-1"), radius=6)
+    @example(word=ov("x b a b^-1 x^-1 a^-1"), radius=6)
+    @example(word=ov("x x^-1"), radius=3)
+    @example(word=ov("a b a b a b a a^-1 b^-1 a^-1 b^-1 a^-1 b^-1 a^-1"), radius=3)
+    def test_filter_matches_plain_evaluation(self, word, radius):
+        assert brute_solutions(word, radius) == plain_solutions(word, radius)
+
+    # the commutator with a, and x u x^-1 v^-1 with u = a b^-1, v = (b a) u (b a)^-1
+    @pytest.mark.parametrize(
+        "text, solution", [("x a x^-1 a^-1", "a^8"), ("x a b^-1 x^-1 b a b a^-2 b^-1", "b a")]
+    )
+    def test_few_ball_elements_reach_evaluation(self, text, solution):
+        word = ov(text)
+        buckets = _quotient_buckets(2, 8)
+        evaluated = sum(len(b) for h, b in buckets.items() if quotient_value(word, h) == 0)
+        assert evaluated == sum(map(len, _quotient_survivors(word, 8)))
+        assert evaluated < 0.1 * len(_ball_data(2, 8))
+        assert w(solution) in brute_solutions(word, 8)
 
 
 class TestSubstituteLine:
