@@ -12,7 +12,6 @@ from .algset import (
     ChainReport,
     CyclicCoset,
     chain_check,
-    equals,
     from_json_dict,
     from_json_text,
     intersect,
@@ -101,7 +100,6 @@ __all__ = [
     "chain_check",
     "check_mono_on_ball",
     "enumerate_ball",
-    "equals",
     "from_json_dict",
     "from_json_text",
     "intersect",

@@ -225,11 +225,6 @@ def subset(s1: AlgebraicSet, s2: AlgebraicSet) -> bool:
     return True
 
 
-def equals(s1: AlgebraicSet, s2: AlgebraicSet) -> bool:
-    """Extensional equality; coincides with structural equality of canonical forms."""
-    return s1 == s2
-
-
 @dataclass(frozen=True)
 class ChainReport:
     """Result of checking a descending chain of closed sets."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import AlphabetError, IdentityWordError
-from .words import Alphabet, Word, enumerate_ball
+from .words import Alphabet, Word, _invert_data, _reduce_data, enumerate_ball
 
 
 class Homomorphism:
@@ -34,22 +34,14 @@ class Homomorphism:
         self.source = source
         self.target = target
         self.letter_images = dict(letter_images)
-        self._image_data = [letter_images[n].data for n in source.names]
+        # entry v is the image data of code v; inverses sit at the end in reverse
+        images = [letter_images[n].data for n in source.names]
+        self._images = [(), *images, *[_invert_data(d) for d in reversed(images)]]
 
     def apply(self, word: Word) -> Word:
         if word.alphabet != self.source:
             raise AlphabetError("word is not over the source alphabet")
-        stack: list[int] = []
-        for v in word.data:
-            data = self._image_data[abs(v) - 1]
-            if v < 0:
-                data = tuple(-u for u in reversed(data))
-            for u in data:
-                if stack and stack[-1] == -u:
-                    stack.pop()
-                else:
-                    stack.append(u)
-        return Word(self.target, tuple(stack))
+        return Word(self.target, _reduce_data(map(self._images.__getitem__, word.data)))
 
     def __repr__(self) -> str:
         images = ", ".join(f"{n} -> {self.letter_images[n]}" for n in self.source.names)
@@ -145,9 +137,11 @@ class EmbedCheckReport:
     def to_json_dict(self) -> dict:
         return {
             "indices": self.index_count,
+            "ball": self.ball_size,
             "checked": self.checked,
             "failures": list(self.failures),
             "injective": self.injective,
+            "fixes_common_letters": self.fixes_common_letters,
         }
 
 

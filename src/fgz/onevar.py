@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Iterable, Union
 
 from .errors import AlphabetError, RootError
-from .words import BALL_CACHE_SIZE, Alphabet, Word, _ball_data, _invert_data, parse_word
+from .words import BALL_CACHE_SIZE, Alphabet, Word, _ball_data, _invert_data, _reduce_data, parse_word
 
 DEFAULT_VARIABLE = "x"
 
@@ -91,28 +91,38 @@ class OneVarWord:
         """
         if g.alphabet != self.alphabet:
             raise AlphabetError("evaluation point must be over the coefficient alphabet")
-        vc = self._var_code
-        gd = g.data
-        gi = _invert_data(gd)
-        stack: list[int] = []
-        for v in self.body.data:
-            if abs(v) == vc:
-                for u in gd if v > 0 else gi:
-                    if stack and stack[-1] == -u:
-                        stack.pop()
-                    else:
-                        stack.append(u)
-            elif stack and stack[-1] == -v:
-                stack.pop()
-            else:
-                stack.append(v)
-        return Word(self.alphabet, tuple(stack))
+        return Word(self.alphabet, _substitute(_segments(self), g.data))
 
     def __str__(self) -> str:
         return str(self.body)
 
     def __repr__(self) -> str:
         return f"<OneVarWord {str(self)!r} var={self.variable!r}>"
+
+
+def _segments(w: OneVarWord) -> tuple[tuple[int, ...], tuple[tuple[bool, tuple[int, ...]], ...]]:
+    """``c_0`` and the steps ``(e_i > 0, c_i)`` of ``w = c_0 x^(e_1) c_1 ... x^(e_k) c_k``."""
+    vc = w._var_code
+    runs: list[list[int]] = [[]]
+    signs: list[bool] = []
+    for v in w.body.data:
+        if abs(v) == vc:
+            signs.append(v > 0)
+            runs.append([])
+        else:
+            runs[-1].append(v)
+    return tuple(runs[0]), tuple(zip(signs, map(tuple, runs[1:])))
+
+
+def _substitute(segments: tuple, gd: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced data of ``w(g)``, from ``_segments(w)`` and the data of g."""
+    head, steps = segments
+    gi = _invert_data(gd)
+    pieces = [head]
+    for positive, run in steps:
+        pieces.append(gd if positive else gi)
+        pieces.append(run)
+    return _reduce_data(pieces)
 
 
 def _abelianization(data: tuple[int, ...], rank: int) -> tuple[int, ...]:
@@ -234,22 +244,21 @@ def _quotient_survivors(w: OneVarWord, radius: int) -> list[tuple[tuple[int, ...
     mul, inv, _ = _quotient()
     n = QUOTIENT_ORDER
     letters = _letter_images(len(w.alphabet))
-    vc = w._var_code
-    # w = c_0 x^(e_1) c_1 ... x^(e_k) c_k, each segment c_i folded to its image
-    segments = [0]
-    signs = []
-    for v in w.body.data:
-        if abs(v) == vc:
-            signs.append(v > 0)
-            segments.append(0)
-        else:
-            segments[-1] = mul[n * segments[-1] + letters[v]]
-    steps = list(zip(signs, segments[1:]))
+
+    def fold(run: tuple[int, ...]) -> int:
+        image = 0
+        for v in run:
+            image = mul[n * image + letters[v]]
+        return image
+
+    head, steps = _segments(w)
+    start = fold(head)
+    folded = [(positive, fold(run)) for positive, run in steps]
     survivors = []
     for h, bucket in _quotient_buckets(len(w.alphabet), radius).items():
         hi = inv[h]
-        image = segments[0]
-        for positive, segment in steps:
+        image = start
+        for positive, segment in folded:
             image = mul[n * mul[n * image + (h if positive else hi)] + segment]
         if image == 0:
             survivors.append(bucket)
@@ -292,26 +301,10 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
             return []
         target = tuple([-a // sigma for a in coeff_ab])
         buckets = [_ball_buckets(rank, radius).get(target, ())]
-    vc = w._var_code
-    body = w.body.data
-    alphabet = w.alphabet
-    sols = []
-    for gd in chain.from_iterable(buckets):
-        gi = _invert_data(gd)
-        stack: list[int] = []
-        for v in body:
-            if abs(v) == vc:
-                for u in gd if v > 0 else gi:
-                    if stack and stack[-1] == -u:
-                        stack.pop()
-                    else:
-                        stack.append(u)
-            elif stack and stack[-1] == -v:
-                stack.pop()
-            else:
-                stack.append(v)
-        if not stack:
-            sols.append(Word(alphabet, gd))
+    segments = _segments(w)
+    sols = [
+        Word(w.alphabet, gd) for gd in chain.from_iterable(buckets) if not _substitute(segments, gd)
+    ]
     if len(buckets) > 1:
         sols.sort(key=Word.sort_key)
     return sols
@@ -437,30 +430,21 @@ def _normalize_blocks(alphabet: Alphabet, blocks: Iterable[Block]) -> tuple[Bloc
 
 @dataclass(frozen=True)
 class ParametricWord:
-    """Normalized block sequence denoting a word-valued function of n."""
+    """Block sequence denoting a word-valued function of n, normalized on construction."""
 
     alphabet: Alphabet
     blocks: tuple[Block, ...]
 
-    @classmethod
-    def of(cls, alphabet: Alphabet, blocks: Iterable[Block]) -> "ParametricWord":
-        return cls(alphabet, _normalize_blocks(alphabet, blocks))
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", _normalize_blocks(self.alphabet, self.blocks))
 
     def at(self, n: int) -> Word:
         """Concrete value at integer n."""
-        stack: list[int] = []
-        for block in self.blocks:
-            data = (
-                block.word.data
-                if isinstance(block, ConcreteBlock)
-                else (block.root ** block.exponent_at(n)).data
-            )
-            for v in data:
-                if stack and stack[-1] == -v:
-                    stack.pop()
-                else:
-                    stack.append(v)
-        return Word(self.alphabet, tuple(stack))
+        pieces = [
+            b.word.data if isinstance(b, ConcreteBlock) else (b.root ** b.exponent_at(n)).data
+            for b in self.blocks
+        ]
+        return Word(self.alphabet, _reduce_data(pieces))
 
     def __repr__(self) -> str:
         parts = []
@@ -504,28 +488,15 @@ def substitute_line(w: OneVarWord, base: Word, root: Word) -> ParametricWord:
         raise RootError("line direction must be nontrivial")
     if root.primitive_root().exponent != 1:
         raise RootError(f"line direction {root} is not primitive")
-    vc = w._var_code
-    blocks: list[Block] = []
-    buf: list[int] = []
-
-    def flush():
-        if buf:
-            blocks.append(ConcreteBlock(Word(w.alphabet, tuple(buf))))
-            buf.clear()
-
-    for v in w.body.data:
-        if v == vc:
-            flush()
-            blocks.append(ConcreteBlock(base))
-            blocks.append(PowerBlock(root, 1, 0))
-        elif v == -vc:
-            flush()
-            blocks.append(PowerBlock(root, -1, 0))
-            blocks.append(ConcreteBlock(~base))
+    head, steps = _segments(w)
+    blocks: list[Block] = [ConcreteBlock(Word(w.alphabet, head))]
+    for positive, run in steps:
+        if positive:
+            blocks += (ConcreteBlock(base), PowerBlock(root, 1, 0))
         else:
-            buf.append(v)
-    flush()
-    return ParametricWord.of(w.alphabet, blocks)
+            blocks += (PowerBlock(root, -1, 0), ConcreteBlock(~base))
+        blocks.append(ConcreteBlock(Word(w.alphabet, run)))
+    return ParametricWord(w.alphabet, blocks)
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -542,15 +513,12 @@ def reduce_parametric(pw: ParametricWord) -> LineSolutionSet:
     to the surrounding material, so candidate exceptional n are collected
     per block and checked concretely.
     """
-    blocks = _normalize_blocks(pw.alphabet, pw.blocks)
-    if not blocks:
+    if not pw.blocks:
         return LineSolutionSet.everything()
-    powers = [b for b in blocks if isinstance(b, PowerBlock)]
+    powers = [b for b in pw.blocks if isinstance(b, PowerBlock)]
     if not powers:
         return LineSolutionSet.finite(())
-    concrete_total = sum(
-        len(b.word) for b in blocks if isinstance(b, ConcreteBlock)
-    )
+    concrete_total = sum(len(b.word) for b in pw.blocks if isinstance(b, ConcreteBlock))
     candidates: set[int] = set()
     for p in powers:
         other = max((len(q.root) for q in powers if q is not p), default=0)

@@ -38,7 +38,6 @@ DEFAULT_MAX_PAIRS = 5000
 class SolveConfig:
     discovery_radius: int = DEFAULT_DISCOVERY_RADIUS
     verify_radius: int | None = None
-    escalate: bool = True
     max_escalations: int = DEFAULT_MAX_ESCALATIONS
     max_pairs: int = DEFAULT_MAX_PAIRS
 
@@ -187,8 +186,6 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
         last_report = verify_against_oracle(w, result, discovery + gap, solutions)
         if last_report.match:
             return SolveReport(result, last_report.radius, escalation)
-        if not cfg.escalate:
-            break
         discovery += 2
     raise SolverError(
         "escalation exhausted with persistent oracle mismatch at radius "

@@ -5,6 +5,10 @@ word is a tuple of nonzero ints: the i-th alphabet letter is stored as
 ``i + 1`` and its inverse as ``-(i + 1)``, so a pair of adjacent letters
 cancels exactly when the two ints sum to zero.  Reduced tuples are unique
 per group element, which makes equality, hashing and ordering structural.
+
+Two primitives reduce products: :func:`_reduce_data` for the product of
+any number of reduced pieces, which every n-ary product in the package
+goes through, and :func:`_concat_data` for the binary ``Word.__mul__``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     AlphabetError,
@@ -29,6 +33,9 @@ RESERVED_NAMES = ("1", "e")
 
 #: Entries kept by each per-ball cache: distinct (rank, radius) pairs.
 BALL_CACHE_SIZE = 8
+
+#: Most letters a parsed word text may expand to before reduction.
+MAX_PARSE_LETTERS = 10**6
 
 
 class Alphabet:
@@ -98,15 +105,24 @@ class Alphabet:
         return Alphabet(self.names + (name,))
 
 
-def _reduce_data(seq: Iterable[int]) -> tuple[int, ...]:
-    """Free reduction of an int-coded letter sequence (confluent)."""
-    stack: list[int] = []
-    for v in seq:
-        if stack and stack[-1] == -v:
-            stack.pop()
+def _reduce_data(pieces: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Reduced product of int-coded pieces, each of them already reduced.
+
+    The output stays reduced and so does each piece, so letters cancel
+    only at the seam between the output and the next piece.
+    """
+    out: list[int] = []
+    for p in pieces:
+        if out and p and out[-1] == -p[0]:
+            j, n = 1, len(p)
+            out.pop()
+            while out and j < n and out[-1] == -p[j]:
+                out.pop()
+                j += 1
+            out.extend(p[j:])
         else:
-            stack.append(v)
-    return tuple(stack)
+            out.extend(p)
+    return tuple(out)
 
 
 def _concat_data(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -142,7 +158,7 @@ class Word:
     @classmethod
     def from_letters(cls, alphabet: Alphabet, letters: Iterable[tuple[str, int]]) -> "Word":
         """Reduce a sequence of (name, sign) pairs into a word."""
-        return cls(alphabet, _reduce_data(alphabet.value(n, s) for n, s in letters))
+        return cls(alphabet, _reduce_data([(alphabet.value(n, s),) for n, s in letters]))
 
     @property
     def is_identity(self) -> bool:
@@ -287,7 +303,8 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse word text: whitespace-separated IDENT or IDENT^INT terms.
 
     ``"1"`` or ``"e"`` alone denote the identity.  Exponents must be
-    nonzero integers.  The result is reduced.
+    nonzero integers, and their absolute values may sum to at most
+    :data:`MAX_PARSE_LETTERS`.  The result is reduced.
 
     >>> al = Alphabet(("a", "b"))
     >>> str(parse_word("a b^-1 a", al))
@@ -300,22 +317,23 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         return alphabet.identity()
     if not stripped:
         raise ParseError("empty word text (use '1' or 'e' for the identity)")
-    data: list[int] = []
+    pieces: list[tuple[int, ...]] = []
+    total = 0
     for term in stripped.split():
         m = _TERM_RE.match(term)
         if not m:
             raise ParseError(f"malformed term {term!r}")
         name, exp_text = m.group(1), m.group(2)
-        exp = 1 if exp_text is None else int(exp_text)
+        try:
+            exp = 1 if exp_text is None else int(exp_text)
+        except ValueError:  # more digits than int() converts: far over the limit
+            raise ParseError(f"exponent of {name!r} is over the limit of {MAX_PARSE_LETTERS}") from None
         if exp == 0:
             raise ParseError(f"malformed exponent in {term!r}: must be nonzero")
-        v = alphabet.value(name, 1 if exp > 0 else -1)
-        for _ in range(abs(exp)):
-            if data and data[-1] == -v:
-                data.pop()
-            else:
-                data.append(v)
-    return Word(alphabet, tuple(data))
+        if (total := total + abs(exp)) > MAX_PARSE_LETTERS:
+            raise ParseError(f"exponents sum to at least {total}, over the limit of {MAX_PARSE_LETTERS}")
+        pieces.append((alphabet.value(name, 1 if exp > 0 else -1),) * abs(exp))
+    return Word(alphabet, _reduce_data(pieces))
 
 
 def centralizer(b: Word) -> Word:

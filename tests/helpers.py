@@ -75,7 +75,7 @@ def one_var_words(draw, alphabet: Alphabet, max_occurrences: int = 3) -> OneVarW
         raw.append(draw(st.sampled_from((var, -var))))
     raw += draw(reduced_data(rank, 3))
     extended = alphabet.extend("x")
-    word = OneVarWord.from_body(Word(extended, _reduce_data(raw)))
+    word = OneVarWord.from_body(Word(extended, _reduce_data([(v,) for v in raw])))
     if draw(st.booleans()):
         g = Word(alphabet, draw(reduced_data(rank, 4)))
         word = OneVarWord.from_body(word.body * Word(extended, (~word.evaluate(g)).data))

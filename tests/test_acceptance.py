@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from fgz.algset import AlgebraicSet, CyclicCoset, chain_check, equals, intersect, intersect_cosets, subset, union
+from fgz.algset import AlgebraicSet, CyclicCoset, chain_check, intersect, intersect_cosets, subset, union
 from fgz.embed import build_phi_g, check_mono_on_ball
 from fgz.onevar import OneVarWord, reduce_parametric, substitute_line
 from fgz.residual import apply_perm_rep, separate
@@ -243,7 +243,7 @@ def test_criterion_7_set_algebra_extensionality():
             expected = frozenset(g.data for g in ball if c1.member(g) and c2.member(g))
             if _ball_restriction(meet, ball) != expected:
                 discrepancies += 1
-        # subset/equals: claims verified on the restriction, refutations by
+        # subset and ==: claims verified on the restriction, refutations by
         # a concrete witness element of the left operand
         if subset(s1, s2):
             if not r1 <= r2:
@@ -255,7 +255,7 @@ def test_criterion_7_set_algebra_extensionality():
                 witnesses.extend(c.element(m) for m in range(-span, span + 1))
             if all(s2.member(g) for g in witnesses):
                 discrepancies += 1
-        if equals(s1, s2) != (subset(s1, s2) and subset(s2, s1)):
+        if (s1 == s2) != (subset(s1, s2) and subset(s2, s1)):
             discrepancies += 1
     report_line(
         "criterion 7 (set algebra extensionality)",

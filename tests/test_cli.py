@@ -1,11 +1,12 @@
 import json
+import time
 
 import pytest
 
 from fgz.algset import AlgebraicSet, CyclicCoset, from_json_dict, from_json_text, to_json_dict
 from fgz.cli import main
 from fgz.errors import ParseError
-from fgz.words import parse_word
+from fgz.words import MAX_PARSE_LETTERS, parse_word
 
 from helpers import AB
 
@@ -146,6 +147,7 @@ class TestOtherCommands:
         )
         assert payload["failures"] == [] and payload["injective"] is True
         assert payload["indices"] == 16
+        assert payload["ball"] == 17 and payload["fixes_common_letters"] is True
 
     def test_separate(self, capsys):
         payload = run_json(capsys, "--alphabet", "a,b", "separate", "a b^-1 a")
@@ -190,6 +192,14 @@ class TestInvocation:
         )
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "--verify-radius" in err
+
+    def test_huge_exponent_fails_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--alphabet", "a,b", "reduce", "a^100000000")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(MAX_PARSE_LETTERS) in err
 
     def test_zero_radius_embed_check_is_usage_error(self, capsys):
         code, out, err = run(

@@ -12,6 +12,24 @@ Y4 = Alphabet(("b", "c", "d", "f"))
 CD = Alphabet(("c", "d"))
 
 
+class TestHomomorphism:
+    def test_apply_matches_product_of_letter_images(self):
+        # images of any length, trivial and shared ones included, applied
+        # to words with inverse letters
+        rng = random.Random(43)
+        inverse_letters = 0
+        for _ in range(300):
+            images = {x: random_word(rng, Y4, 4) for x in AB.names}
+            hom = Homomorphism(AB, Y4, images)
+            h = random_word(rng, AB, 8)
+            expected = Y4.identity()
+            for name, sign in h.signed_letters:
+                expected = expected * (images[name] if sign > 0 else ~images[name])
+                inverse_letters += sign < 0
+            assert hom.apply(h) == expected
+        assert inverse_letters > 500
+
+
 class TestBuildPhiG:
     def test_fresh_letters_skip_common_ones(self):
         g = parse_word("a b a^-1", ABC)

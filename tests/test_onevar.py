@@ -15,6 +15,7 @@ from fgz.onevar import (
     QUOTIENT_ORDER,
     _ball_buckets,
     _letter_images,
+    _normalize_blocks,
     _quotient,
     _quotient_buckets,
     _quotient_survivors,
@@ -215,7 +216,7 @@ def balanced_words(draw, rank: int) -> OneVarWord:
         u = draw(reduced_data(rank, 4, min_len=1))
         c = draw(reduced_data(rank, 3))
         raw = [var, *u, -var, *c, *[-v for v in reversed(u)], *[-v for v in reversed(c)]]
-        return OneVarWord.from_body(Word(extended, _reduce_data(raw)))
+        return OneVarWord.from_body(Word(extended, _reduce_data([(v,) for v in raw])))
     s = Word(extended, draw(reduced_data(var, 3)))
     t = Word(extended, draw(reduced_data(var, 3)))
     word = OneVarWord.from_body(s.commutator(t))
@@ -362,8 +363,8 @@ class TestNormalization:
             PowerBlock(w("b a b^-1"), 2, 1),
             ConcreteBlock(w("b a^-1")),
         )
-        once = ParametricWord.of(AB, blocks)
-        twice = ParametricWord.of(AB, once.blocks)
+        once = ParametricWord(AB, blocks)
+        twice = ParametricWord(AB, once.blocks)
         assert once == twice
 
     def test_conjugate_roots_merge(self):
@@ -374,12 +375,34 @@ class TestNormalization:
             ConcreteBlock(w("b^-1")),
             PowerBlock(w("b a b^-1"), -1, 0),
         )
-        pw = ParametricWord.of(AB, blocks)
+        pw = ParametricWord(AB, blocks)
         assert pw.blocks == ()
 
     def test_orientation_flip(self):
-        pw = ParametricWord.of(AB, (PowerBlock(w("a^-1"), 1, 2),))
+        pw = ParametricWord(AB, (PowerBlock(w("a^-1"), 1, 2),))
         assert pw.blocks == (PowerBlock(w("a"), -1, -2),)
+
+    def test_constructor_normalizes(self):
+        # raw blocks: empty and adjacent concretes, conjugated and
+        # inverse-oriented roots, zero exponents
+        rng = random.Random(44)
+        for _ in range(300):
+            raw = []
+            for _ in range(rng.randint(0, 5)):
+                if rng.random() < 0.5:
+                    raw.append(ConcreteBlock(random_word(rng, AB, 3)))
+                else:
+                    root = random_word(rng, AB, 4, min_len=1).primitive_root().root
+                    raw.append(PowerBlock(root, rng.randint(-2, 2), rng.randint(-2, 2)))
+            pw = ParametricWord(AB, tuple(raw))
+            assert pw.blocks == _normalize_blocks(AB, raw)
+            assert ParametricWord(AB, pw.blocks) == pw
+            for n in range(-3, 4):
+                expected = AB.identity()
+                for b in raw:
+                    value = b.word if isinstance(b, ConcreteBlock) else b.root ** b.exponent_at(n)
+                    expected = expected * value
+                assert pw.at(n) == expected
 
 
 class TestReduceParametric:
@@ -390,9 +413,9 @@ class TestReduceParametric:
             PowerBlock(w("a"), -1, 0),
             ConcreteBlock(w("a^-1")),
         )
-        result = reduce_parametric(ParametricWord.of(AB, blocks))
+        result = reduce_parametric(ParametricWord(AB, blocks))
         assert result == LineSolutionSet.everything()
-        pw = ParametricWord.of(AB, blocks)
+        pw = ParametricWord(AB, blocks)
         for n in range(-5, 6):
             assert pw.at(n).is_identity
 
@@ -403,14 +426,14 @@ class TestReduceParametric:
             PowerBlock(w("a"), -1, 0),
             ConcreteBlock(w("b^-1")),
         )
-        assert reduce_parametric(ParametricWord.of(AB, blocks)) == LineSolutionSet.finite([0])
+        assert reduce_parametric(ParametricWord(AB, blocks)) == LineSolutionSet.finite([0])
 
     def test_shifted_root(self):
-        pw = ParametricWord.of(AB, (PowerBlock(w("a"), 1, -1),))
+        pw = ParametricWord(AB, (PowerBlock(w("a"), 1, -1),))
         assert reduce_parametric(pw) == LineSolutionSet.finite([1])
 
     def test_pure_concrete_never_vanishes(self):
-        pw = ParametricWord.of(AB, (ConcreteBlock(w("a b")),))
+        pw = ParametricWord(AB, (ConcreteBlock(w("a b")),))
         assert reduce_parametric(pw) == LineSolutionSet.finite([])
 
     def test_matches_concrete_evaluation(self):
@@ -424,6 +447,23 @@ class TestReduceParametric:
             for n in range(-6, 7):
                 expected = word.evaluate(base * root ** n).is_identity
                 assert (n in solutions) == expected, (word, base, root, n)
+
+    def test_does_not_normalize_again(self, monkeypatch):
+        rng = random.Random(45)
+        cases = []
+        for _ in range(80):
+            word = OneVarWord.from_body(Word(X, random_reduced_data(rng, 3, rng.randint(0, 8))))
+            base = random_word(rng, AB, 3)
+            root = random_word(rng, AB, 3, min_len=1).primitive_root().root
+            pw = substitute_line(word, base, root)
+            cases.append((pw, reduce_parametric(pw)))
+
+        def normalize(*args):
+            raise AssertionError("reduce_parametric normalized its input again")
+
+        monkeypatch.setattr(onevar, "_normalize_blocks", normalize)
+        for pw, expected in cases:
+            assert reduce_parametric(pw) == expected
 
     def test_membership(self):
         assert 5 in LineSolutionSet.everything()

@@ -148,7 +148,7 @@ class TestSolvePipeline:
         assert report.result == AlgebraicSet.of(AB, points=[w("a^3")])
 
     def test_escalation_disabled_raises(self):
-        cfg = SolveConfig(discovery_radius=0, verify_radius=2, escalate=False)
+        cfg = SolveConfig(discovery_radius=0, verify_radius=2, max_escalations=0)
         with pytest.raises(SolverError, match="mismatch"):
             solve(ov("x a x^-1 a^-1"), cfg)
 

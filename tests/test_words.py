@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgz.errors import (
     AlphabetError,
@@ -9,19 +12,26 @@ from fgz.errors import (
     WholeGroupError,
 )
 from fgz.words import (
+    MAX_PARSE_LETTERS,
     Alphabet,
     Word,
+    _reduce_data,
     ball_size,
     centralizer,
     enumerate_ball,
     parse_word,
 )
 
-from helpers import AB, brute_reduce, random_unreduced_letters, random_word
+from helpers import AB, brute_reduce, random_unreduced_letters, random_word, reduced_data
 
 
 def w(text, alphabet=AB):
     return parse_word(text, alphabet)
+
+
+def as_letters(data):
+    """(name, sign) pairs of int codes over AB."""
+    return [(AB.names[abs(v) - 1], 1 if v > 0 else -1) for v in data]
 
 
 class TestAlphabet:
@@ -73,6 +83,21 @@ class TestParse:
             with pytest.raises(ParseError):
                 w(bad)
 
+    def test_letter_limit_edge(self):
+        half = MAX_PARSE_LETTERS // 2
+        at_limit = f"a^{half} b^-{MAX_PARSE_LETTERS - half}"
+        assert len(w(at_limit)) == MAX_PARSE_LETTERS
+        assert len(w(f"b^{half} b^-{MAX_PARSE_LETTERS - half}")) == MAX_PARSE_LETTERS - 2 * half
+        with pytest.raises(ParseError, match=f"over the limit of {MAX_PARSE_LETTERS}"):
+            w(f"a^{half} b^-{MAX_PARSE_LETTERS - half + 1}")
+
+    def test_huge_exponents_fail_before_expanding(self):
+        start = time.perf_counter()
+        for text in ("a^100000000", "a^-100000000 b", "a^" + "9" * 5000):
+            with pytest.raises(ParseError, match="over the limit of"):
+                w(text)
+        assert time.perf_counter() - start < 5
+
     def test_round_trip_and_collapse(self):
         assert str(w("a a a")) == "a^3"
         assert str(w("a^-1 a^-1 b")) == "a^-2 b"
@@ -102,6 +127,25 @@ class TestReduce:
             once = Word.from_letters(AB, letters)
             again = Word.from_letters(AB, once.signed_letters)
             assert once == again
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(data=st.data())
+    def test_kernel_matches_oracle_on_reduced_pieces(self, data):
+        # pieces are reduced; some undo the previous piece or a suffix of
+        # the product so far, so whole pieces and multi-piece seams cancel
+        pieces: list[tuple[int, ...]] = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            kind = data.draw(st.sampled_from(("fresh", "undo", "undo-suffix")))
+            if kind == "fresh" or not pieces:
+                pieces.append(data.draw(reduced_data(2, 5)))
+            elif kind == "undo":
+                pieces.append(tuple(-v for v in reversed(pieces[-1])))
+            else:
+                so_far = brute_reduce(AB, as_letters(v for p in pieces for v in p)).data
+                k = data.draw(st.integers(0, len(so_far)))
+                pieces.append(tuple(-v for v in reversed(so_far[len(so_far) - k :])))
+        expected = brute_reduce(AB, as_letters(v for p in pieces for v in p))
+        assert Word(AB, _reduce_data(pieces)) == expected
 
     def test_confluence_against_random_order_oracle(self):
         rng = random.Random(8)
