@@ -317,6 +317,6 @@ def from_json_dict(d: object, alphabet: Alphabet) -> Union[AlgebraicSet, _WholeG
 def from_json_text(text: str, alphabet: Alphabet) -> Union[AlgebraicSet, _WholeGroupType]:
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed set JSON: {exc}") from None
     return from_json_dict(d, alphabet)

@@ -79,12 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _alphabet_from(args) -> Alphabet:
-    spec_text = args.alphabet or os.environ.get(ALPHABET_ENV_VAR)
-    if not spec_text:
-        raise FreeGroupError(
-            f"no alphabet: pass --alphabet or set ${ALPHABET_ENV_VAR}"
-        )
-    return Alphabet(tuple(part.strip() for part in spec_text.split(",") if part.strip()))
+    spec_text = args.alphabet or os.environ.get(ALPHABET_ENV_VAR) or ""
+    names = tuple(part.strip() for part in spec_text.split(",") if part.strip())
+    if not names:
+        raise FreeGroupError(f"no alphabet: pass --alphabet or set ${ALPHABET_ENV_VAR}")
+    return Alphabet(names)
 
 
 def _emit(payload: dict, text: str, as_json: bool) -> None:

@@ -38,7 +38,7 @@ class OneVarWord:
     def __post_init__(self):
         if self.variable in self.alphabet:
             raise AlphabetError(f"variable {self.variable!r} collides with an alphabet letter")
-        if self.body.alphabet != self.alphabet.extend(self.variable):
+        if self.body.alphabet.names != self.alphabet.names + (self.variable,):
             raise AlphabetError("body must be over the alphabet extended by the variable")
 
     @classmethod
@@ -239,11 +239,14 @@ def _quotient_buckets(rank: int, radius: int) -> dict[int, tuple[tuple[int, ...]
     return {h: tuple(bucket) for h, bucket in enumerate(members) if bucket}
 
 
-def _quotient_survivors(w: OneVarWord, radius: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The buckets of :func:`_quotient_buckets` whose image h has w(h) = 1 in G."""
+def _quotient_survivors(segments: tuple, rank: int, radius: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The buckets of :func:`_quotient_buckets` whose image h has w(h) = 1 in G.
+
+    ``segments`` is ``_segments(w)`` for a word w over ``rank`` letters.
+    """
     mul, inv, _ = _quotient()
     n = QUOTIENT_ORDER
-    letters = _letter_images(len(w.alphabet))
+    letters = _letter_images(rank)
 
     def fold(run: tuple[int, ...]) -> int:
         image = 0
@@ -251,11 +254,11 @@ def _quotient_survivors(w: OneVarWord, radius: int) -> list[tuple[tuple[int, ...
             image = mul[n * image + letters[v]]
         return image
 
-    head, steps = _segments(w)
+    head, steps = segments
     start = fold(head)
     folded = [(positive, fold(run)) for positive, run in steps]
     survivors = []
-    for h, bucket in _quotient_buckets(len(w.alphabet), radius).items():
+    for h, bucket in _quotient_buckets(rank, radius).items():
         hi = inv[h]
         image = start
         for positive, segment in folded:
@@ -295,13 +298,14 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
     if sigma == 0:
         if any(coeff_ab):
             return []
-        buckets = _quotient_survivors(w, radius)
+        segments = _segments(w)
+        buckets = _quotient_survivors(segments, rank, radius)
     else:
         if any(a % sigma for a in coeff_ab):
             return []
+        segments = _segments(w)
         target = tuple([-a // sigma for a in coeff_ab])
         buckets = [_ball_buckets(rank, radius).get(target, ())]
-    segments = _segments(w)
     sols = [
         Word(w.alphabet, gd) for gd in chain.from_iterable(buckets) if not _substitute(segments, gd)
     ]
@@ -376,61 +380,56 @@ def _normalize_blocks(alphabet: Alphabet, blocks: Iterable[Block]) -> tuple[Bloc
         if u.data:
             items.append(ConcreteBlock(~u))
 
-    # Pass 2: merge to a fixpoint.  Adjacent concretes multiply; adjacent
-    # powers of one root add exponents; a concrete that is an exact power
-    # of a neighbouring root is absorbed into that power block.
-    changed = True
-    while changed:
-        changed = False
-        out: list[Block] = []
-        for item in items:
+    # Pass 2: one left-to-right stack pass, merging only at the seam with
+    # the top of the output, as ``_reduce_data`` cancels letters.  An
+    # alpha = 0 power becomes concrete and an empty concrete is dropped; a
+    # merged block is merged again with the new top.  Each merge removes a
+    # block, and no two adjacent output blocks merge.  The split of
+    # concrete material is one normal form of the merge rules, not the
+    # only one; neither ``at`` nor ``reduce_parametric`` depends on it.
+    out: list[Block] = []
+    for item in items:
+        while True:
             if isinstance(item, PowerBlock) and item.alpha == 0:
-                if item.beta == 0:
-                    changed = True
-                    continue
                 item = ConcreteBlock(item.root ** item.beta)
-                changed = True
             if isinstance(item, ConcreteBlock) and not item.word.data:
-                changed = True
-                continue
-            if out:
-                last = out[-1]
-                if isinstance(last, ConcreteBlock) and isinstance(item, ConcreteBlock):
-                    merged = last.word * item.word
-                    if merged.data:
-                        out[-1] = ConcreteBlock(merged)
-                    else:
-                        out.pop()
-                    changed = True
-                    continue
-                if (
-                    isinstance(last, PowerBlock)
-                    and isinstance(item, PowerBlock)
-                    and last.root == item.root
-                ):
-                    out[-1] = PowerBlock(last.root, last.alpha + item.alpha, last.beta + item.beta)
-                    changed = True
-                    continue
-                if isinstance(last, PowerBlock) and isinstance(item, ConcreteBlock):
-                    k = _exact_power_exponent(item.word, last.root)
-                    if k is not None:
-                        out[-1] = PowerBlock(last.root, last.alpha, last.beta + k)
-                        changed = True
-                        continue
-                if isinstance(last, ConcreteBlock) and isinstance(item, PowerBlock):
-                    k = _exact_power_exponent(last.word, item.root)
-                    if k is not None:
-                        out[-1] = PowerBlock(item.root, item.alpha, item.beta + k)
-                        changed = True
-                        continue
-            out.append(item)
-        items = out
-    return tuple(items)
+                break
+            merged = _merge(out[-1], item) if out else None
+            if merged is None:
+                out.append(item)
+                break
+            out.pop()
+            item = merged
+    return tuple(out)
+
+
+def _merge(left: Block, right: Block) -> Block | None:
+    """One block equal to ``left`` times ``right`` for every n, or None.
+
+    Concretes multiply, powers of one root add exponents, and a concrete
+    that is an exact power of its neighbour's root joins that power (on
+    either side, as powers of one root commute).
+    """
+    if isinstance(left, ConcreteBlock) and isinstance(right, ConcreteBlock):
+        return ConcreteBlock(left.word * right.word)
+    if isinstance(left, PowerBlock) and isinstance(right, PowerBlock):
+        if left.root != right.root:
+            return None
+        return PowerBlock(left.root, left.alpha + right.alpha, left.beta + right.beta)
+    power, concrete = (left, right) if isinstance(left, PowerBlock) else (right, left)
+    k = _exact_power_exponent(concrete.word, power.root)
+    return None if k is None else PowerBlock(power.root, power.alpha, power.beta + k)
 
 
 @dataclass(frozen=True)
 class ParametricWord:
-    """Block sequence denoting a word-valued function of n, normalized on construction."""
+    """Block sequence denoting a word-valued function of n, normalized on construction.
+
+    The normalized blocks are one normal form of the merge rules: two
+    block sequences for the same function may split their concrete
+    material differently.  ``at`` and ``reduce_parametric`` depend only
+    on the function, not on the split.
+    """
 
     alphabet: Alphabet
     blocks: tuple[Block, ...]

@@ -21,7 +21,7 @@ made.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import combinations, takewhile
 from typing import Union
 
 from .algset import WHOLE_GROUP, AlgebraicSet, CyclicCoset, _WholeGroupType, to_json_dict
@@ -124,10 +124,11 @@ def _candidate_components(
 ) -> tuple[list[CyclicCoset], list[Word]]:
     """Turn ball solutions into verified cosets and extra verified points.
 
-    Each ordered pair of distinct solutions proposes the cyclic line
-    through the first in the direction of the primitive root of their
-    quotient; lines are deduplicated by canonical coset before the
-    symbolic check.
+    Each unordered pair ``g, h`` of distinct solutions, g listed first,
+    proposes the cyclic line through g in the direction of the primitive
+    root r of ``g^-1 h``; lines are deduplicated by canonical coset before
+    the symbolic check.  The reverse order would add nothing: with
+    ``h = g r^k`` it proposes ``h<r^-1> = g<r>``, the same coset.
     """
     n = len(discovered)
     if n * (n - 1) > max_pairs:
@@ -138,23 +139,20 @@ def _candidate_components(
     cosets: list[CyclicCoset] = []
     extra_points: list[Word] = []
     seen_lines: set[CyclicCoset] = set()
-    for g in discovered:
-        for h in discovered:
-            if g == h:
-                continue
-            root = (~g * h).primitive_root().root
-            line = CyclicCoset.make(g, root)
-            if line in seen_lines:
-                continue
-            seen_lines.add(line)
-            solutions = reduce_parametric(substitute_line(w, g, root))
-            if solutions.all_integers:
-                cosets.append(line)
-            else:
-                for m in solutions.values:
-                    candidate = g * root ** m
-                    if w.evaluate(candidate).is_identity:
-                        extra_points.append(candidate)
+    for g, h in combinations(discovered, 2):
+        root = (~g * h).primitive_root().root
+        line = CyclicCoset.make(g, root)
+        if line in seen_lines:
+            continue
+        seen_lines.add(line)
+        solutions = reduce_parametric(substitute_line(w, g, root))
+        if solutions.all_integers:
+            cosets.append(line)
+        else:
+            for m in solutions.values:
+                candidate = g * root ** m
+                if w.evaluate(candidate).is_identity:
+                    extra_points.append(candidate)
     return cosets, extra_points
 
 

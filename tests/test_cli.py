@@ -170,6 +170,11 @@ class TestInvocation:
         monkeypatch.delenv("FGZ_ALPHABET", raising=False)
         code, _, err = run(capsys, "reduce", "a")
         assert code == 1 and "no alphabet" in err
+        # a spec that names no letter counts as missing, not as an empty alphabet
+        missing = (1, "", "error: no alphabet: pass --alphabet or set $FGZ_ALPHABET\n")
+        assert run(capsys, "--alphabet", ",", "embed-check", "--target", "c") == missing
+        monkeypatch.setenv("FGZ_ALPHABET", " , ")
+        assert run(capsys, "embed-check", "--target", "c") == missing
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -215,6 +220,7 @@ class TestInvocation:
             ("[1]", "must be an object"),
             ('{"cosets":[{"rep":"a"}]}', "needs a 'rep' and a 'root'"),
             ('{"whole_group":"no"}', "must be a boolean"),
+            pytest.param("[" * 100000, "malformed set JSON", id="deep-nesting"),
         ],
     )
     def test_bad_set_json_is_one_line_error(self, capsys, text, message):

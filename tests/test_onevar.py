@@ -15,10 +15,12 @@ from fgz.onevar import (
     QUOTIENT_ORDER,
     _ball_buckets,
     _letter_images,
+    _merge,
     _normalize_blocks,
     _quotient,
     _quotient_buckets,
     _quotient_survivors,
+    _segments,
     brute_solutions,
     reduce_parametric,
     substitute_line,
@@ -293,7 +295,7 @@ class TestQuotientFilter:
         word = ov(text)
         buckets = _quotient_buckets(2, 8)
         evaluated = sum(len(b) for h, b in buckets.items() if quotient_value(word, h) == 0)
-        assert evaluated == sum(map(len, _quotient_survivors(word, 8)))
+        assert evaluated == sum(map(len, _quotient_survivors(_segments(word), 2, 8)))
         assert evaluated < 0.1 * len(_ball_data(2, 8))
         assert w(solution) in brute_solutions(word, 8)
 
@@ -334,6 +336,124 @@ class TestSubstituteLine:
             pw = substitute_line(word, base, root)
             for n in range(-4, 5):
                 assert pw.at(n) == word.evaluate(base * root ** n)
+
+
+def fixpoint_normalized(alphabet, blocks):
+    """Reference for ``_normalize_blocks``: its first pass (roots assumed
+    valid), then merge passes over the whole list until one changes
+    nothing, as a ``ParametricWord`` that skips constructor normalization."""
+    items = []
+    for block in blocks:
+        if isinstance(block, ConcreteBlock):
+            if block.word.data:
+                items.append(block)
+            continue
+        root, alpha, beta = block.root, block.alpha, block.beta
+        cyc = root.cyclic_decomposition()
+        core = cyc.core
+        if ~core < core:
+            core, alpha, beta = ~core, -alpha, -beta
+        u = cyc.conjugator
+        items += [ConcreteBlock(u), PowerBlock(core, alpha, beta), ConcreteBlock(~u)]
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for item in items:
+            if isinstance(item, PowerBlock) and item.alpha == 0:
+                item = ConcreteBlock(item.root ** item.beta)
+                changed = True
+            if isinstance(item, ConcreteBlock) and not item.word.data:
+                changed = True
+                continue
+            if out:
+                last = out[-1]
+                if isinstance(last, ConcreteBlock) and isinstance(item, ConcreteBlock):
+                    merged = last.word * item.word
+                    if merged.data:
+                        out[-1] = ConcreteBlock(merged)
+                    else:
+                        out.pop()
+                    changed = True
+                    continue
+                if isinstance(last, PowerBlock) and isinstance(item, PowerBlock) and last.root == item.root:
+                    out[-1] = PowerBlock(last.root, last.alpha + item.alpha, last.beta + item.beta)
+                    changed = True
+                    continue
+                if isinstance(last, PowerBlock) and isinstance(item, ConcreteBlock):
+                    k = onevar._exact_power_exponent(item.word, last.root)
+                    if k is not None:
+                        out[-1] = PowerBlock(last.root, last.alpha, last.beta + k)
+                        changed = True
+                        continue
+                if isinstance(last, ConcreteBlock) and isinstance(item, PowerBlock):
+                    k = onevar._exact_power_exponent(last.word, item.root)
+                    if k is not None:
+                        out[-1] = PowerBlock(item.root, item.alpha, item.beta + k)
+                        changed = True
+                        continue
+            out.append(item)
+        items = out
+    pw = object.__new__(ParametricWord)
+    object.__setattr__(pw, "alphabet", alphabet)
+    object.__setattr__(pw, "blocks", tuple(items))
+    return pw
+
+
+#: primitive roots in both orientations; "b a b^-1" and "a b a^-1" are
+#: conjugates of letters, so the first pass splices their conjugators out
+ROOT_POOL = tuple(
+    parse_word(t, AB) for t in ("a", "a^-1", "b", "b^-1", "a b", "b^-1 a^-1", "a b^-1", "b a b^-1", "a b a^-1")
+)
+
+
+@st.composite
+def raw_blocks(draw):
+    """Raw block sequences built from pieces that exercise each merge rule:
+    free powers and concretes, a concrete that is an exact power of the
+    root of the power it precedes or follows, and two powers whose alphas
+    cancel between concretes."""
+    small = st.integers(-2, 2)
+    concrete = reduced_data(2, 3).map(lambda d: ConcreteBlock(Word(AB, d)))
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        root = draw(st.sampled_from(ROOT_POOL))
+        power = PowerBlock(root, draw(small), draw(small))
+        kind = draw(st.sampled_from(("power", "concrete", "left", "right", "cancel")))
+        if kind == "power":
+            blocks.append(power)
+        elif kind == "concrete":
+            blocks.append(draw(concrete))
+        elif kind == "left":
+            blocks += [ConcreteBlock(root ** draw(small)), power]
+        elif kind == "right":
+            blocks += [power, ConcreteBlock(root ** draw(small))]
+        else:
+            flipped = draw(st.booleans())
+            partner = PowerBlock(~root if flipped else root, power.alpha if flipped else -power.alpha, draw(small))
+            blocks += [draw(concrete), power, partner, draw(concrete)]
+    return blocks
+
+
+class TestSeamMerge:
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(raw=raw_blocks())
+    def test_matches_fixpoint_reference(self, raw):
+        pw = ParametricWord(AB, raw)
+        assert reduce_parametric(pw) == reduce_parametric(fixpoint_normalized(AB, raw))
+        for n in range(-6, 7):
+            expected = AB.identity()
+            for b in raw:
+                expected = expected * (b.word if isinstance(b, ConcreteBlock) else b.root ** b.exponent_at(n))
+            assert pw.at(n) == expected
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(raw=raw_blocks())
+    def test_no_adjacent_blocks_merge(self, raw):
+        blocks = ParametricWord(AB, raw).blocks
+        assert all(_merge(left, right) is None for left, right in zip(blocks, blocks[1:]))
+        assert _normalize_blocks(AB, blocks) == blocks
+        assert fixpoint_normalized(AB, blocks).blocks == blocks
 
 
 class TestNormalization:

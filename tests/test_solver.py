@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from fgz.algset import WHOLE_GROUP, AlgebraicSet, CyclicCoset
 from fgz.errors import SolverError
-from fgz.onevar import OneVarWord, reduce_parametric, substitute_line
-from fgz.solver import OracleReport, SolveConfig, solve, verify_against_oracle
+from fgz.onevar import OneVarWord, brute_solutions, reduce_parametric, substitute_line
+from fgz.solver import OracleReport, SolveConfig, _candidate_components, solve, verify_against_oracle
 from fgz.words import Word, enumerate_ball, parse_word
 
 from helpers import AB, one_var_words, plain_solutions, random_reduced_data, reduced_data
@@ -179,6 +179,64 @@ class TestSolvePipeline:
         report = solve(word, SolveConfig(discovery_radius=3, verify_radius=5))
         oracle = verify_against_oracle(word, report.result, 7)
         assert oracle.match
+
+
+def ordered_pair_components(w, discovered):
+    """Reference for ``_candidate_components``: every ordered pair of
+    distinct solutions proposes its line, deduplicated by canonical coset."""
+    cosets, extra_points, seen = [], [], set()
+    for g in discovered:
+        for h in discovered:
+            if g == h:
+                continue
+            root = (~g * h).primitive_root().root
+            line = CyclicCoset.make(g, root)
+            if line in seen:
+                continue
+            seen.add(line)
+            solutions = reduce_parametric(substitute_line(w, g, root))
+            if solutions.all_integers:
+                cosets.append(line)
+            else:
+                for m in solutions.values:
+                    candidate = g * root ** m
+                    if w.evaluate(candidate).is_identity:
+                        extra_points.append(candidate)
+    return cosets, extra_points
+
+
+class TestCandidatePairing:
+    def test_each_unordered_pair_makes_one_line(self, monkeypatch):
+        word = ov("x a x^-1 a^-1")
+        discovered = brute_solutions(word, 3)
+        n = len(discovered)
+        made = []
+        make = CyclicCoset.make.__func__
+
+        def counting_make(cls, rep, root):
+            made.append((rep, root))
+            return make(cls, rep, root)
+
+        monkeypatch.setattr(CyclicCoset, "make", classmethod(counting_make))
+        cosets, extra_points = _candidate_components(word, discovered, n * (n - 1))
+        assert n == 7 and len(made) <= n * (n - 1) // 2
+        assert (cosets, extra_points) == ([coset("1", "a")], [])
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(word=one_var_words(AB), radius=st.integers(0, 3))
+    def test_matches_ordered_pairs(self, word, radius):
+        # same lines in the same order, each through the same base
+        discovered = brute_solutions(word, radius)
+        n = len(discovered)
+        expected = ordered_pair_components(word, discovered)
+        assert _candidate_components(word, discovered, n * (n - 1)) == expected
+
+    def test_pair_limit_counts_ordered_pairs(self):
+        word = ov("x a x^-1 a^-1")
+        discovered = brute_solutions(word, 3)
+        _candidate_components(word, discovered, 42)
+        with pytest.raises(SolverError, match="7 ball solutions give 42 candidate pairs"):
+            _candidate_components(word, discovered, 41)
 
 
 class TestSolveProperties:
