@@ -3,7 +3,8 @@
 A cyclic coset ``a<r>`` is a left translate of a maximal cyclic subgroup;
 its root must be primitive, so the subgroup is a full centralizer.  Every
 set here is kept canonical: roots orientation-canonical, representatives
-minimal, no point inside a listed coset, components sorted.  Canonical
+minimal, no point inside a listed coset, components sorted.  Intersections
+are exact, by the cyclic centralizers of a free group.  Canonical
 forms are unique, which turns equality and inclusion into structural
 checks and makes serialized output reproducible.
 """
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import AlphabetError, ParseError, RootError
+from .onevar import ConcreteBlock, ParametricWord, PowerBlock, reduce_parametric
 from .words import Alphabet, Word, parse_word
 
 
@@ -31,7 +33,10 @@ class CyclicCoset:
 
         The root must be primitive: a proper power would denote a coset of
         a non-maximal cyclic subgroup, which is not a centralizer coset
-        and is rejected with a diagnostic.
+        and is rejected with a diagnostic.  The representative becomes the
+        shortlex least ``rep * root^m``, no longer than ``rep``; with
+        ``root = u core u^-1``, ``|rep root^m| >= 2|u| + |m| |core| - |rep|``
+        for m != 0 puts it in the window ``|m| <= (2|rep| - 2|u|) // |core|``.
         """
         if rep.alphabet != root.alphabet:
             raise AlphabetError("rep and root must share an alphabet")
@@ -46,12 +51,14 @@ class CyclicCoset:
             )
         if ~root < root:
             root = ~root
-        span = len(rep) + len(root) + 2
-        rep = min(
-            (rep * root ** m for m in range(-span, span + 1)),
-            key=Word.sort_key,
-        )
-        return cls(rep, root)
+        cyc = root.cyclic_decomposition()
+        window = max(0, 2 * (len(rep) - len(cyc.conjugator)) // len(cyc.core))
+        best = g = rep * root ** -window
+        for _ in range(2 * window):
+            g = g * root
+            if len(g) < len(best) or (len(g) == len(best) and g.sort_key() < best.sort_key()):
+                best = g
+        return cls(best, root)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -117,8 +124,6 @@ class AlgebraicSet:
         for c in cosets:
             if isinstance(c, tuple):
                 c = CyclicCoset.make(*c)
-            else:
-                c = CyclicCoset.make(c.rep, c.root)
             if c.alphabet != alphabet:
                 raise AlphabetError("coset over a different alphabet")
             canon[c.sort_key()] = c
@@ -162,21 +167,22 @@ def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
     """Intersection of two canonical cosets: a coset, a singleton, or empty.
 
     Equal cosets meet in themselves; distinct cosets of one subgroup are
-    disjoint; cosets of different subgroups share at most one element,
-    found by a bounded search (two common elements would force equal
-    roots).
+    disjoint.  Otherwise ``c1.rep c1.root^n`` is in ``c2`` exactly when
+    ``h c1.root^n``, ``h = c2.rep^-1 c1.rep``, commutes with ``c2.root``, as
+    its centralizer is ``<c2.root>``.  :func:`reduce_parametric` gives the n
+    exactly; two would put a power of ``c1.root`` in ``<c2.root>``.
     """
     alphabet = c1.alphabet
     if c1 == c2:
         return AlgebraicSet.of(alphabet, cosets=(c1,))
     if c1.root == c2.root:
         return AlgebraicSet.empty(alphabet)
-    span = len(c1.rep) + len(c2.rep) + 2 * (len(c1.root) + len(c2.root)) + 4
-    for m in range(-span, span + 1):
-        g = c1.element(m)
-        if c2.member(g):
-            return AlgebraicSet.of(alphabet, points=(g,))
-    return AlgebraicSet.empty(alphabet)
+    h, r1, r2 = ~c2.rep * c1.rep, c1.root, c2.root
+    blocks = (ConcreteBlock(h), PowerBlock(r1, 1, 0), ConcreteBlock(r2), PowerBlock(r1, -1, 0))
+    found = reduce_parametric(ParametricWord(alphabet, blocks + (ConcreteBlock(~h * ~r2),)))
+    if found.all_integers or len(found.values) > 1:
+        raise AssertionError(f"{c1} and {c2} share {found}, but centralizers in a free group are cyclic")
+    return AlgebraicSet(alphabet, tuple(c1.element(n) for n in found.values))
 
 
 def union(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:

@@ -505,25 +505,34 @@ def _ceil_div(p: int, q: int) -> int:
 def reduce_parametric(pw: ParametricWord) -> LineSolutionSet:
     """Exactly the set of integers n at which ``pw`` reduces to the identity.
 
-    The normalized block form is the generic shape of the word: if it is
-    empty, every merge that produced it is an identity in the group for
-    every n, so the word vanishes for all n.  Otherwise a power block can
-    only be consumed by cancellation when its exponent is small relative
-    to the surrounding material, so candidate exceptional n are collected
-    per block and checked concretely.
+    An empty block form vanishes for every n.  Otherwise the n checked are
+    those where some power block ``r^e`` has ``|e| |r| <= room``: on each
+    side, the concrete next to it, plus ``|r| + |s| - 2`` if a power ``s^f``
+    is next to it or beyond that concrete.  When no two unequal roots are
+    conjugate up to inversion, as with the one root of a line, every
+    solution is among them.  If every power exceeds its room, reducing each
+    junction (a concrete or two powers around it, or two adjacent powers)
+    on its own eats less than the room from the powers at its ends: at most
+    the concrete, and a factor common to an r-periodic and an s-periodic
+    word, shorter than ``|r| + |s| - 1``.  A longer one would make r and s
+    conjugate by the overlap (Fine-Wilf) lemma; for s = r, make r conjugate
+    to ``r^-1`` or, with opposite signs, the concrete between them a power
+    of r, which normalization merges.  So a nonempty middle of every power
+    survives the reduction.
     """
     if not pw.blocks:
         return LineSolutionSet.everything()
-    powers = [b for b in pw.blocks if isinstance(b, PowerBlock)]
-    if not powers:
-        return LineSolutionSet.finite(())
-    concrete_total = sum(len(b.word) for b in pw.blocks if isinstance(b, ConcreteBlock))
     candidates: set[int] = set()
-    for p in powers:
-        other = max((len(q.root) for q in powers if q is not p), default=0)
-        # a block whose expansion exceeds all concrete material plus two
-        # periods plus the largest foreign period on each side survives
-        bound = 2 + _ceil_div(concrete_total + 2 * other, len(p.root))
+    for i, p in enumerate(pw.blocks):
+        if isinstance(p, ConcreteBlock):
+            continue
+        room = 0
+        for side in (pw.blocks[max(i - 2, 0) : i][::-1], pw.blocks[i + 1 : i + 3]):
+            if side and isinstance(side[0], ConcreteBlock):
+                room, side = room + len(side[0].word), side[1:]
+            if side:
+                room += len(p.root) + len(side[0].root) - 2
+        bound = room // len(p.root)
         lo, hi = -bound - p.beta, bound - p.beta
         if p.alpha > 0:
             n0, n1 = _ceil_div(lo, p.alpha), hi // p.alpha

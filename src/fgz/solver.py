@@ -133,8 +133,8 @@ def _candidate_components(
     n = len(discovered)
     if n * (n - 1) > max_pairs:
         raise SolverError(
-            f"oversize discovery: {n} ball solutions give {n * (n - 1)} candidate pairs "
-            f"(limit {max_pairs}); re-run with a smaller discovery radius"
+            f"oversize discovery: {n} ball solutions give {n * (n - 1) // 2} candidate pairs, and "
+            f"n(n-1) = {n * (n - 1)} is over max_pairs = {max_pairs}; re-run with a smaller discovery radius"
         )
     cosets: list[CyclicCoset] = []
     extra_points: list[Word] = []

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fgz import algset
 from fgz.algset import (
     WHOLE_GROUP,
     AlgebraicSet,
@@ -16,9 +19,10 @@ from fgz.algset import (
     union,
 )
 from fgz.errors import AlphabetError, RootError
-from fgz.words import enumerate_ball, parse_word
+from fgz.onevar import LineSolutionSet
+from fgz.words import Word, enumerate_ball, parse_word
 
-from helpers import AB, random_word
+from helpers import AB, ABC, random_word, reduced_data
 
 
 def w(text):
@@ -47,6 +51,67 @@ def random_algset(rng):
         root = random_word(rng, AB, 3, min_len=1).primitive_root().root
         cosets.append(CyclicCoset.make(rep, root))
     return AlgebraicSet.of(AB, points, cosets)
+
+
+def span_make(rep, root):
+    """Reference canonicalization: the least ``rep * root^m`` over an unproved
+    span of m, one fresh power per m.  ``root`` must be primitive."""
+    if ~root < root:
+        root = ~root
+    span = len(rep) + len(root) + 2
+    return CyclicCoset(min((rep * root ** m for m in range(-span, span + 1)), key=Word.sort_key), root)
+
+
+def span_intersect(c1, c2):
+    """Reference intersection of canonical cosets: membership of c1's
+    elements over an unproved span."""
+    if c1 == c2:
+        return AlgebraicSet.of(c1.alphabet, cosets=(c1,))
+    if c1.root == c2.root:
+        return AlgebraicSet.empty(c1.alphabet)
+    span = len(c1.rep) + len(c2.rep) + 2 * (len(c1.root) + len(c2.root)) + 4
+    for m in range(-span, span + 1):
+        if c2.member(c1.element(m)):
+            return AlgebraicSet.of(c1.alphabet, points=(c1.element(m),))
+    return AlgebraicSet.empty(c1.alphabet)
+
+
+@st.composite
+def primitive_roots(draw, alphabet):
+    """A primitive root; half of them are a letter conjugated by a word of
+    length 1-4 (core length 1 with a nonempty conjugator)."""
+    rank = len(alphabet)
+    if draw(st.booleans()):
+        u = Word(alphabet, draw(reduced_data(rank, 4, min_len=1)))
+        letter = draw(st.sampled_from([v for i in range(1, rank + 1) for v in (i, -i)]))
+        return u * Word(alphabet, (letter,)) * ~u
+    return Word(alphabet, draw(reduced_data(rank, 5, min_len=1))).primitive_root().root
+
+
+@st.composite
+def raw_cosets(draw, alphabet, root=None):
+    """A raw ``(rep, root)`` pair: the rep is a short word times a power
+    ``root^k``, |k| <= 9, so some reps are long multiples of the root and
+    some are shorter than the root's conjugator."""
+    if root is None:
+        root = draw(primitive_roots(alphabet))
+    rep = Word(alphabet, draw(reduced_data(len(alphabet), 4))) * root ** draw(st.integers(-9, 9))
+    return rep, root
+
+
+@st.composite
+def coset_pairs(draw):
+    """Two canonical cosets over one alphabet of rank 2 or 3, with equal,
+    inverse-oriented or distinct roots; half of the second reps are
+    elements of the first coset, so that many pairs meet."""
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    rep1, root1 = draw(raw_cosets(alphabet))
+    kind = draw(st.sampled_from(("equal", "inverse", "distinct")))
+    root2 = {"equal": root1, "inverse": ~root1, "distinct": None}[kind]
+    rep2, root2 = draw(raw_cosets(alphabet, root2))
+    if draw(st.booleans()):
+        rep2 = rep1 * root1 ** draw(st.integers(-4, 4)) * root2 ** draw(st.integers(-4, 4))
+    return CyclicCoset.make(rep1, root1), CyclicCoset.make(rep2, root2)
 
 
 class TestCyclicCoset:
@@ -78,6 +143,16 @@ class TestCyclicCoset:
         assert c2.rep == w("b^-1") or len(c2.rep) <= 2
         # same coset however it is written
         assert CyclicCoset.make(c2.element(3), ~c2.root) == c2
+
+    @settings(deadline=None, derandomize=True, max_examples=600)
+    @given(st.sampled_from((AB, ABC)).flatmap(raw_cosets))
+    @example((w("b"), w("a b")))  # least element a^-1 at m = -1 = -W, tied in length with b
+    @example((w("a"), w("b^2 a^-1 b^-2")))  # |rep| < |u|: empty window
+    @example((w("b a^7"), w("a^-1")))  # long multiple of a letter root, inverse orientation
+    @example((w("b a b^-1 a"), w("b a^-1 b^-1")))  # core length 1 under a conjugator
+    def test_make_matches_span_reference(self, raw):
+        rep, root = raw
+        assert CyclicCoset.make(rep, root) == span_make(rep, root)
 
     def test_membership_against_ball_oracle(self):
         rng = random.Random(31)
@@ -118,6 +193,15 @@ class TestAlgebraicSet:
             assert again == s
             assert s == again
 
+    def test_coset_values_are_not_canonicalized_again(self, monkeypatch):
+        c = coset("b a^3", "a^-1")
+
+        def make(*args):
+            raise AssertionError("AlgebraicSet.of canonicalized a CyclicCoset again")
+
+        monkeypatch.setattr(CyclicCoset, "make", make)
+        assert AlgebraicSet.of(AB, cosets=[c]).cosets == (c,)
+
     def test_duplicate_cosets_merge(self):
         s = AlgebraicSet.of(AB, cosets=[(w("1"), w("a")), (w("a^2"), w("a^-1"))])
         assert len(s.cosets) == 1
@@ -155,6 +239,23 @@ class TestIntersectCosets:
             piece = intersect_cosets(c1, c2)
             for g in common:
                 assert piece.member(g)
+
+
+    @settings(deadline=None, derandomize=True, max_examples=600)
+    @given(coset_pairs())
+    @example((coset("1", "a"), coset("1", "b")))
+    @example((coset("a", "b"), coset("b", "a")))
+    @example((coset("b", "a b"), coset("a^-1", "a")))
+    def test_matches_span_reference(self, pair):
+        c1, c2 = pair
+        assert intersect_cosets(c1, c2) == span_intersect(c1, c2)
+        assert intersect_cosets(c2, c1) == span_intersect(c2, c1)
+
+    @pytest.mark.parametrize("found", [LineSolutionSet.finite([0, 1]), LineSolutionSet.everything()])
+    def test_more_than_one_common_element_is_refused(self, monkeypatch, found):
+        monkeypatch.setattr(algset, "reduce_parametric", lambda pw: found)
+        with pytest.raises(AssertionError, match="centralizers in a free group are cyclic"):
+            intersect_cosets(coset("1", "a"), coset("1", "b"))
 
 
 class TestSetOps:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgz import onevar
@@ -567,6 +567,64 @@ class TestReduceParametric:
             for n in range(-6, 7):
                 expected = word.evaluate(base * root ** n).is_identity
                 assert (n in solutions) == expected, (word, base, root, n)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(st.data())
+    def test_solution_at_the_room_of_two_concretes(self, data):
+        # P^-1 r^e S^-1 for a cut P S of r^k off a period boundary: the one
+        # solution e = k eats both concretes whole, |e| |r| = room exactly.
+        alphabet = data.draw(st.sampled_from((AB, ABC)))
+        root = Word(alphabet, data.draw(reduced_data(len(alphabet), 5, min_len=2))).primitive_root().root
+        core = root.cyclic_decomposition().core
+        assume(len(core) >= 2)
+        k = data.draw(st.integers(1, 8))
+        cut = len(core) * data.draw(st.integers(0, k - 1)) + data.draw(st.integers(1, len(core) - 1))
+        power = core ** k
+        prefix, suffix = Word(alphabet, power.data[:cut]), Word(alphabet, power.data[cut:])
+        alpha, n_star = data.draw(st.sampled_from((1, -1, 2, -2))), data.draw(st.integers(-5, 5))
+        blocks = (ConcreteBlock(~prefix), PowerBlock(core, alpha, k - alpha * n_star), ConcreteBlock(~suffix))
+        pw = ParametricWord(alphabet, blocks)
+        assert reduce_parametric(pw) == LineSolutionSet.finite([n_star])
+        assert [n for n in range(n_star - 12, n_star + 13) if pw.at(n).is_identity] == [n_star]
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(st.data())
+    def test_solution_at_the_room_of_an_adjacent_power(self, data):
+        # x^e (x^-k t)^f t^-1 vanishes only at e = k, f = 1, where x^e and
+        # x^-k t share the factor x^k of length |x| + |x^-k t| - 2: the room.
+        alphabet = data.draw(st.sampled_from((AB, ABC)))
+        x, t = data.draw(st.permutations(range(1, len(alphabet) + 1)))[:2]
+        x, t = x * data.draw(st.sampled_from((1, -1))), t * data.draw(st.sampled_from((1, -1)))
+        k, n_star = data.draw(st.integers(1, 6)), data.draw(st.integers(-5, 5))
+        a1, a2 = data.draw(st.sampled_from((1, -1, 2))), data.draw(st.sampled_from((1, -1, 2)))
+        s = Word(alphabet, (-x,) * k + (t,))
+        blocks = (
+            PowerBlock(Word(alphabet, (x,)), a1, k - a1 * n_star),
+            PowerBlock(s, a2, 1 - a2 * n_star),
+            ConcreteBlock(Word(alphabet, (-t,))),
+        )
+        pw = ParametricWord(alphabet, blocks)
+        assert reduce_parametric(pw) == LineSolutionSet.finite([n_star])
+        assert [n for n in range(n_star - 12, n_star + 13) if pw.at(n).is_identity] == [n_star]
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(st.data())
+    def test_solution_at_the_room_across_a_concrete(self, data):
+        # (x^k t)^e t^-1 x^f vanishes only at e = 1, f = -k, where x^k t is
+        # eaten by t^-1 and then by x^-k: the room |t| + |x^k t| + |x| - 2.
+        alphabet = data.draw(st.sampled_from((AB, ABC)))
+        x, t = data.draw(st.permutations(range(1, len(alphabet) + 1)))[:2]
+        x, t = x * data.draw(st.sampled_from((1, -1))), t * data.draw(st.sampled_from((1, -1)))
+        k, n_star = data.draw(st.integers(2, 6)), data.draw(st.integers(-5, 5))
+        a1, a2 = data.draw(st.sampled_from((1, -1, 2))), data.draw(st.sampled_from((1, -1, 2)))
+        blocks = (
+            PowerBlock(Word(alphabet, (x,) * k + (t,)), a1, 1 - a1 * n_star),
+            ConcreteBlock(Word(alphabet, (-t,))),
+            PowerBlock(Word(alphabet, (x,)), a2, -k - a2 * n_star),
+        )
+        pw = ParametricWord(alphabet, blocks)
+        assert reduce_parametric(pw) == LineSolutionSet.finite([n_star])
+        assert [n for n in range(n_star - 12, n_star + 13) if pw.at(n).is_identity] == [n_star]
 
     def test_does_not_normalize_again(self, monkeypatch):
         rng = random.Random(45)

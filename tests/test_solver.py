@@ -235,7 +235,8 @@ class TestCandidatePairing:
         word = ov("x a x^-1 a^-1")
         discovered = brute_solutions(word, 3)
         _candidate_components(word, discovered, 42)
-        with pytest.raises(SolverError, match="7 ball solutions give 42 candidate pairs"):
+        message = r"7 ball solutions give 21 candidate pairs, and n\(n-1\) = 42 is over max_pairs = 41"
+        with pytest.raises(SolverError, match=message):
             _candidate_components(word, discovered, 41)
 
 
