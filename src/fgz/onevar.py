@@ -325,10 +325,10 @@ class ConcreteBlock:
 class PowerBlock:
     """``root ** (alpha * n + beta)`` for the formal integer n.
 
-    Normalization keeps roots primitive, cyclically reduced and
-    orientation-canonical (conjugators are folded into neighbouring
-    concrete blocks), so that two power blocks generate the same cyclic
-    subgroup exactly when their roots are equal.
+    Normalization keeps roots primitive, cyclically reduced and least
+    among the rotations of the root and its inverse (conjugators are folded
+    into neighbouring concrete blocks), so that two power blocks have roots
+    conjugate up to inversion exactly when their roots are equal.
     """
 
     root: Word
@@ -355,8 +355,9 @@ def _exact_power_exponent(word: Word, root: Word) -> int | None:
 
 
 def _normalize_blocks(alphabet: Alphabet, blocks: Iterable[Block]) -> tuple[Block, ...]:
-    # Pass 1: validate powers, cyclically reduce their roots and pick the
-    # canonical orientation, splicing conjugators out as concrete material.
+    # Pass 1: validate powers; each root becomes the least rotation yx of its
+    # cyclic core c or of c^-1 (c = x . yx . x^-1), with conjugators spliced
+    # out as concrete material, so roots conjugate up to inversion are equal.
     items: list[Block] = []
     for block in blocks:
         if isinstance(block, ConcreteBlock):
@@ -370,15 +371,12 @@ def _normalize_blocks(alphabet: Alphabet, blocks: Iterable[Block]) -> tuple[Bloc
         if dec.exponent != 1:
             raise RootError(f"power block root {root} is a proper power ({dec.root})^{dec.exponent}")
         cyc = root.cyclic_decomposition()
-        core = cyc.core
-        if ~core < core:
-            core, alpha, beta = ~core, -alpha, -beta
-        u = cyc.conjugator
-        if u.data:
-            items.append(ConcreteBlock(u))
-        items.append(PowerBlock(core, alpha, beta))
-        if u.data:
-            items.append(ConcreteBlock(~u))
+        flips = ((1, cyc.core.data), (-1, _invert_data(cyc.core.data)))
+        # rotations in Word.sort_key order: letter index first, then + before -
+        keys = [tuple([2 * abs(v) + (v < 0) for v in c]) for _, c in flips]
+        _, i, sign, c = min((k[i:] + k[:i], i, s, c) for k, (s, c) in zip(keys, flips) for i in range(len(c)))
+        alpha, beta, u = sign * alpha, sign * beta, cyc.conjugator * Word(alphabet, c[:i])
+        items += [ConcreteBlock(u), PowerBlock(Word(alphabet, c[i:] + c[:i]), alpha, beta), ConcreteBlock(~u)]
 
     # Pass 2: one left-to-right stack pass, merging only at the seam with
     # the top of the output, as ``_reduce_data`` cancels letters.  An
@@ -508,9 +506,9 @@ def reduce_parametric(pw: ParametricWord) -> LineSolutionSet:
     An empty block form vanishes for every n.  Otherwise the n checked are
     those where some power block ``r^e`` has ``|e| |r| <= room``: on each
     side, the concrete next to it, plus ``|r| + |s| - 2`` if a power ``s^f``
-    is next to it or beyond that concrete.  When no two unequal roots are
-    conjugate up to inversion, as with the one root of a line, every
-    solution is among them.  If every power exceeds its room, reducing each
+    is next to it or beyond that concrete.  Normalization leaves no two
+    unequal roots conjugate up to inversion, and then every solution is
+    among them.  If every power exceeds its room, reducing each
     junction (a concrete or two powers around it, or two adjacent powers)
     on its own eats less than the room from the powers at its ends: at most
     the concrete, and a factor common to an r-periodic and an s-periodic

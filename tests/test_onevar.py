@@ -475,7 +475,8 @@ class TestNormalization:
                     assert not (block.alpha == 0 and block.beta == 0)
                     core = block.root.cyclic_decomposition().core
                     assert core == block.root
-                    assert block.root <= ~block.root
+                    data = (block.root.data, (~block.root).data)
+                    assert all(block.root <= Word(AB, d[i:] + d[:i]) for d in data for i in range(len(d)))
 
     def test_idempotent(self):
         blocks = (
@@ -497,6 +498,18 @@ class TestNormalization:
         )
         pw = ParametricWord(AB, blocks)
         assert pw.blocks == ()
+
+    def test_rotated_roots_merge(self):
+        # b a = a^-1 (a b) a, so (a b)^n a (b a)^-n a^-1 collapses for every n
+        blocks = (
+            PowerBlock(w("a b"), 1, 0),
+            ConcreteBlock(w("a")),
+            PowerBlock(w("b a"), -1, 0),
+            ConcreteBlock(w("a^-1")),
+        )
+        assert ParametricWord(AB, blocks).blocks == ()
+        pw = ParametricWord(AB, (PowerBlock(w("a^-1 b^-1"), 1, 0),))
+        assert pw.blocks == (ConcreteBlock(w("b")), PowerBlock(w("a b"), -1, 0), ConcreteBlock(w("b^-1")))
 
     def test_orientation_flip(self):
         pw = ParametricWord(AB, (PowerBlock(w("a^-1"), 1, 2),))
@@ -567,6 +580,42 @@ class TestReduceParametric:
             for n in range(-6, 7):
                 expected = word.evaluate(base * root ** n).is_identity
                 assert (n in solutions) == expected, (word, base, root, n)
+
+    def test_rotated_root_solution(self):
+        # (a b)^n a (b a)^(-2n+3) a^-1 = (a b)^(3-n): the two roots are
+        # rotations of one another, and a bound that took them for
+        # unrelated roots missed n = 3
+        blocks = (
+            PowerBlock(w("a b"), 1, 0),
+            ConcreteBlock(w("a")),
+            PowerBlock(w("b a"), -2, 3),
+            ConcreteBlock(w("a^-1")),
+        )
+        assert reduce_parametric(ParametricWord(AB, blocks)) == LineSolutionSet.finite([3])
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(st.data())
+    def test_conjugate_roots_match_evaluation(self, data):
+        # powers of rotations and inverses of one root r = x y, each as
+        # x (y x)^e x^-1, mixed with powers of r and a few loose concretes
+        alphabet = data.draw(st.sampled_from((AB, ABC)))
+        root = Word(alphabet, data.draw(reduced_data(len(alphabet), 4, min_len=1))).primitive_root().root
+        r = root.cyclic_decomposition().core
+        blocks = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            i = data.draw(st.integers(0, len(r) - 1))
+            x, rotation = Word(alphabet, r.data[:i]), Word(alphabet, r.data[i:] + r.data[:i])
+            if data.draw(st.booleans()):
+                rotation = ~rotation
+            power = PowerBlock(rotation, data.draw(st.sampled_from((1, -1, 2, -2, 3))), data.draw(st.integers(-9, 9)))
+            if data.draw(st.integers(0, 4)) == 0:
+                x = Word(alphabet, data.draw(reduced_data(len(alphabet), 2)))
+            blocks += [ConcreteBlock(x), power, ConcreteBlock(~x)]
+        pw = ParametricWord(alphabet, blocks)
+        solutions = reduce_parametric(pw)
+        assert all(pw.at(n).is_identity for n in solutions.values)
+        window = range(-60, 61)
+        assert [n for n in window if n in solutions] == [n for n in window if pw.at(n).is_identity]
 
     @settings(deadline=None, derandomize=True, max_examples=300)
     @given(st.data())

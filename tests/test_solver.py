@@ -266,6 +266,7 @@ class TestSolveProperties:
             result = solve(word, FAST).result
             assert result == AlgebraicSet.of(AB, result.points, result.cosets)
             for c in result.cosets:
+                assert CyclicCoset.make(c.rep, c.root) == c
                 assert c.root.primitive_root().exponent == 1
                 assert c.root <= ~c.root
 
