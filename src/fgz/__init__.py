@@ -23,8 +23,6 @@ from .algset import (
 from .embed import (
     EmbedCheckReport,
     Homomorphism,
-    ProductElement,
-    build_phi,
     build_phi_g,
     check_mono_on_ball,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "PermRep",
     "Permutation",
     "PowerBlock",
-    "ProductElement",
     "RootDecomposition",
     "RootError",
     "SolveConfig",
@@ -94,7 +91,6 @@ __all__ = [
     "apply_perm_rep",
     "ball_size",
     "brute_solutions",
-    "build_phi",
     "build_phi_g",
     "centralizer",
     "chain_check",

@@ -145,10 +145,6 @@ class AlgebraicSet:
     def is_empty(self) -> bool:
         return not self.points and not self.cosets
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.cosets
-
     def member(self, g: Word) -> bool:
         return g in self.points or any(c.member(g) for c in self.cosets)
 

@@ -223,9 +223,18 @@ def main(argv=None) -> int:
         print(f"error: {usage_error}", file=sys.stderr)
         return 2
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
     except FreeGroupError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull so the interpreter's final flush cannot fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("error: output closed early (broken pipe)", file=sys.stderr)
         return 1
 
 

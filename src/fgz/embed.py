@@ -7,6 +7,11 @@ fixing those the target already contains.  Bundling one coordinate per
 index word gives a map into a product whose restriction to any finite
 ball is injective, with the coordinate at index g witnessing g itself.
 
+The coordinate at g depends only on supp(g), so the product has at most
+2^rank - 1 distinct coordinate maps however large the index set is.  Two
+elements collide in the product exactly when they collide under those
+few maps, which is how the ball check computes it.
+
 The infinite target alphabet and index set are replaced by finite
 surrogates; the target must merely be large enough to host an injection
 of each index word's support.
@@ -15,7 +20,6 @@ of each index word's support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import AlphabetError, IdentityWordError
 from .words import Alphabet, Word, _invert_data, _reduce_data, enumerate_ball
@@ -87,38 +91,6 @@ def build_phi_g(g: Word, target: Alphabet) -> Homomorphism:
 
 
 @dataclass(frozen=True)
-class ProductElement:
-    """One coordinate word per index word; the image of an element."""
-
-    entries: tuple[tuple[Word, Word], ...]
-
-    def coordinate(self, index: Word) -> Word:
-        for g, image in self.entries:
-            if g == index:
-                return image
-        raise KeyError(f"no coordinate at index {index}")
-
-
-def build_phi(
-    source: Alphabet, target: Alphabet, index_radius: int
-) -> tuple[list[Word], Callable[[Word], ProductElement]]:
-    """Index set (nontrivial ball words) and the diagonal coordinate map.
-
-    The coordinate of ``phi(h)`` at index g is ``build_phi_g(g)(h)``; the
-    coordinate at index h itself witnesses that nontrivial h survives.
-    """
-    indices = [g for g in enumerate_ball(source, index_radius) if not g.is_identity]
-    if not indices:
-        raise ValueError("index radius must be >= 1 so the index set is nonempty")
-    homs = [(g, build_phi_g(g, target)) for g in indices]
-
-    def phi(h: Word) -> ProductElement:
-        return ProductElement(tuple((g, hom.apply(h)) for g, hom in homs))
-
-    return indices, phi
-
-
-@dataclass(frozen=True)
 class EmbedCheckReport:
     source: tuple[str, ...]
     target: tuple[str, ...]
@@ -148,33 +120,43 @@ class EmbedCheckReport:
 def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> EmbedCheckReport:
     """Exhaustively verify the embedding's properties on a ball.
 
+    The indices are the nontrivial ball words.  The coordinate map at g,
+    ``build_phi_g(g, target)``, reads g only through supp(g), so it is
+    built once per support, from the first index word in shortlex order
+    with that support.  Each index coordinate is one of these maps and
+    each map is some index's coordinate, so two ball elements share an
+    image in the per-index product exactly when their tuples agree.
+
     Checks: the restriction of phi to the ball is injective; for every
     nontrivial h the coordinate at index h is nontrivial; every
     coordinate map fixes the letters common to both alphabets.
     """
-    indices, phi = build_phi(source, target, radius)
     ball = enumerate_ball(source, radius)
+    indices = [g for g in ball if not g.is_identity]
+    if not indices:
+        raise ValueError("index radius must be >= 1 so the index set is nonempty")
+    homs: dict[frozenset[str], Homomorphism] = {}
+    for g in indices:
+        if g.support() not in homs:
+            homs[g.support()] = build_phi_g(g, target)
     failures: list[str] = []
-    checked = 0
-    images: dict[ProductElement, Word] = {}
-    collision = False
+    images: dict[tuple[Word, ...], Word] = {}
     for h in ball:
-        image = phi(h)
-        checked += 1
+        image = tuple(hom.apply(h) for hom in homs.values())
         if image in images:
-            collision = True
             failures.append(f"not injective: {images[image]} and {h} share an image")
         else:
             images[image] = h
-        if not h.is_identity and image.coordinate(h).is_identity:
+        if not h.is_identity and homs[h.support()].apply(h).is_identity:
             failures.append(f"witness coordinate vanished for {h}")
     common = [x for x in source.names if x in set(target.names)]
     fixes = True
     for x in common:
-        image = phi(source.letter(x))
-        checked += 1
-        for g, coord in image.entries:
-            if coord != target.letter(x):
+        fixed = target.letter(x)
+        moved = {s: hom.apply(source.letter(x)) for s, hom in homs.items()}
+        for g in indices:
+            coord = moved[g.support()]
+            if coord != fixed:
                 fixes = False
                 failures.append(f"coordinate {g} moved common letter {x} to {coord}")
     return EmbedCheckReport(
@@ -183,8 +165,8 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
         radius=radius,
         index_count=len(indices),
         ball_size=len(ball),
-        checked=checked,
-        injective=not collision,
+        checked=len(ball) + len(common),
+        injective=len(images) == len(ball),
         fixes_common_letters=fixes,
         failures=tuple(failures),
     )

@@ -17,7 +17,7 @@ the image of the equation in the finite quotient PSL(2, 7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Union
 
@@ -63,6 +63,24 @@ class OneVarWord:
         vc = self._var_code
         return any(abs(v) == vc for v in self.body.data)
 
+    @cached_property
+    def _segments(self) -> tuple[tuple[int, ...], tuple[tuple[bool, tuple[int, ...]], ...]]:
+        """``c_0`` and the steps ``(e_i > 0, c_i)`` of ``body = c_0 x^(e_1) c_1 ... x^(e_k) c_k``.
+
+        Split on first use and kept; not a dataclass field, so equality,
+        hashing and repr ignore it.
+        """
+        vc = self._var_code
+        runs: list[list[int]] = [[]]
+        signs: list[bool] = []
+        for v in self.body.data:
+            if abs(v) == vc:
+                signs.append(v > 0)
+                runs.append([])
+            else:
+                runs[-1].append(v)
+        return tuple(runs[0]), tuple(zip(signs, map(tuple, runs[1:])))
+
     def coefficient_word(self) -> Word:
         """Reinterpret a variable-free body over the coefficient alphabet."""
         if self.contains_variable:
@@ -91,7 +109,7 @@ class OneVarWord:
         """
         if g.alphabet != self.alphabet:
             raise AlphabetError("evaluation point must be over the coefficient alphabet")
-        return Word(self.alphabet, _substitute(_segments(self), g.data))
+        return Word(self.alphabet, _substitute(self._segments, g.data))
 
     def __str__(self) -> str:
         return str(self.body)
@@ -100,22 +118,8 @@ class OneVarWord:
         return f"<OneVarWord {str(self)!r} var={self.variable!r}>"
 
 
-def _segments(w: OneVarWord) -> tuple[tuple[int, ...], tuple[tuple[bool, tuple[int, ...]], ...]]:
-    """``c_0`` and the steps ``(e_i > 0, c_i)`` of ``w = c_0 x^(e_1) c_1 ... x^(e_k) c_k``."""
-    vc = w._var_code
-    runs: list[list[int]] = [[]]
-    signs: list[bool] = []
-    for v in w.body.data:
-        if abs(v) == vc:
-            signs.append(v > 0)
-            runs.append([])
-        else:
-            runs[-1].append(v)
-    return tuple(runs[0]), tuple(zip(signs, map(tuple, runs[1:])))
-
-
 def _substitute(segments: tuple, gd: tuple[int, ...]) -> tuple[int, ...]:
-    """Reduced data of ``w(g)``, from ``_segments(w)`` and the data of g."""
+    """Reduced data of ``w(g)``, from ``w._segments`` and the data of g."""
     head, steps = segments
     gi = _invert_data(gd)
     pieces = [head]
@@ -242,7 +246,7 @@ def _quotient_buckets(rank: int, radius: int) -> dict[int, tuple[tuple[int, ...]
 def _quotient_survivors(segments: tuple, rank: int, radius: int) -> list[tuple[tuple[int, ...], ...]]:
     """The buckets of :func:`_quotient_buckets` whose image h has w(h) = 1 in G.
 
-    ``segments`` is ``_segments(w)`` for a word w over ``rank`` letters.
+    ``segments`` is ``w._segments`` for a word w over ``rank`` letters.
     """
     mul, inv, _ = _quotient()
     n = QUOTIENT_ORDER
@@ -298,14 +302,13 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
     if sigma == 0:
         if any(coeff_ab):
             return []
-        segments = _segments(w)
-        buckets = _quotient_survivors(segments, rank, radius)
+        buckets = _quotient_survivors(w._segments, rank, radius)
     else:
         if any(a % sigma for a in coeff_ab):
             return []
-        segments = _segments(w)
         target = tuple([-a // sigma for a in coeff_ab])
         buckets = [_ball_buckets(rank, radius).get(target, ())]
+    segments = w._segments
     sols = [
         Word(w.alphabet, gd) for gd in chain.from_iterable(buckets) if not _substitute(segments, gd)
     ]
@@ -485,7 +488,7 @@ def substitute_line(w: OneVarWord, base: Word, root: Word) -> ParametricWord:
         raise RootError("line direction must be nontrivial")
     if root.primitive_root().exponent != 1:
         raise RootError(f"line direction {root} is not primitive")
-    head, steps = _segments(w)
+    head, steps = w._segments
     blocks: list[Block] = [ConcreteBlock(Word(w.alphabet, head))]
     for positive, run in steps:
         if positive:

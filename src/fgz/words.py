@@ -97,9 +97,6 @@ class Alphabet:
     def letter(self, name: str, sign: int = 1) -> "Word":
         return Word(self, (self.value(name, sign),))
 
-    def letters(self) -> list["Word"]:
-        return [self.letter(name) for name in self.names]
-
     def extend(self, name: str) -> "Alphabet":
         """New alphabet with one extra letter appended (codes are stable)."""
         return Alphabet(self.names + (name,))

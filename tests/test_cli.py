@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,21 @@ class TestOtherCommands:
 
 
 class TestInvocation:
+    def test_closed_pipe_is_one_line_error(self):
+        # every ball word solves the trivial equation: about 265 KB of
+        # output, more than a pipe holds, so a write fails after the
+        # reader closes its end
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "fgz.cli", "--alphabet", "a,b", "--radius", "8", "oracle", "1"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"1\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert err == "error: output closed early (broken pipe)\n"
+
     def test_alphabet_from_env(self, capsys, monkeypatch):
         monkeypatch.setenv("FGZ_ALPHABET", "a,b")
         code, out, _ = run(capsys, "reduce", "b b^-1 a")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fgz.embed import Homomorphism, build_phi, build_phi_g, check_mono_on_ball
+from fgz.embed import EmbedCheckReport, Homomorphism, build_phi_g, check_mono_on_ball
 from fgz.errors import AlphabetError, IdentityWordError
 from fgz.words import Alphabet, Word, enumerate_ball, parse_word
 
@@ -94,26 +94,95 @@ class TestBuildPhiG:
             Homomorphism(AB, Y4, {"a": Y4.letter("c"), "b": AB.letter("a")})
 
 
-class TestBuildPhi:
-    def test_radius_one_witnesses(self):
-        indices, phi = build_phi(AB, CD, 1)
-        assert [str(g) for g in indices] == ["a", "a^-1", "b", "b^-1"]
-        image = phi(AB.letter("a"))
-        assert not image.coordinate(AB.letter("a")).is_identity
+def per_index_report(source: Alphabet, target: Alphabet, radius: int) -> EmbedCheckReport:
+    """Reference: the per-index product, one ``build_phi_g`` per index word.
 
-    def test_identity_alphabets_give_constant_tuple(self):
-        indices, phi = build_phi(AB, AB, 2)
-        for h in enumerate_ball(AB, 2):
-            image = phi(h)
-            assert all(coord.data == h.data for _, coord in image.entries)
+    The image of h is the tuple of its coordinates at every index word.
+    """
+    indices = [g for g in enumerate_ball(source, radius) if not g.is_identity]
+    if not indices:
+        raise ValueError("index radius must be >= 1 so the index set is nonempty")
+    homs = [(g, build_phi_g(g, target)) for g in indices]
+    ball = enumerate_ball(source, radius)
+    failures: list[str] = []
+    images: dict[tuple[Word, ...], Word] = {}
+    for h in ball:
+        image = tuple(hom.apply(h) for _, hom in homs)
+        if image in images:
+            failures.append(f"not injective: {images[image]} and {h} share an image")
+        else:
+            images[image] = h
+        if not h.is_identity and image[indices.index(h)].is_identity:
+            failures.append(f"witness coordinate vanished for {h}")
+    common = [x for x in source.names if x in set(target.names)]
+    fixes = True
+    for x in common:
+        for g, hom in homs:
+            coord = hom.apply(source.letter(x))
+            if coord != target.letter(x):
+                fixes = False
+                failures.append(f"coordinate {g} moved common letter {x} to {coord}")
+    return EmbedCheckReport(
+        source=source.names,
+        target=target.names,
+        radius=radius,
+        index_count=len(indices),
+        ball_size=len(ball),
+        checked=len(ball) + len(common),
+        injective=len(images) == len(ball),
+        fixes_common_letters=fixes,
+        failures=tuple(failures),
+    )
 
-    def test_target_too_small_for_some_index(self):
-        with pytest.raises(AlphabetError, match="too small"):
-            build_phi(AB, Alphabet(("c",)), 2)
+
+class TestSupportLemma:
+    """One coordinate map per support gives the per-index product's report."""
+
+    @pytest.mark.parametrize(
+        "source, target, radius",
+        [
+            (AB, CD, 1),
+            (AB, CD, 2),
+            (AB, CD, 3),
+            (AB, AB, 2),
+            (ABC, Y4, 2),
+            (ABC, Y4, 3),
+            (Alphabet(("a",)), Alphabet(("b",)), 4),
+        ],
+        ids=["ab-cd-1", "ab-cd-2", "ab-cd-3", "ab-ab-2", "abc-bcdf-2", "abc-bcdf-3", "a-b-4"],
+    )
+    def test_report_matches_per_index_product(self, source, target, radius):
+        assert check_mono_on_ball(source, target, radius) == per_index_report(source, target, radius)
+
+    def test_radius_one_is_not_injective(self):
+        # both coordinate maps into c,d send a and b to c, so they collide
+        report = check_mono_on_ball(AB, CD, 1)
+        assert not report.injective
+        assert report.failures == (
+            "not injective: a and b share an image",
+            "not injective: a^-1 and b^-1 share an image",
+        )
+
+    def test_target_too_small_message(self):
+        small = Alphabet(("c",))
+        with pytest.raises(AlphabetError, match="too small") as reference:
+            per_index_report(AB, small, 2)
+        with pytest.raises(AlphabetError) as got:
+            check_mono_on_ball(AB, small, 2)
+        assert str(got.value) == str(reference.value)
 
     def test_empty_index_set_rejected(self):
-        with pytest.raises(ValueError):
-            build_phi(AB, CD, 0)
+        with pytest.raises(ValueError, match="index radius must be >= 1"):
+            check_mono_on_ball(AB, CD, 0)
+
+    def test_coordinate_depends_only_on_support(self):
+        rng = random.Random(71)
+        first: dict[frozenset[str], Word] = {}
+        for _ in range(500):
+            g = random_word(rng, ABC, 8, min_len=1)
+            h = first.setdefault(g.support(), g)
+            assert build_phi_g(g, Y4).letter_images == build_phi_g(h, Y4).letter_images
+        assert len(first) == 7
 
 
 class TestCheckMonoOnBall:

@@ -20,7 +20,6 @@ from fgz.onevar import (
     _quotient,
     _quotient_buckets,
     _quotient_survivors,
-    _segments,
     brute_solutions,
     reduce_parametric,
     substitute_line,
@@ -74,6 +73,15 @@ class TestOneVarWord:
     def test_variable_parses_like_a_letter(self):
         assert ov("x x^-1 a").body == ov("a").body
         assert ov("x^2").body.data == (3, 3)
+
+    def test_segments_split_the_body_once(self):
+        word = ov("a x b^2 x^-1 a")
+        assert word._segments == ((1,), ((True, (2, 2)), (False, (1,))))
+        assert word._segments is word._segments
+        assert ov("a b")._segments == ((1, 2), ())
+        # the cached split takes no part in equality, hashing or repr
+        assert word == ov("a x b^2 x^-1 a") and hash(word) == hash(ov("a x b^2 x^-1 a"))
+        assert repr(word) == "<OneVarWord 'a x b^2 x^-1 a' var='x'>"
 
 
 class TestEvaluate:
@@ -295,7 +303,7 @@ class TestQuotientFilter:
         word = ov(text)
         buckets = _quotient_buckets(2, 8)
         evaluated = sum(len(b) for h, b in buckets.items() if quotient_value(word, h) == 0)
-        assert evaluated == sum(map(len, _quotient_survivors(_segments(word), 2, 8)))
+        assert evaluated == sum(map(len, _quotient_survivors(word._segments, 2, 8)))
         assert evaluated < 0.1 * len(_ball_data(2, 8))
         assert w(solution) in brute_solutions(word, 8)
 

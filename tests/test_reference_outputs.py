@@ -1,9 +1,10 @@
-"""Byte identity of solver output with the benchmark's reference files.
+"""Byte identity of each workload's output with the benchmark's reference files.
 
-Every entry of the ``corpus-solve``, ``coset-solve`` and ``set-algebra``
-universes is run through the op of ``perfbench/workloads.py``, and the
-digest of its canonical output is compared with the first field of the
-entry's line in ``perfbench/reference/<workload>.txt``.  The benchmark itself checks only
+Every entry of the ``corpus-solve``, ``coset-solve``, ``set-algebra`` and
+``witnesses`` universes is run through the op of
+``perfbench/workloads.py``, and the digest of its canonical output is
+compared with the first field of the entry's line in
+``perfbench/reference/<workload>.txt``.  The benchmark itself checks only
 a seeded draw of each universe; this checks all of it.  Nothing under
 ``perfbench/`` is written.
 """
@@ -26,7 +27,7 @@ def _load_workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["corpus-solve", "coset-solve", "set-algebra"])
+@pytest.mark.parametrize("name", ["corpus-solve", "coset-solve", "set-algebra", "witnesses"])
 def test_universe_matches_reference(name):
     wl = _load_workloads().WORKLOADS[name]
     reference = [line.split()[0] for line in (PERFBENCH / "reference" / f"{name}.txt").read_text().splitlines()]
