@@ -28,6 +28,7 @@ from .embed import (
 )
 from .errors import (
     AlphabetError,
+    BallLimitError,
     FreeGroupError,
     IdentityWordError,
     ParseError,
@@ -64,6 +65,7 @@ __all__ = [
     "Alphabet",
     "AlgebraicSet",
     "AlphabetError",
+    "BallLimitError",
     "ChainReport",
     "ConcreteBlock",
     "CyclicCoset",

@@ -174,8 +174,8 @@ def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
     if c1.root == c2.root:
         return AlgebraicSet.empty(alphabet)
     h, r1, r2 = ~c2.rep * c1.rep, c1.root, c2.root
-    blocks = (ConcreteBlock(h), PowerBlock(r1, 1, 0), ConcreteBlock(r2), PowerBlock(r1, -1, 0))
-    found = reduce_parametric(ParametricWord(alphabet, blocks + (ConcreteBlock(~h * ~r2),)))
+    blocks = (ConcreteBlock(h), PowerBlock(1, 0), ConcreteBlock(r2), PowerBlock(-1, 0), ConcreteBlock(~h * ~r2))
+    found = reduce_parametric(ParametricWord(alphabet, r1, blocks))
     if found.all_integers or len(found.values) > 1:
         raise AssertionError(f"{c1} and {c2} share {found}, but centralizers in a free group are cyclic")
     return AlgebraicSet(alphabet, tuple(c1.element(n) for n in found.values))

@@ -139,6 +139,7 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
     for g in indices:
         if g.support() not in homs:
             homs[g.support()] = build_phi_g(g, target)
+    slot = {support: i for i, support in enumerate(homs)}
     failures: list[str] = []
     images: dict[tuple[Word, ...], Word] = {}
     for h in ball:
@@ -147,7 +148,7 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
             failures.append(f"not injective: {images[image]} and {h} share an image")
         else:
             images[image] = h
-        if not h.is_identity and homs[h.support()].apply(h).is_identity:
+        if not h.is_identity and image[slot[h.support()]].is_identity:
             failures.append(f"witness coordinate vanished for {h}")
     common = [x for x in source.names if x in set(target.names)]
     fixes = True

@@ -25,6 +25,10 @@ class WholeGroupError(FreeGroupError):
     """
 
 
+class BallLimitError(FreeGroupError, ValueError):
+    """A ball to enumerate has more elements than ``words.MAX_BALL_ELEMENTS``."""
+
+
 class RootError(FreeGroupError, ValueError):
     """A coset root or line direction is trivial or a proper power."""
 

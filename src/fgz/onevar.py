@@ -36,15 +36,14 @@ class OneVarWord:
     body: Word
 
     def __post_init__(self):
-        if self.variable in self.alphabet:
-            raise AlphabetError(f"variable {self.variable!r} collides with an alphabet letter")
         if self.body.alphabet.names != self.alphabet.names + (self.variable,):
             raise AlphabetError("body must be over the alphabet extended by the variable")
 
     @classmethod
     def parse(cls, text: str, alphabet: Alphabet, variable: str = DEFAULT_VARIABLE) -> "OneVarWord":
-        extended = alphabet.extend(variable)
-        return cls(alphabet, variable, parse_word(text, extended))
+        if variable in alphabet:
+            raise AlphabetError(f"variable {variable!r} collides with an alphabet letter")
+        return cls(alphabet, variable, parse_word(text, alphabet.extend(variable)))
 
     @classmethod
     def from_body(cls, body: Word, variable: str = DEFAULT_VARIABLE) -> "OneVarWord":
@@ -326,15 +325,8 @@ class ConcreteBlock:
 
 @dataclass(frozen=True)
 class PowerBlock:
-    """``root ** (alpha * n + beta)`` for the formal integer n.
+    """``root ** (alpha * n + beta)`` for the formal integer n and the root of its :class:`ParametricWord`."""
 
-    Normalization keeps roots primitive, cyclically reduced and least
-    among the rotations of the root and its inverse (conjugators are folded
-    into neighbouring concrete blocks), so that two power blocks have roots
-    conjugate up to inversion exactly when their roots are equal.
-    """
-
-    root: Word
     alpha: int
     beta: int
 
@@ -346,102 +338,90 @@ Block = Union[ConcreteBlock, PowerBlock]
 
 
 def _exact_power_exponent(word: Word, root: Word) -> int | None:
-    """k with ``root ** k == word``, or None."""
-    if word.is_identity:
-        return 0
-    dec = word.primitive_root()
-    if dec.root == root:
-        return dec.exponent
-    if dec.root == ~root:
-        return -dec.exponent
-    return None
+    """k with ``root ** k == word``, or None; ``root`` is cyclically reduced, so ``|k| |root| = |word|``."""
+    k = len(word) // len(root)
+    return next((e for e in (k, -k) if root ** e == word), None)
 
 
-def _normalize_blocks(alphabet: Alphabet, blocks: Iterable[Block]) -> tuple[Block, ...]:
-    # Pass 1: validate powers; each root becomes the least rotation yx of its
-    # cyclic core c or of c^-1 (c = x . yx . x^-1), with conjugators spliced
-    # out as concrete material, so roots conjugate up to inversion are equal.
-    items: list[Block] = []
-    for block in blocks:
-        if isinstance(block, ConcreteBlock):
-            if block.word.data:
-                items.append(block)
-            continue
-        root, alpha, beta = block.root, block.alpha, block.beta
-        if root.is_identity:
-            raise RootError("power block root must be nontrivial")
-        dec = root.primitive_root()
-        if dec.exponent != 1:
-            raise RootError(f"power block root {root} is a proper power ({dec.root})^{dec.exponent}")
-        cyc = root.cyclic_decomposition()
-        flips = ((1, cyc.core.data), (-1, _invert_data(cyc.core.data)))
-        # rotations in Word.sort_key order: letter index first, then + before -
-        keys = [tuple([2 * abs(v) + (v < 0) for v in c]) for _, c in flips]
-        _, i, sign, c = min((k[i:] + k[:i], i, s, c) for k, (s, c) in zip(keys, flips) for i in range(len(c)))
-        alpha, beta, u = sign * alpha, sign * beta, cyc.conjugator * Word(alphabet, c[:i])
-        items += [ConcreteBlock(u), PowerBlock(Word(alphabet, c[i:] + c[:i]), alpha, beta), ConcreteBlock(~u)]
+def _normalize_blocks(root: Word, blocks: Iterable[Block]) -> tuple[Word, tuple[Block, ...]]:
+    """The cyclic core c of ``root = u c u^-1`` and the blocks as powers of c.
 
-    # Pass 2: one left-to-right stack pass, merging only at the seam with
-    # the top of the output, as ``_reduce_data`` cancels letters.  An
-    # alpha = 0 power becomes concrete and an empty concrete is dropped; a
-    # merged block is merged again with the new top.  Each merge removes a
-    # block, and no two adjacent output blocks merge.  The split of
-    # concrete material is one normal form of the merge rules, not the
-    # only one; neither ``at`` nor ``reduce_parametric`` depends on it.
+    Each power is spliced into ``u . power . u^-1``.  Then one left-to-right
+    stack pass merges only at the seam with the top of the output, as
+    ``_reduce_data`` cancels letters.  An alpha = 0 power becomes concrete
+    and an empty concrete is dropped; a merged block is merged again with
+    the new top.  Each merge removes a block, and no two adjacent output
+    blocks merge, so the output alternates concrete and power blocks.  The
+    split of concrete material is one normal form of the merge rules, not
+    the only one; neither ``at`` nor ``reduce_parametric`` depends on it.
+    """
+    cyc = root.cyclic_decomposition()
+    core, u, ui = cyc.core, ConcreteBlock(cyc.conjugator), ConcreteBlock(~cyc.conjugator)
+    spliced = chain.from_iterable((u, b, ui) if isinstance(b, PowerBlock) else (b,) for b in blocks)
     out: list[Block] = []
-    for item in items:
+    for item in spliced:
         while True:
             if isinstance(item, PowerBlock) and item.alpha == 0:
-                item = ConcreteBlock(item.root ** item.beta)
+                item = ConcreteBlock(core ** item.beta)
             if isinstance(item, ConcreteBlock) and not item.word.data:
                 break
-            merged = _merge(out[-1], item) if out else None
+            merged = _merge(out[-1], item, core) if out else None
             if merged is None:
                 out.append(item)
                 break
             out.pop()
             item = merged
-    return tuple(out)
+    return core, tuple(out)
 
 
-def _merge(left: Block, right: Block) -> Block | None:
+def _merge(left: Block, right: Block, root: Word) -> Block | None:
     """One block equal to ``left`` times ``right`` for every n, or None.
 
-    Concretes multiply, powers of one root add exponents, and a concrete
-    that is an exact power of its neighbour's root joins that power (on
-    either side, as powers of one root commute).
+    Concretes multiply, powers add exponents, and a concrete that is an
+    exact power of ``root`` joins the power next to it (on either side, as
+    powers of one root commute).
     """
     if isinstance(left, ConcreteBlock) and isinstance(right, ConcreteBlock):
         return ConcreteBlock(left.word * right.word)
     if isinstance(left, PowerBlock) and isinstance(right, PowerBlock):
-        if left.root != right.root:
-            return None
-        return PowerBlock(left.root, left.alpha + right.alpha, left.beta + right.beta)
+        return PowerBlock(left.alpha + right.alpha, left.beta + right.beta)
     power, concrete = (left, right) if isinstance(left, PowerBlock) else (right, left)
-    k = _exact_power_exponent(concrete.word, power.root)
-    return None if k is None else PowerBlock(power.root, power.alpha, power.beta + k)
+    k = _exact_power_exponent(concrete.word, root)
+    return None if k is None else PowerBlock(power.alpha, power.beta + k)
 
 
 @dataclass(frozen=True)
 class ParametricWord:
     """Block sequence denoting a word-valued function of n, normalized on construction.
 
-    The normalized blocks are one normal form of the merge rules: two
-    block sequences for the same function may split their concrete
-    material differently.  ``at`` and ``reduce_parametric`` depend only
-    on the function, not on the split.
+    Every power block is a power of the one ``root``, which must be
+    nontrivial and primitive.  Construction replaces ``root = u c u^-1``
+    by its cyclic core c, splices ``u . power . u^-1`` for each power and
+    merges the blocks (:func:`_normalize_blocks`).  The normalized blocks
+    are one normal form of the merge rules: two block sequences for the
+    same function may split their concrete material differently.  ``at``
+    and ``reduce_parametric`` depend only on the function, not on the
+    split.
     """
 
     alphabet: Alphabet
+    root: Word
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", _normalize_blocks(self.alphabet, self.blocks))
+        if self.root.is_identity:
+            raise RootError("root of a parametric word must be nontrivial")
+        dec = self.root.primitive_root()
+        if dec.exponent != 1:
+            raise RootError(f"root {self.root} is a proper power ({dec.root})^{dec.exponent}")
+        core, blocks = _normalize_blocks(self.root, self.blocks)
+        object.__setattr__(self, "root", core)
+        object.__setattr__(self, "blocks", blocks)
 
     def at(self, n: int) -> Word:
         """Concrete value at integer n."""
         pieces = [
-            b.word.data if isinstance(b, ConcreteBlock) else (b.root ** b.exponent_at(n)).data
+            b.word.data if isinstance(b, ConcreteBlock) else (self.root ** b.exponent_at(n)).data
             for b in self.blocks
         ]
         return Word(self.alphabet, _reduce_data(pieces))
@@ -452,7 +432,7 @@ class ParametricWord:
             if isinstance(block, ConcreteBlock):
                 parts.append(str(block.word))
             else:
-                parts.append(f"({block.root})^({block.alpha}n{block.beta:+d})")
+                parts.append(f"({self.root})^({block.alpha}n{block.beta:+d})")
         return "<ParametricWord " + (" . ".join(parts) or "1") + ">"
 
 
@@ -478,25 +458,21 @@ class LineSolutionSet:
 def substitute_line(w: OneVarWord, base: Word, root: Word) -> ParametricWord:
     """Replace the variable by ``base * root^n`` with a formal integer n.
 
-    ``root`` must be primitive and nontrivial; the result is normalized.
-    Evaluating the result at any concrete n agrees with
-    ``w.evaluate(base * root**n)``.
+    ``root`` must be primitive and nontrivial (:class:`ParametricWord`
+    checks it); the result is normalized.  Evaluating the result at any
+    concrete n agrees with ``w.evaluate(base * root**n)``.
     """
     if base.alphabet != w.alphabet or root.alphabet != w.alphabet:
         raise AlphabetError("base and root must be over the coefficient alphabet")
-    if root.is_identity:
-        raise RootError("line direction must be nontrivial")
-    if root.primitive_root().exponent != 1:
-        raise RootError(f"line direction {root} is not primitive")
     head, steps = w._segments
     blocks: list[Block] = [ConcreteBlock(Word(w.alphabet, head))]
     for positive, run in steps:
         if positive:
-            blocks += (ConcreteBlock(base), PowerBlock(root, 1, 0))
+            blocks += (ConcreteBlock(base), PowerBlock(1, 0))
         else:
-            blocks += (PowerBlock(root, -1, 0), ConcreteBlock(~base))
+            blocks += (PowerBlock(-1, 0), ConcreteBlock(~base))
         blocks.append(ConcreteBlock(Word(w.alphabet, run)))
-    return ParametricWord(w.alphabet, blocks)
+    return ParametricWord(w.alphabet, root, blocks)
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -508,32 +484,29 @@ def reduce_parametric(pw: ParametricWord) -> LineSolutionSet:
 
     An empty block form vanishes for every n.  Otherwise the n checked are
     those where some power block ``r^e`` has ``|e| |r| <= room``: on each
-    side, the concrete next to it, plus ``|r| + |s| - 2`` if a power ``s^f``
-    is next to it or beyond that concrete.  Normalization leaves no two
-    unequal roots conjugate up to inversion, and then every solution is
-    among them.  If every power exceeds its room, reducing each
-    junction (a concrete or two powers around it, or two adjacent powers)
-    on its own eats less than the room from the powers at its ends: at most
-    the concrete, and a factor common to an r-periodic and an s-periodic
-    word, shorter than ``|r| + |s| - 1``.  A longer one would make r and s
-    conjugate by the overlap (Fine-Wilf) lemma; for s = r, make r conjugate
-    to ``r^-1`` or, with opposite signs, the concrete between them a power
-    of r, which normalization merges.  So a nonempty middle of every power
-    survives the reduction.
+    side, the concrete next to it, plus ``2 |r| - 2`` if a power lies beyond
+    that concrete (normalized blocks alternate concrete and power), and
+    every solution is among them.  If every power exceeds its room,
+    reducing each junction (a concrete and the powers around it) on its
+    own eats less than the room from the powers at its ends: at most the
+    concrete, and a factor common to two r-periodic words, shorter than
+    ``2 |r| - 1``.  A longer one would, by the overlap (Fine-Wilf) lemma,
+    make r conjugate to ``r^-1`` or, with opposite signs, the concrete
+    between the powers a power of r, which normalization merges.  So a
+    nonempty middle of every power survives the reduction.
     """
     if not pw.blocks:
         return LineSolutionSet.everything()
+    r = len(pw.root)
     candidates: set[int] = set()
     for i, p in enumerate(pw.blocks):
         if isinstance(p, ConcreteBlock):
             continue
         room = 0
         for side in (pw.blocks[max(i - 2, 0) : i][::-1], pw.blocks[i + 1 : i + 3]):
-            if side and isinstance(side[0], ConcreteBlock):
-                room, side = room + len(side[0].word), side[1:]
             if side:
-                room += len(p.root) + len(side[0].root) - 2
-        bound = room // len(p.root)
+                room += len(side[0].word) + (2 * r - 2) * (len(side) - 1)
+        bound = room // r
         lo, hi = -bound - p.beta, bound - p.beta
         if p.alpha > 0:
             n0, n1 = _ceil_div(lo, p.alpha), hi // p.alpha

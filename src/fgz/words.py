@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AlphabetError,
+    BallLimitError,
     IdentityWordError,
     ParseError,
     WholeGroupError,
@@ -36,6 +37,9 @@ BALL_CACHE_SIZE = 8
 
 #: Most letters a parsed word text may expand to before reduction.
 MAX_PARSE_LETTERS = 10**6
+
+#: Most elements a ball may have; a larger one is refused before it is built.
+MAX_BALL_ELEMENTS = 10**6
 
 
 class Alphabet:
@@ -346,7 +350,17 @@ def centralizer(b: Word) -> Word:
 
 @lru_cache(maxsize=BALL_CACHE_SIZE)
 def _ball_data(rank: int, radius: int) -> tuple[tuple[int, ...], ...]:
-    """All reduced int-tuples of length <= radius, in shortlex order."""
+    """All reduced int-tuples of length <= radius, in shortlex order.
+
+    Raises :class:`BallLimitError` past :data:`MAX_BALL_ELEMENTS` elements;
+    at rank >= 2 the size is counted to radius 64 at most, far past it.
+    """
+    capped = min(radius, 64) if rank > 1 else radius
+    if (size := ball_size(rank, capped)) > MAX_BALL_ELEMENTS:
+        more = "" if capped == radius else "more than "
+        raise BallLimitError(
+            f"ball of radius {radius} at rank {rank} has {more}{size:,} elements, over the limit of {MAX_BALL_ELEMENTS:,}"
+        )
     if radius <= 0:
         return ((),)
     signed = [v for i in range(1, rank + 1) for v in (i, -i)]
@@ -375,8 +389,7 @@ def enumerate_ball(alphabet: Alphabet, radius: int) -> list[Word]:
 
 
 def ball_size(rank: int, radius: int) -> int:
-    """Closed formula for the size of a reduced-word ball."""
-    total = 1
-    for i in range(1, radius + 1):
-        total += 2 * rank * (2 * rank - 1) ** (i - 1)
-    return total
+    """Closed formula for the size of a reduced-word ball (the series in :func:`enumerate_ball`)."""
+    if rank < 2 or radius <= 0:
+        return 1 + 2 * rank * max(radius, 0)
+    return 1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)

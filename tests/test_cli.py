@@ -10,7 +10,7 @@ import pytest
 from fgz.algset import AlgebraicSet, CyclicCoset, from_json_dict, from_json_text, to_json_dict
 from fgz.cli import main
 from fgz.errors import ParseError
-from fgz.words import MAX_PARSE_LETTERS, parse_word
+from fgz.words import MAX_BALL_ELEMENTS, MAX_PARSE_LETTERS, parse_word
 
 from helpers import AB
 
@@ -224,6 +224,20 @@ class TestInvocation:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert str(MAX_PARSE_LETTERS) in err
+
+    def test_huge_ball_fails_at_once(self, capsys):
+        # 2,929,687 ball elements: without the limit, seconds of enumeration
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--alphabet", "a,b,c", "--radius", "9", "oracle", "x a")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "2,929,687" in err and f"{MAX_BALL_ELEMENTS:,}" in err
+
+    def test_variable_colliding_with_a_letter(self, capsys):
+        code, out, err = run(capsys, "--alphabet", "a,b", "--var", "a", "solve", "x")
+        assert (code, out) == (1, "")
+        assert err == "error: variable 'a' collides with an alphabet letter\n"
 
     def test_zero_radius_embed_check_is_usage_error(self, capsys):
         code, out, err = run(

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from fgz.errors import (
     AlphabetError,
+    BallLimitError,
     IdentityWordError,
     ParseError,
     WholeGroupError,
 )
 from fgz.words import (
+    MAX_BALL_ELEMENTS,
     MAX_PARSE_LETTERS,
     Alphabet,
     Word,
@@ -370,3 +372,26 @@ class TestEnumerateBall:
     def test_negative_radius(self):
         with pytest.raises(ValueError):
             enumerate_ball(AB, -1)
+
+    def test_ball_size_closed_form_matches_the_series(self):
+        for rank in range(5):
+            for radius in range(-1, 30):
+                series = 1 + sum(2 * rank * (2 * rank - 1) ** (i - 1) for i in range(1, radius + 1))
+                assert ball_size(rank, radius) == series
+
+    def test_ball_at_the_limit(self):
+        # rank 1: 2 r + 1 elements, so radius 499,999 is the largest allowed
+        assert ball_size(1, 499_999) <= MAX_BALL_ELEMENTS < ball_size(1, 500_000)
+        with pytest.raises(BallLimitError, match="has 1,000,001 elements, over the limit of 1,000,000"):
+            enumerate_ball(Alphabet(("a",)), 500_000)
+        assert ball_size(2, 11) <= MAX_BALL_ELEMENTS < ball_size(2, 12)
+        with pytest.raises(BallLimitError, match="radius 12 at rank 2 has 1,062,881 elements"):
+            enumerate_ball(AB, 12)
+
+    def test_huge_radius_fails_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(BallLimitError, match="radius 1000000000 at rank 2 has more than"):
+            enumerate_ball(AB, 10**9)
+        with pytest.raises(BallLimitError, match="radius 1000000000 at rank 1 has 2,000,000,001"):
+            enumerate_ball(Alphabet(("a",)), 10**9)
+        assert time.perf_counter() - start < 1
