@@ -6,13 +6,16 @@ set here is kept canonical: roots orientation-canonical, representatives
 minimal, no point inside a listed coset, components sorted.  Intersections
 are exact, by the cyclic centralizers of a free group.  Canonical
 forms are unique, which turns equality and inclusion into structural
-checks and makes serialized output reproducible.
+checks and makes serialized output reproducible.  The lengths of a
+coset's elements are bounded once, in :meth:`CyclicCoset.elements_within`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import AlphabetError, ParseError, RootError
@@ -34,9 +37,8 @@ class CyclicCoset:
         The root must be primitive: a proper power would denote a coset of
         a non-maximal cyclic subgroup, which is not a centralizer coset
         and is rejected with a diagnostic.  The representative becomes the
-        shortlex least ``rep * root^m``, no longer than ``rep``; with
-        ``root = u core u^-1``, ``|rep root^m| >= 2|u| + |m| |core| - |rep|``
-        for m != 0 puts it in the window ``|m| <= (2|rep| - 2|u|) // |core|``.
+        shortlex least element of the coset; it is no longer than ``rep``,
+        so it is among ``elements_within(len(rep))``.
         """
         if rep.alphabet != root.alphabet:
             raise AlphabetError("rep and root must share an alphabet")
@@ -51,14 +53,20 @@ class CyclicCoset:
             )
         if ~root < root:
             root = ~root
-        cyc = root.cyclic_decomposition()
-        window = max(0, 2 * (len(rep) - len(cyc.conjugator)) // len(cyc.core))
-        best = g = rep * root ** -window
-        for _ in range(2 * window):
-            g = g * root
-            if len(g) < len(best) or (len(g) == len(best) and g.sort_key() < best.sort_key()):
-                best = g
-        return cls(best, root)
+        return cls(min(cls(rep, root).elements_within(len(rep)), key=Word.sort_key), root)
+
+    def elements_within(self, length: int) -> list[Word]:
+        """The elements ``rep * root^m`` of length at most ``length``, in order of m.
+
+        With ``root = u core u^-1``, core cyclically reduced, and m != 0,
+        ``|rep root^m| >= |root^m| - |rep| = 2|u| + |m| |core| - |rep|``,
+        so they lie in the window ``|m| <= (length + |rep| - 2|u|) // |core|``,
+        which always holds m = 0.  One running product walks it.
+        """
+        cyc = self.root.cyclic_decomposition()
+        window = max(0, (length + len(self.rep) - 2 * len(cyc.conjugator)) // len(cyc.core))
+        walk = accumulate(repeat(self.root, 2 * window), mul, initial=self.rep * self.root ** -window)
+        return [g for g in walk if len(g) <= length]
 
     @property
     def alphabet(self) -> Alphabet:
@@ -201,30 +209,16 @@ def intersect(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:
     return AlgebraicSet.of(s1.alphabet, points, cosets)
 
 
-def _coset_contained(small: CyclicCoset, big: CyclicCoset) -> bool:
-    # small.root must generate a subgroup of <big.root>; both primitive,
-    # so the roots must agree up to orientation, and the representative
-    # quotient must land in the subgroup.
-    if small.root not in (big.root, ~big.root):
-        return False
-    return big.member(small.rep)
-
-
 def subset(s1: AlgebraicSet, s2: AlgebraicSet) -> bool:
-    """True iff every component of s1 is covered by s2.
+    """True iff s1 lies in s2; both must be canonical.
 
-    An infinite coset inside a finite union must lie inside one of its
-    cosets, so coset containment reduces to per-coset checks.
+    A coset meets a coset other than itself in at most one element, so a
+    coset of s1 inside the finite union s2 must be one of its cosets, and
+    canonical cosets are equal exactly when they are the same set.
     """
     if s1.alphabet != s2.alphabet:
         raise AlphabetError("operands over different alphabets")
-    for p in s1.points:
-        if not s2.member(p):
-            return False
-    for c in s1.cosets:
-        if not any(_coset_contained(c, d) for d in s2.cosets):
-            return False
-    return True
+    return all(s2.member(p) for p in s1.points) and all(c in s2.cosets for c in s1.cosets)
 
 
 @dataclass(frozen=True)

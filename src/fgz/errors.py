@@ -26,7 +26,7 @@ class WholeGroupError(FreeGroupError):
 
 
 class BallLimitError(FreeGroupError, ValueError):
-    """A ball to enumerate has more elements than ``words.MAX_BALL_ELEMENTS``."""
+    """A ball to enumerate is over ``words.MAX_BALL_ELEMENTS`` or ``words.MAX_BALL_LETTERS``."""
 
 
 class RootError(FreeGroupError, ValueError):

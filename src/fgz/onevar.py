@@ -484,16 +484,18 @@ def reduce_parametric(pw: ParametricWord) -> LineSolutionSet:
 
     An empty block form vanishes for every n.  Otherwise the n checked are
     those where some power block ``r^e`` has ``|e| |r| <= room``: on each
-    side, the concrete next to it, plus ``2 |r| - 2`` if a power lies beyond
+    side, the concrete next to it, plus ``|r| - 1`` if a power lies beyond
     that concrete (normalized blocks alternate concrete and power), and
-    every solution is among them.  If every power exceeds its room,
-    reducing each junction (a concrete and the powers around it) on its
-    own eats less than the room from the powers at its ends: at most the
-    concrete, and a factor common to two r-periodic words, shorter than
-    ``2 |r| - 1``.  A longer one would, by the overlap (Fine-Wilf) lemma,
-    make r conjugate to ``r^-1`` or, with opposite signs, the concrete
-    between the powers a power of r, which normalization merges.  So a
-    nonempty middle of every power survives the reduction.
+    every solution is among them.  Reduced on its own, a junction
+    ``r^e c r^f`` eats from each power at most ``|c|`` letters through c
+    and, once c is gone, the factor t where the two r-periodic ends
+    cancel.  If ``|t| >= |r|``, a rotation of ``r^(sign e)`` is the
+    inverse of a rotation of ``r^(sign f)``: with equal signs r is
+    conjugate to ``r^-1``, which no nontrivial element of a free group
+    is; with opposite signs the rotations agree, at one phase as r is
+    primitive, so c is a power of r and normalization merged it.  So if
+    every power exceeds its room, a nonempty middle of every power
+    survives the reduction of its junctions.
     """
     if not pw.blocks:
         return LineSolutionSet.everything()
@@ -505,7 +507,7 @@ def reduce_parametric(pw: ParametricWord) -> LineSolutionSet:
         room = 0
         for side in (pw.blocks[max(i - 2, 0) : i][::-1], pw.blocks[i + 1 : i + 3]):
             if side:
-                room += len(side[0].word) + (2 * r - 2) * (len(side) - 1)
+                room += len(side[0].word) + (r - 1) * (len(side) - 1)
         bound = room // r
         lo, hi = -bound - p.beta, bound - p.beta
         if p.alpha > 0:

@@ -8,8 +8,9 @@ solutions inside the smaller discovery ball are a prefix of that walk's
 shortlex-ordered output; every pair of them proposes a cyclic line, and
 each proposed line is verified symbolically by parametric reduction.
 Lines that vanish identically become cosets; the rest contribute
-isolated solutions.  The assembled set is then checked against the whole
-walk, escalating the discovery radius on mismatch.
+isolated solutions.  The assembled set's members in the ball are then
+compared, as a finite set, with the whole walk's solutions, escalating
+the discovery radius on mismatch.
 
 Soundness is unconditional: every emitted component is symbolically
 verified.  Completeness is certified only relative to the verification
@@ -42,8 +43,9 @@ class SolveConfig:
     max_pairs: int = DEFAULT_MAX_PAIRS
 
     def __post_init__(self):
-        if self.discovery_radius < 0:
-            raise ValueError("discovery_radius must be >= 0")
+        for name in ("discovery_radius", "max_escalations", "max_pairs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.verify_radius is not None and self.verify_radius < self.discovery_radius:
             raise ValueError("verify_radius must be >= discovery_radius")
 
@@ -82,40 +84,24 @@ class SolveReport:
         return d
 
 
-def _members_in_ball(s: AlgebraicSet, radius: int) -> set[Word]:
-    """Every element of ``s`` of length at most ``radius``.
-
-    A coset ``rep<root>`` with ``root = u core u^-1`` (``core`` cyclically
-    reduced) has ``|root^m| = 2|u| + |m| |core|`` for m != 0, so
-    ``|rep root^m| >= |root^m| - |rep| >= |m| |core| - |rep|``.  An
-    element of length at most R therefore has
-    ``|m| <= (R + |rep|) / |core|``, and listing every m up to
-    ``(R + |rep|) // |core| + 1`` in absolute value misses none.
-    """
-    members = {p for p in s.points if len(p) <= radius}
-    for c in s.cosets:
-        bound = (radius + len(c.rep)) // len(c.root.cyclic_decomposition().core) + 1
-        for m in range(-bound, bound + 1):
-            g = c.element(m)
-            if len(g) <= radius:
-                members.add(g)
-    return members
-
-
 def verify_against_oracle(
     w: OneVarWord, s: AlgebraicSet, radius: int, solutions: list[Word] | None = None
 ) -> OracleReport:
-    """Compare set membership with brute-force solutions on a ball.
+    """Compare ``s`` with the brute-force solutions on a ball.
 
     ``solutions`` is ``brute_solutions(w, radius)`` when the caller has it
-    already.  ``missing`` lists the solutions outside ``s``; ``extra``
-    lists the members of ``s`` in the ball (see :func:`_members_in_ball`)
-    that are not solutions.  Both are in shortlex order.
+    already.  The members of ``s`` in the ball are its short points and
+    :meth:`CyclicCoset.elements_within` of each coset; as every solution
+    lies in the ball, ``missing`` (solutions not members) and ``extra``
+    (members not solutions) are exact.  Both are in shortlex order.
     """
     if solutions is None:
         solutions = brute_solutions(w, radius)
-    missing = tuple(g for g in solutions if not s.member(g))
-    extra = tuple(sorted(_members_in_ball(s, radius).difference(solutions), key=Word.sort_key))
+    members = {p for p in s.points if len(p) <= radius}
+    for c in s.cosets:
+        members.update(c.elements_within(radius))
+    missing = tuple(g for g in solutions if g not in members)
+    extra = tuple(sorted(members.difference(solutions), key=Word.sort_key))
     return OracleReport(not missing and not extra, missing, extra, radius)
 
 

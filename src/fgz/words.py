@@ -41,6 +41,10 @@ MAX_PARSE_LETTERS = 10**6
 #: Most elements a ball may have; a larger one is refused before it is built.
 MAX_BALL_ELEMENTS = 10**6
 
+#: Most letters a ball's words may hold in total.  It binds only at rank 1,
+#: where radius R holds R (R + 1) letters in just 2 R + 1 elements.
+MAX_BALL_LETTERS = 10**7
+
 
 class Alphabet:
     """Ordered finite set of generator names.
@@ -352,15 +356,20 @@ def centralizer(b: Word) -> Word:
 def _ball_data(rank: int, radius: int) -> tuple[tuple[int, ...], ...]:
     """All reduced int-tuples of length <= radius, in shortlex order.
 
-    Raises :class:`BallLimitError` past :data:`MAX_BALL_ELEMENTS` elements;
-    at rank >= 2 the size is counted to radius 64 at most, far past it.
+    Raises :class:`BallLimitError` past :data:`MAX_BALL_ELEMENTS` elements,
+    then past :data:`MAX_BALL_LETTERS` letters; at rank >= 2 both are
+    counted to radius 64 at most, far past the limits.
     """
     capped = min(radius, 64) if rank > 1 else radius
-    if (size := ball_size(rank, capped)) > MAX_BALL_ELEMENTS:
-        more = "" if capped == radius else "more than "
-        raise BallLimitError(
-            f"ball of radius {radius} at rank {rank} has {more}{size:,} elements, over the limit of {MAX_BALL_ELEMENTS:,}"
-        )
+    more = "" if capped == radius else "more than "
+    for count, unit, limit in (
+        (ball_size(rank, capped), "elements", MAX_BALL_ELEMENTS),
+        (_ball_letters(rank, capped), "letters", MAX_BALL_LETTERS),
+    ):
+        if count > limit:
+            raise BallLimitError(
+                f"ball of radius {radius} at rank {rank} has {more}{count:,} {unit}, over the limit of {limit:,}"
+            )
     if radius <= 0:
         return ((),)
     signed = [v for i in range(1, rank + 1) for v in (i, -i)]
@@ -393,3 +402,10 @@ def ball_size(rank: int, radius: int) -> int:
     if rank < 2 or radius <= 0:
         return 1 + 2 * rank * max(radius, 0)
     return 1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)
+
+
+def _ball_letters(rank: int, radius: int) -> int:
+    """Total letters of a ball's words: layer i holds 2k (2k-1)^(i-1) words of i letters."""
+    if rank < 2:
+        return rank * radius * (radius + 1)
+    return sum(i * 2 * rank * (2 * rank - 1) ** (i - 1) for i in range(1, radius + 1))

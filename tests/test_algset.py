@@ -164,6 +164,22 @@ class TestCyclicCoset:
             for g in enumerate_ball(AB, 4):
                 assert c.member(g) == (g in line)
 
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(st.sampled_from((AB, ABC)).flatmap(raw_cosets), st.booleans(), st.integers(0, 9))
+    # window (4 + 4 - 2) // 1 = 6, and rep * root^6 = a^3 b^-1 has length 4
+    @example((w("a^-3 b^-1"), w("b a b^-1")), False, 4)  # farthest element at m = window, |u| = 1
+    @example((w("a^-4"), w("a^-1")), False, 4)  # farthest element at m = -8 = -window
+    @example((w("a"), w("b^2 a b^-2")), False, 3)  # |u| > |rep|: window 0, rep alone
+    @example((w("a b"), w("b^2 a b^-2")), False, 1)  # window 0 and rep too long: nothing
+    def test_elements_within_matches_brute_filter(self, raw, flip, length):
+        # the root keeps its drawn orientation, or the inverse one, and the
+        # rep is not minimized; the filter spans twice the widest window
+        rep, root = raw
+        c = CyclicCoset(rep, ~root if flip else root)
+        span = 2 * (length + len(rep)) + 2
+        brute = [c.element(m) for m in range(-span, span + 1) if len(c.element(m)) <= length]
+        assert c.elements_within(length) == brute
+
 
 class TestAlgebraicSet:
     def test_member_examples(self):
@@ -302,6 +318,17 @@ class TestSetOps:
                 assert r1 <= r2
             if s1 == s2:
                 assert r1 == r2
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(coset_pairs())
+    def test_subset_matches_membership_reference(self, pair):
+        # reference: a coset lies in another when the roots agree up to
+        # orientation and the second contains the first one's rep
+        c1, c2 = pair
+        contained = c1.root in (c2.root, ~c2.root) and c2.member(c1.rep)
+        s1, s2 = AlgebraicSet.of(c1.alphabet, cosets=(c1,)), AlgebraicSet.of(c1.alphabet, cosets=(c2,))
+        assert subset(s1, s2) == contained
+        assert subset(s1, union(s2, AlgebraicSet.of(c1.alphabet, points=(c1.rep,)))) == contained
 
     def test_subset_false_has_witness(self):
         rng = random.Random(36)

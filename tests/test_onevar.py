@@ -635,7 +635,7 @@ class TestReduceParametric:
     def test_solution_beyond_the_room_of_the_concretes(self, case, alphas, n_star):
         # Each power is longer than the concretes next to it: the two
         # powers also cancel against each other across c1, which only the
-        # 2 |r| - 2 term of the room covers.
+        # |r| - 1 term of the room covers.
         root, c0, e1, c1, e2, c2 = case
         r, c0, c1, c2 = (parse_word(t, ABC) for t in (root, c0, c1, c2))
         assert abs(e1) * len(r) > len(c0) + len(c1) and abs(e2) * len(r) > len(c1) + len(c2)
@@ -648,6 +648,36 @@ class TestReduceParametric:
             ConcreteBlock(c2),
         )
         pw = ParametricWord(ABC, r, blocks)
+        assert pw.blocks == blocks
+        assert reduce_parametric(pw) == LineSolutionSet.finite([n_star])
+        assert [n for n in range(n_star - 12, n_star + 13) if pw.at(n).is_identity] == [n_star]
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        k=st.integers(3, 7),
+        e=st.integers(1, 5),
+        alphas=st.sampled_from(((1, 1), (2, -1), (-1, 2), (-2, -1))),
+        n_star=st.integers(-5, 5),
+    )
+    def test_solution_at_the_room_with_a_power_beyond(self, k, e, alphas, n_star):
+        # c0 r^e a r^-1 b^-1 = 1 with r = b^-1 a^-k, c0 = a^-1 b (a^k b)^(e-1):
+        # a^-1 cancels the a that r^-1 keeps after eating k - 1 letters of r^e
+        # across c1 = a.  For both powers |e| = room // |r| with the |r| - 1
+        # term, and the concretes alone leave room for fewer whole periods.
+        r, c1, c2 = w(f"b^-1 a^-{k}"), w("a"), w("b^-1")
+        c0 = w("a^-1 b") * w(f"a^{k} b") ** (e - 1)
+        term = len(r) - 1
+        assert len(c0) + len(c1) < e * len(r) <= len(c0) + len(c1) + term < (e + 1) * len(r)
+        assert len(c1) + len(c2) < len(r) <= len(c1) + len(c2) + term < 2 * len(r)
+        a1, a2 = alphas
+        blocks = (
+            ConcreteBlock(c0),
+            PowerBlock(a1, e - a1 * n_star),
+            ConcreteBlock(c1),
+            PowerBlock(a2, -1 - a2 * n_star),
+            ConcreteBlock(c2),
+        )
+        pw = ParametricWord(AB, r, blocks)
         assert pw.blocks == blocks
         assert reduce_parametric(pw) == LineSolutionSet.finite([n_star])
         assert [n for n in range(n_star - 12, n_star + 13) if pw.at(n).is_identity] == [n_star]

@@ -162,6 +162,13 @@ class TestSolvePipeline:
             SolveConfig(discovery_radius=4, verify_radius=2)
         with pytest.raises(ValueError):
             SolveConfig(discovery_radius=-1)
+        with pytest.raises(ValueError, match="max_escalations must be >= 0"):
+            SolveConfig(max_escalations=-1)
+        with pytest.raises(ValueError, match="max_pairs must be >= 0"):
+            SolveConfig(max_pairs=-1)
+        assert solve(ov("x a^-1"), SolveConfig(discovery_radius=1, max_escalations=0, max_pairs=0)).result == (
+            AlgebraicSet.of(AB, points=[w("a")])
+        )
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(word=one_var_words(AB), radius=st.integers(0, 4))

@@ -14,9 +14,12 @@ from fgz.errors import (
 )
 from fgz.words import (
     MAX_BALL_ELEMENTS,
+    MAX_BALL_LETTERS,
     MAX_PARSE_LETTERS,
     Alphabet,
     Word,
+    _ball_data,
+    _ball_letters,
     _reduce_data,
     ball_size,
     centralizer,
@@ -387,6 +390,25 @@ class TestEnumerateBall:
         assert ball_size(2, 11) <= MAX_BALL_ELEMENTS < ball_size(2, 12)
         with pytest.raises(BallLimitError, match="radius 12 at rank 2 has 1,062,881 elements"):
             enumerate_ball(AB, 12)
+
+    def test_ball_letters_at_the_limit(self):
+        # rank 1: radius R holds R (R + 1) letters, so radius 3,161 is the
+        # largest allowed; neither edge ball is built
+        assert _ball_letters(1, 3161) <= MAX_BALL_LETTERS < _ball_letters(1, 3162)
+        with pytest.raises(BallLimitError, match="rank 1 has 10,001,406 letters, over the limit of 10,000,000"):
+            enumerate_ball(Alphabet(("a",)), 3162)
+        with pytest.raises(BallLimitError, match="has 249,999,500,000 letters"):
+            enumerate_ball(Alphabet(("a",)), 499_999)
+        # every ball of rank >= 2 that the element limit allows is under it
+        for rank in range(2, 12):
+            radius = max(r for r in range(64) if ball_size(rank, r) <= MAX_BALL_ELEMENTS)
+            assert _ball_letters(rank, radius) <= MAX_BALL_LETTERS
+        assert _ball_letters(2, 11) == 3_720_088
+
+    def test_ball_letters_count_the_words(self):
+        for rank in range(0, 4):
+            for radius in range(0, 5):
+                assert _ball_letters(rank, radius) == sum(len(d) for d in _ball_data(rank, radius))
 
     def test_huge_radius_fails_at_once(self):
         start = time.perf_counter()
