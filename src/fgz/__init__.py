@@ -47,7 +47,7 @@ from .onevar import (
     substitute_line,
 )
 from .residual import Permutation, PermRep, apply_perm_rep, separate
-from .solver import OracleReport, SolveConfig, SolveReport, solve, verify_against_oracle
+from .solver import OracleReport, SolveConfig, SolveReport, exact_solution_set, solve, verify_against_oracle
 from .words import (
     Alphabet,
     CyclicDecomposition,
@@ -98,6 +98,7 @@ __all__ = [
     "chain_check",
     "check_mono_on_ball",
     "enumerate_ball",
+    "exact_solution_set",
     "from_json_dict",
     "from_json_text",
     "intersect",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -146,7 +147,9 @@ class AlgebraicSet:
         return cls(alphabet, tuple(kept[k] for k in sorted(kept)), tuple(coset_list))
 
     @classmethod
+    @lru_cache(maxsize=8)
     def empty(cls, alphabet: Alphabet) -> "AlgebraicSet":
+        """The empty set; sets are immutable, so one per alphabet is shared."""
         return cls(alphabet)
 
     @property

@@ -139,6 +139,20 @@ def _abelianization(data: tuple[int, ...], rank: int) -> tuple[int, ...]:
     return tuple(ab)
 
 
+def abelian_constraint(w: OneVarWord) -> tuple[int, tuple[int, ...]] | None:
+    """``(sigma, ab(c))`` of ``w``, or None if the abelianization rules out every solution.
+
+    sigma is the exponent sum of the variable in ``w`` and ab(c) the
+    vector of exponent sums of its coefficient letters.  Abelianizing
+    ``w(g) = 1`` gives ``sigma * ab(g) + ab(c) = 0``, which has no solution
+    if sigma = 0 and ab(c) != 0, or if sigma does not divide ab(c).
+    """
+    *coeff_ab, sigma = _abelianization(w.body.data, len(w.alphabet) + 1)
+    if any(a % sigma for a in coeff_ab) if sigma else any(coeff_ab):
+        return None
+    return sigma, tuple(coeff_ab)
+
+
 @lru_cache(maxsize=BALL_CACHE_SIZE)
 def _ball_buckets(rank: int, radius: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The radius ball split by abelianization, each bucket in shortlex order.
@@ -275,12 +289,9 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
     """All g in the radius ball with ``w.evaluate(g)`` trivial, shortlex order.
 
     Only ball elements that pass a necessary condition are evaluated.
-    Let sigma be the exponent sum of the variable in ``w`` and ab(c) the
-    vector of exponent sums of its coefficient letters.  Abelianizing
-    ``w(g) = 1`` gives ``sigma * ab(g) + ab(c) = 0``.  So if sigma = 0 and
-    ab(c) != 0, or if sigma does not divide ab(c), there is no solution
-    at all; if sigma != 0, every solution has ``ab(g) = -ab(c) / sigma``
-    and lies in that one bucket of the ball.
+    Words that :func:`abelian_constraint` rules out have no solution at
+    all, and no ball is built for them.  If sigma != 0, every solution
+    has ``ab(g) = -ab(c) / sigma`` and lies in that one bucket of the ball.
 
     If sigma = 0 and ab(c) = 0 the abelianization says nothing, and the
     finite quotient G = PSL(2, 7) filters instead.  The homomorphism phi
@@ -296,15 +307,14 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    constraint = abelian_constraint(w)
+    if constraint is None:
+        return []
     rank = len(w.alphabet)
-    *coeff_ab, sigma = _abelianization(w.body.data, rank + 1)
+    sigma, coeff_ab = constraint
     if sigma == 0:
-        if any(coeff_ab):
-            return []
         buckets = _quotient_survivors(w._segments, rank, radius)
     else:
-        if any(a % sigma for a in coeff_ab):
-            return []
         target = tuple([-a // sigma for a in coeff_ab])
         buckets = [_ball_buckets(rank, radius).get(target, ())]
     segments = w._segments

@@ -1,22 +1,31 @@
 """Solve one-variable equations over a free group.
 
-The solution set of ``w = 1`` is computed in coset normal form.  Each
-round walks the verification ball once with the brute-force oracle,
-which evaluates only the ball elements that the abelianization or the
-image in the finite quotient PSL(2, 7) does not rule out.  The
-solutions inside the smaller discovery ball are a prefix of that walk's
-shortlex-ordered output; every pair of them proposes a cyclic line, and
-each proposed line is verified symbolically by parametric reduction.
-Lines that vanish identically become cosets; the rest contribute
-isolated solutions.  The assembled set's members in the ball are then
-compared, as a finite set, with the whole walk's solutions, escalating
-the discovery radius on mismatch.
+The solution set of ``w = 1`` is computed in coset normal form, in
+rounds at a discovery radius and a larger verification radius.  Each
+round takes the solutions in the verification ball.  When the variable
+occurs once or twice, :func:`exact_solution_set` gives the whole set in
+closed form (empty, one point, or one cyclic coset) and the solutions
+are its members in the ball.  Otherwise one walk of the ball with the
+brute-force oracle finds them; it evaluates only the ball elements that
+the abelianization or the image in the finite quotient PSL(2, 7) does
+not rule out.
 
-Soundness is unconditional: every emitted component is symbolically
-verified.  Completeness is certified only relative to the verification
-radius, which the report records; no effective bound on the number of
-components in terms of the word length is known, so no global claim is
-made.
+The solutions inside the smaller discovery ball are a prefix of that
+shortlex-ordered list.  From an oracle walk, every pair of them proposes
+a cyclic line, and each proposed line is verified symbolically by
+parametric reduction; lines that vanish identically become cosets, the
+rest contribute isolated solutions.  From an exact set, its coset is
+taken once two of its members lie in the discovery ball, which is what
+pairing proves for such words.  The assembled set's members in the ball
+are then compared, as a finite set, with the round's solutions,
+escalating the discovery radius on mismatch.  Both paths give the same
+output.
+
+Soundness is unconditional: every emitted component is proved, by
+parametric reduction or by the closed forms.  Completeness is certified
+only relative to the verification radius, which the report records; no
+effective bound on the number of components in terms of the word length
+is known for three or more occurrences, so no global claim is made.
 """
 
 from __future__ import annotations
@@ -26,9 +35,9 @@ from itertools import combinations, takewhile
 from typing import Union
 
 from .algset import WHOLE_GROUP, AlgebraicSet, CyclicCoset, _WholeGroupType, to_json_dict
-from .errors import SolverError
-from .onevar import OneVarWord, brute_solutions, reduce_parametric, substitute_line
-from .words import Word
+from .errors import BallLimitError, SolverError
+from .onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
+from .words import Word, check_ball_limit
 
 DEFAULT_DISCOVERY_RADIUS = 6
 DEFAULT_MAX_ESCALATIONS = 3
@@ -84,25 +93,111 @@ class SolveReport:
         return d
 
 
+def _members_within(s: AlgebraicSet, radius: int) -> set[Word]:
+    """Members of ``s`` in the radius ball: its short points and the
+    :meth:`CyclicCoset.elements_within` of each coset."""
+    members = {p for p in s.points if len(p) <= radius}
+    for c in s.cosets:
+        members.update(c.elements_within(radius))
+    return members
+
+
 def verify_against_oracle(
     w: OneVarWord, s: AlgebraicSet, radius: int, solutions: list[Word] | None = None
 ) -> OracleReport:
     """Compare ``s`` with the brute-force solutions on a ball.
 
     ``solutions`` is ``brute_solutions(w, radius)`` when the caller has it
-    already.  The members of ``s`` in the ball are its short points and
-    :meth:`CyclicCoset.elements_within` of each coset; as every solution
-    lies in the ball, ``missing`` (solutions not members) and ``extra``
-    (members not solutions) are exact.  Both are in shortlex order.
+    already.  As every solution lies in the ball, ``missing`` (solutions
+    not members) and ``extra`` (members not solutions) are exact.  Both
+    are in shortlex order.
     """
     if solutions is None:
         solutions = brute_solutions(w, radius)
-    members = {p for p in s.points if len(p) <= radius}
-    for c in s.cosets:
-        members.update(c.elements_within(radius))
-    missing = tuple(g for g in solutions if g not in members)
+    members = _members_within(s, radius)
+    missing = tuple([g for g in solutions if g not in members])
     extra = tuple(sorted(members.difference(solutions), key=Word.sort_key))
     return OracleReport(not missing and not extra, missing, extra, radius)
+
+
+def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
+    """The whole solution set of ``w = 1`` if the variable occurs once or twice, else None.
+
+    Words the abelianization rules out (:func:`abelian_constraint`) get
+    the empty set at once.  Otherwise write the body as
+    ``c0 x^e1 c1 [x^e2 c2]`` and ``y = x^e1``; the closed forms follow from
+    unique roots and from conjugacy by cyclic rotation in a free group
+    (Lyndon-Schupp, *Combinatorial Group Theory*, ch. I):
+
+    - one occurrence: ``c0 y c1 = 1`` has the one point
+      ``y = c0^-1 c1^-1``;
+    - same signs: ``c0 y c1 y c2 = 1`` says ``(y c1)^2 = d`` with
+      ``d = c0^-1 c2^-1 c1``.  A z with ``z^2 = d`` commutes with d, so
+      it is a power of the primitive root r of d; with ``d = r^k`` there
+      is one if k is even and none if k is odd, and z = 1 if d = 1.  So
+      there is at most one point;
+    - opposite signs: ``c0 y c1 y^-1 c2 = 1`` says ``y c1 y^-1 = d`` with
+      ``d = c0^-1 c2^-1``, and c1 != 1 as the body is reduced.  Write
+      ``c1 = u1 k1 u1^-1`` and ``d = ud kd ud^-1`` with k1, kd cyclically
+      reduced.  They are conjugate exactly when kd is a rotation
+      ``s t = t^-1 k1 t`` of ``k1 = t s``; then ``y0 = ud t^-1 u1^-1`` is
+      a solution, and y is one exactly when ``y0^-1 y`` centralizes c1,
+      that is ``y in y0<r>`` with r the primitive root of c1.  For
+      e1 = -1, ``x = y^-1`` runs over ``<r> y0^-1 = y0^-1<y0 r y0^-1>``.
+
+    So a set with a coset has no points, and the others have at most one.
+    Words without the variable, or with three or more occurrences, give
+    None.
+    """
+    data, vc = w.body.data, w._var_code
+    if not 0 < data.count(vc) + data.count(-vc) <= 2:
+        return None
+    alphabet = w.alphabet
+    if abelian_constraint(w) is None:
+        return AlgebraicSet.empty(alphabet)
+    head, ((positive, run), *rest) = w._segments
+    c0, c1 = Word(alphabet, head), Word(alphabet, run)
+    # the sets built below are canonical: one point, or one coset from make
+    if not rest:
+        y = ~(c1 * c0)
+        return AlgebraicSet(alphabet, (y if positive else ~y,))
+    ((positive2, run2),) = rest
+    d = ~(Word(alphabet, run2) * c0)
+    if positive == positive2:
+        d = d * c1
+        if d.is_identity:
+            z = d
+        else:
+            dec = d.primitive_root()
+            if dec.exponent % 2:
+                return AlgebraicSet.empty(alphabet)
+            z = dec.root ** (dec.exponent // 2)
+        y = z * ~c1
+        return AlgebraicSet(alphabet, (y if positive else ~y,))
+    c1_cyc, d_cyc = c1.cyclic_decomposition(), d.cyclic_decomposition()
+    k1, kd = c1_cyc.core.data, d_cyc.core.data
+    # kd = k1[i:] + k1[:i] exactly when kd starts at i in k1 k1; a string search finds i in linear time
+    shift = (_letters_text(k1) * 2).find(_letters_text(kd)) if len(k1) == len(kd) else -1
+    if shift < 0:
+        return AlgebraicSet.empty(alphabet)
+    y0 = d_cyc.conjugator * ~Word(alphabet, k1[:shift]) * ~c1_cyc.conjugator
+    r = c1.primitive_root().root
+    coset = CyclicCoset.make(y0, r) if positive else CyclicCoset.make(~y0, y0 * r * ~y0)
+    return AlgebraicSet(alphabet, (), (coset,))
+
+
+def _letters_text(data: tuple[int, ...]) -> str:
+    """One character per letter code, distinct codes to distinct characters."""
+    return "".join([chr(v % 0x110000) for v in data])
+
+
+def _check_pair_limit(n: int, max_pairs: int) -> None:
+    """Refuse ``n`` discovered solutions whose ordered pairs are over ``max_pairs``."""
+    if n * (n - 1) > max_pairs:
+        raise SolverError(
+            f"oversize discovery: {n} ball solutions give {n * (n - 1) // 2} candidate pairs, and "
+            f"n(n-1) = {n * (n - 1)} is over max_pairs = {max_pairs}; re-run with a smaller discovery radius"
+        )
 
 
 def _candidate_components(
@@ -116,12 +211,7 @@ def _candidate_components(
     the symbolic check.  The reverse order would add nothing: with
     ``h = g r^k`` it proposes ``h<r^-1> = g<r>``, the same coset.
     """
-    n = len(discovered)
-    if n * (n - 1) > max_pairs:
-        raise SolverError(
-            f"oversize discovery: {n} ball solutions give {n * (n - 1) // 2} candidate pairs, and "
-            f"n(n-1) = {n * (n - 1)} is over max_pairs = {max_pairs}; re-run with a smaller discovery radius"
-        )
+    _check_pair_limit(len(discovered), max_pairs)
     cosets: list[CyclicCoset] = []
     extra_points: list[Word] = []
     seen_lines: set[CyclicCoset] = set()
@@ -142,20 +232,42 @@ def _candidate_components(
     return cosets, extra_points
 
 
+def _exact_solutions(w: OneVarWord, exact: AlgebraicSet, radius: int) -> list[Word]:
+    """``brute_solutions(w, radius)`` for a word whose whole solution set is ``exact``.
+
+    These are the members of ``exact`` in the ball, in shortlex order.  No
+    ball is walked, but a ball over the limits of :func:`check_ball_limit`
+    is refused wherever the walk would have built it: for every word that
+    the abelianization admits.
+    """
+    try:
+        check_ball_limit(len(w.alphabet), radius)
+    except BallLimitError:
+        if not exact.is_empty or abelian_constraint(w) is not None:
+            raise
+    return sorted(_members_within(exact, radius), key=Word.sort_key) if not exact.is_empty else []
+
+
 def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     """Solution set of ``w = 1`` in coset normal form.
 
     Words without the variable are degenerate: the solution set is the
     whole group when the coefficient word is trivial and empty otherwise.
 
-    Each round makes one oracle walk, at the verification radius.  Its
-    solutions are in shortlex order, so the discovery solutions are the
-    prefix of those with length at most the discovery radius; the whole
-    walk then feeds verification.
+    Each round takes the solutions in the verification ball in shortlex
+    order, so the discovery solutions are the prefix of those with length
+    at most the discovery radius; the whole list then feeds verification.
+    When :func:`exact_solution_set` knows the whole set, the solutions
+    are its members in the ball, and its coset is proved once two of them
+    lie in the discovery ball; otherwise one oracle walk at the
+    verification radius finds them and pairing proposes the lines.  Both
+    give the same output, as the oracle's solutions are the exact set's
+    members and pairing proves exactly the exact set's coset.
     """
     cfg = cfg or SolveConfig()
     verify_radius = cfg.effective_verify_radius
-    if not w.contains_variable:
+    exact = exact_solution_set(w)
+    if exact is None and not w.contains_variable:
         result = WHOLE_GROUP if w.body.is_identity else AlgebraicSet.empty(w.alphabet)
         return SolveReport(result, verify_radius, 0)
 
@@ -163,16 +275,25 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     gap = verify_radius - discovery
     last_report = None
     for escalation in range(cfg.max_escalations + 1):
-        solutions = brute_solutions(w, discovery + gap)
+        radius = discovery + gap
+        solutions = brute_solutions(w, radius) if exact is None else _exact_solutions(w, exact, radius)
         discovered = list(takewhile(lambda g: len(g) <= discovery, solutions))
-        cosets, extra_points = _candidate_components(w, discovered, cfg.max_pairs)
+        if exact is None:
+            cosets, extra_points = _candidate_components(w, discovered, cfg.max_pairs)
+        else:
+            # Two members of an exact set lie on its one coset, which every
+            # pair of them proposes and proves; no line leaves extra points.
+            _check_pair_limit(len(discovered), cfg.max_pairs)
+            cosets, extra_points = (exact.cosets if len(discovered) > 1 else ()), []
         result = AlgebraicSet.of(w.alphabet, discovered + extra_points, cosets)
-        last_report = verify_against_oracle(w, result, discovery + gap, solutions)
+        last_report = verify_against_oracle(w, result, radius, solutions)
         if last_report.match:
             return SolveReport(result, last_report.radius, escalation)
         discovery += 2
     raise SolverError(
         "escalation exhausted with persistent oracle mismatch at radius "
         f"{last_report.radius}: missing={[str(g) for g in last_report.missing]} "
-        f"extra={[str(g) for g in last_report.extra]}"
+        f"extra={[str(g) for g in last_report.extra]}; the discovery radius (--radius) went from "
+        f"{cfg.discovery_radius} to {discovery - 2} in max_escalations = {cfg.max_escalations} escalations; "
+        "raise either"
     )

@@ -353,12 +353,13 @@ def centralizer(b: Word) -> Word:
 
 
 @lru_cache(maxsize=BALL_CACHE_SIZE)
-def _ball_data(rank: int, radius: int) -> tuple[tuple[int, ...], ...]:
-    """All reduced int-tuples of length <= radius, in shortlex order.
+def check_ball_limit(rank: int, radius: int) -> None:
+    """Raise :class:`BallLimitError` if the radius ball is too big to walk.
 
-    Raises :class:`BallLimitError` past :data:`MAX_BALL_ELEMENTS` elements,
-    then past :data:`MAX_BALL_LETTERS` letters; at rank >= 2 both are
-    counted to radius 64 at most, far past the limits.
+    The ball is refused past :data:`MAX_BALL_ELEMENTS` elements, then past
+    :data:`MAX_BALL_LETTERS` letters; at rank >= 2 both are counted to
+    radius 64 at most, far past the limits.  Passing (rank, radius) pairs
+    are cached, so a caller that checks without walking pays a lookup.
     """
     capped = min(radius, 64) if rank > 1 else radius
     more = "" if capped == radius else "more than "
@@ -370,6 +371,15 @@ def _ball_data(rank: int, radius: int) -> tuple[tuple[int, ...], ...]:
             raise BallLimitError(
                 f"ball of radius {radius} at rank {rank} has {more}{count:,} {unit}, over the limit of {limit:,}"
             )
+
+
+@lru_cache(maxsize=BALL_CACHE_SIZE)
+def _ball_data(rank: int, radius: int) -> tuple[tuple[int, ...], ...]:
+    """All reduced int-tuples of length <= radius, in shortlex order.
+
+    Balls over the limits of :func:`check_ball_limit` are refused first.
+    """
+    check_ball_limit(rank, radius)
     if radius <= 0:
         return ((),)
     signed = [v for i in range(1, rank + 1) for v in (i, -i)]

@@ -1,16 +1,25 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgz.algset import WHOLE_GROUP, AlgebraicSet, CyclicCoset
-from fgz.errors import SolverError
+from fgz.errors import BallLimitError, SolverError
 from fgz.onevar import OneVarWord, brute_solutions, reduce_parametric, substitute_line
-from fgz.solver import OracleReport, SolveConfig, _candidate_components, solve, verify_against_oracle
-from fgz.words import Word, enumerate_ball, parse_word
+from fgz.solver import (
+    OracleReport,
+    SolveConfig,
+    _candidate_components,
+    _members_within,
+    exact_solution_set,
+    solve,
+    verify_against_oracle,
+)
+from fgz.words import Word, _reduce_data, enumerate_ball, parse_word
 
-from helpers import AB, one_var_words, plain_solutions, random_reduced_data, reduced_data
+from helpers import AB, ABC, one_var_words, plain_solutions, random_reduced_data, reduced_data
 
 X = AB.extend("x")
 
@@ -152,10 +161,52 @@ class TestSolvePipeline:
         with pytest.raises(SolverError, match="mismatch"):
             solve(ov("x a x^-1 a^-1"), cfg)
 
+    def test_exhausted_escalation_names_its_knobs(self):
+        # a^5 lies in each verification ball but never in the discovery ball
+        cfg = SolveConfig(discovery_radius=0, verify_radius=6, max_escalations=1)
+        message = (
+            "escalation exhausted with persistent oracle mismatch at radius 8: missing=['a^5'] extra=[]; "
+            "the discovery radius (--radius) went from 0 to 2 in max_escalations = 1 escalations; raise either"
+        )
+        with pytest.raises(SolverError, match="mismatch") as info:
+            solve(ov("x a^-5"), cfg)
+        assert str(info.value) == message
+        assert solve(ov("x a^-5"), SolveConfig(discovery_radius=3, verify_radius=5, max_escalations=1)).escalations == 1
+
     def test_oversize_discovery(self):
         cfg = SolveConfig(discovery_radius=6, max_pairs=10)
         with pytest.raises(SolverError, match="oversize"):
             solve(ov("x a x^-1 a^-1"), cfg)
+
+    def test_pair_limit_of_an_exact_set(self):
+        # the same count and text as pairing's: a^m for |m| <= 3 are 7 solutions
+        word = ov("x a x^-1 a^-1")
+        assert solve(word, SolveConfig(discovery_radius=3, max_pairs=42)).result == AlgebraicSet.of(
+            AB, cosets=[coset("1", "a")]
+        )
+        message = r"7 ball solutions give 21 candidate pairs, and n\(n-1\) = 42 is over max_pairs = 41"
+        with pytest.raises(SolverError, match=message):
+            solve(word, SolveConfig(discovery_radius=3, max_pairs=41))
+
+    def test_ball_limit_as_for_the_oracle_walk(self):
+        # the walk refuses the verification ball of every word the
+        # abelianization admits, and an exact set refuses it alike
+        commutator = ov("x a x^-1 a^-1")
+        assert solve(commutator, SolveConfig(discovery_radius=9, verify_radius=11)).result == AlgebraicSet.of(
+            AB, cosets=[coset("1", "a")]
+        )
+        with pytest.raises(BallLimitError, match="ball of radius 12 at rank 2 has 1,062,881 elements"):
+            solve(commutator, SolveConfig(discovery_radius=9, verify_radius=12))
+        with pytest.raises(BallLimitError, match="ball of radius 14 at rank 2 has 9,565,937 elements"):
+            solve(commutator, SolveConfig(discovery_radius=12))
+        with pytest.raises(BallLimitError, match="ball of radius 1000000002 at rank 2 has more than"):
+            solve(commutator, SolveConfig(discovery_radius=10**9))
+        not_conjugate = ov("x a b a^-1 b^-1 x^-1 a b a^-1 b^-1")  # admitted, yet no solution
+        assert exact_solution_set(not_conjugate).is_empty
+        with pytest.raises(BallLimitError, match="ball of radius 14 at rank 2"):
+            solve(not_conjugate, SolveConfig(discovery_radius=12))
+        # ruled out by the abelianization: the walk builds no ball
+        assert solve(ov("x a x^-1 b^-1"), SolveConfig(discovery_radius=10**9)).result.is_empty
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -186,6 +237,89 @@ class TestSolvePipeline:
         report = solve(word, SolveConfig(discovery_radius=3, verify_radius=5))
         oracle = verify_against_oracle(word, report.result, 7)
         assert oracle.match
+
+
+@st.composite
+def planted_words(draw, alphabet):
+    """Strategy: ``c0 x^e1 c1 [x^e2 c2]``, half of them with opposite signs,
+    three times in four made to vanish at a drawn g.  Planted words have a
+    solution, and with opposite signs their solution set is a coset."""
+    rank = len(alphabet)
+    var = rank + 1
+    sign = draw(st.sampled_from((var, -var)))
+    signs = draw(st.sampled_from(((sign,), (sign, -sign), (sign, -sign), (sign, sign))))
+    raw = list(draw(reduced_data(rank, 3)))
+    for v in signs:
+        raw.append(v)
+        raw += draw(reduced_data(rank, 3))
+    extended = alphabet.extend("x")
+    word = OneVarWord.from_body(Word(extended, _reduce_data([(v,) for v in raw])))
+    if draw(st.integers(0, 3)):
+        g = Word(alphabet, draw(reduced_data(rank, 4)))
+        word = OneVarWord.from_body(word.body * Word(extended, (~word.evaluate(g)).data))
+    return word
+
+
+class TestExactSolutionSet:
+    @pytest.mark.parametrize(
+        "text, points, cosets",
+        [
+            ("x a^-1", ["a"], []),
+            ("a x b", ["a^-1 b^-1"], []),
+            ("x^-1 a b", ["a b"], []),
+            ("x^2 a^-2", ["a"], []),
+            ("x a x a^-3", ["a"], []),
+            ("x^-2 b^2", ["b"], []),
+            ("x^2 a b a^-1 b", [], []),  # admitted, but d is no square
+            ("x a x^-1 a^-1", [], [("1", "a")]),
+            ("x a b x^-1 a^-1 b^-1", [], [("a^-1", "a b")]),  # a rotation by one letter
+            ("x^-1 a x b a^-1 b^-1", [], [("b^-1", "b a b^-1")]),
+            ("x a b a^-1 b^-1 x^-1 a b a^-1 b^-1", [], []),  # admitted, but not conjugate
+            ("x a x^-1 b^-1", [], []),  # ruled out by the abelianization
+        ],
+    )
+    def test_closed_forms(self, text, points, cosets):
+        expected = AlgebraicSet.of(AB, [w(p) for p in points], [(w(r), w(t)) for r, t in cosets])
+        assert exact_solution_set(ov(text)) == expected
+
+    def test_none_without_a_closed_form(self):
+        assert exact_solution_set(ov("x a x b x")) is None
+        assert exact_solution_set(ov("a b")) is None
+
+    def test_long_cores_are_matched_in_linear_time(self):
+        # cores of 100,002 letters: trying each rotation in turn would compare
+        # about 10^10 letters
+        c1 = (1, 2) * 50_000 + (1, -2)
+        start = time.perf_counter()
+        for d, conjugate in ((c1[50_001:] + c1[:50_001], True), ((1, 2) * 50_000 + (-2, 1), False)):
+            word = OneVarWord.from_body(Word(X, (3, *c1, -3, *(-v for v in reversed(d)))))
+            exact = exact_solution_set(word)
+            assert len(exact.cosets) == conjugate and not exact.points
+            assert all(word.evaluate(c.element(m)).is_identity for c in exact.cosets for m in (-1, 0, 1))
+        assert time.perf_counter() - start < 5
+
+    def test_sets_beyond_the_radius_answer(self):
+        # the next element of the coset, a^6 b, has length 7: past verify radius 6
+        word = ov("x a^3 b x^-1 a^3 b^-1 a^-6")
+        assert exact_solution_set(word) == AlgebraicSet.of(AB, cosets=[coset("a^3", "a^3 b")])
+        assert solve(word, SolveConfig(discovery_radius=4, verify_radius=6)).result == AlgebraicSet.of(
+            AB, points=[w("a^3")]
+        )
+        word = ov("a^4 b^-2 x b^-1")
+        assert exact_solution_set(word) == AlgebraicSet.of(AB, points=[w("b^2 a^-4 b")])
+        assert solve(word, FAST).result.is_empty
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(data=st.data())
+    def test_members_in_the_ball_are_the_oracle_solutions(self, data):
+        alphabet = data.draw(st.sampled_from((AB, ABC)))
+        word = data.draw(planted_words(alphabet))
+        exact = exact_solution_set(word)
+        if exact is None:  # the two occurrences cancelled
+            assert not word.contains_variable
+            return
+        radius = 5 if alphabet is AB else 4
+        assert sorted(_members_within(exact, radius), key=Word.sort_key) == brute_solutions(word, radius)
 
 
 def ordered_pair_components(w, discovered):
