@@ -33,6 +33,7 @@ from .errors import (
     IdentityWordError,
     ParseError,
     RootError,
+    SeparationLimitError,
     SolverError,
     WholeGroupError,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "PowerBlock",
     "RootDecomposition",
     "RootError",
+    "SeparationLimitError",
     "SolveConfig",
     "SolveReport",
     "SolverError",

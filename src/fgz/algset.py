@@ -144,7 +144,7 @@ class AlgebraicSet:
             if any(c.member(p) for c in coset_list):
                 continue
             kept[p.sort_key()] = p
-        return cls(alphabet, tuple(kept[k] for k in sorted(kept)), tuple(coset_list))
+        return cls(alphabet, tuple([kept[k] for k in sorted(kept)]), tuple(coset_list))
 
     @classmethod
     @lru_cache(maxsize=8)
@@ -189,7 +189,7 @@ def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
     found = reduce_parametric(ParametricWord(alphabet, r1, blocks))
     if found.all_integers or len(found.values) > 1:
         raise AssertionError(f"{c1} and {c2} share {found}, but centralizers in a free group are cyclic")
-    return AlgebraicSet(alphabet, tuple(c1.element(n) for n in found.values))
+    return AlgebraicSet(alphabet, tuple([c1.element(n) for n in found.values]))
 
 
 def union(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:

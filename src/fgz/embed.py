@@ -10,7 +10,10 @@ ball is injective, with the coordinate at index g witnessing g itself.
 The coordinate at g depends only on supp(g), so the product has at most
 2^rank - 1 distinct coordinate maps however large the index set is.  Two
 elements collide in the product exactly when they collide under those
-few maps, which is how the ball check computes it.
+few maps, which is how the ball check computes it.  It works on the
+int-coded ball: one walk from prefix to word extends each element's
+support bitmask and its image under every map by one letter, and
+collisions are looked up by the tuple of image data.
 
 The infinite target alphabet and index set are replaced by finite
 surrogates; the target must merely be large enough to host an injection
@@ -20,9 +23,10 @@ of each index word's support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import AlphabetError, IdentityWordError
-from .words import Alphabet, Word, _invert_data, _reduce_data, enumerate_ball
+from .words import Alphabet, Word, _ball_data, _ball_layers, _concat_data, _invert_data, _reduce_data
 
 
 class Homomorphism:
@@ -32,6 +36,9 @@ class Homomorphism:
         missing = [n for n in source.names if n not in letter_images]
         if missing:
             raise AlphabetError(f"letter images missing for {missing}")
+        extra = [n for n in letter_images if n not in source]
+        if extra:
+            raise AlphabetError(f"letter images given for {extra}, which are not in the source alphabet")
         for name, image in letter_images.items():
             if image.alphabet != target:
                 raise AlphabetError(f"image of {name!r} is not over the target alphabet")
@@ -122,52 +129,76 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
 
     The indices are the nontrivial ball words.  The coordinate map at g,
     ``build_phi_g(g, target)``, reads g only through supp(g), so it is
-    built once per support, from the first index word in shortlex order
-    with that support.  Each index coordinate is one of these maps and
-    each map is some index's coordinate, so two ball elements share an
-    image in the per-index product exactly when their tuples agree.
+    built once per support S, from S's first index word in shortlex
+    order: S's letters in alphabet order.  The supports are the letter
+    sets of at most ``radius`` letters, taken by size, then in alphabet
+    order.  Each index coordinate is one of these maps and each map is
+    some index's coordinate, so two ball elements share an image in the
+    per-index product exactly when their tuples agree.
+
+    One walk over the int-coded ball, from prefix to word
+    (:func:`~fgz.words._ball_layers`), gives each element's support mask
+    (the prefix's OR the letter's bit) and its image under each map (the
+    prefix's times the letter's): the values ``Word.support`` and
+    ``Homomorphism.apply`` give.  It visits the ball in shortlex order,
+    so the report is the one a loop over ``enumerate_ball`` gives.
+    Words are built only for failure messages.
 
     Checks: the restriction of phi to the ball is injective; for every
     nontrivial h the coordinate at index h is nontrivial; every
     coordinate map fixes the letters common to both alphabets.
     """
-    ball = enumerate_ball(source, radius)
-    indices = [g for g in ball if not g.is_identity]
-    if not indices:
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    rank = len(source)
+    ball = _ball_data(rank, radius)
+    if len(ball) == 1:
         raise ValueError("index radius must be >= 1 so the index set is nonempty")
-    homs: dict[frozenset[str], Homomorphism] = {}
-    for g in indices:
-        if g.support() not in homs:
-            homs[g.support()] = build_phi_g(g, target)
-    slot = {support: i for i, support in enumerate(homs)}
+    sizes = range(1, min(rank, radius) + 1)
+    firsts = [Word(source, codes) for n in sizes for codes in combinations(range(1, rank + 1), n)]
+    homs = [build_phi_g(g, target) for g in firsts]
+    slot = {sum([1 << (v - 1) for v in g.data]): i for i, g in enumerate(firsts)}
+    tables = [hom._images for hom in homs]
+    # entry v is the support bit of code v, laid out as the image tables
+    bits = [0, *[1 << i for i in range(rank)], *[1 << i for i in reversed(range(rank))]]
     failures: list[str] = []
-    images: dict[tuple[Word, ...], Word] = {}
-    for h in ball:
-        image = tuple(hom.apply(h) for hom in homs.values())
-        if image in images:
-            failures.append(f"not injective: {images[image]} and {h} share an image")
-        else:
-            images[image] = h
-        if not h.is_identity and image[slot[h.support()]].is_identity:
-            failures.append(f"witness coordinate vanished for {h}")
+    identity = ((),) * len(homs)
+    seen: dict[tuple[tuple[int, ...], ...], int] = {identity: 0}
+    prev_masks, prev_images = [0], [identity]
+    for start, size, fan in _ball_layers(rank, radius):
+        masks, images = [], []
+        for j in range(size):
+            i, prefix, v = start + j, j // fan, ball[start + j][-1]
+            mask = prev_masks[prefix] | bits[v]
+            image = tuple([_concat_data(coord, table[v]) for coord, table in zip(prev_images[prefix], tables)])
+            if image in seen:
+                failures.append(f"not injective: {Word(source, ball[seen[image]])} and {Word(source, ball[i])} share an image")
+            else:
+                seen[image] = i
+            if not image[slot[mask]]:
+                failures.append(f"witness coordinate vanished for {Word(source, ball[i])}")
+            masks.append(mask)
+            images.append(image)
+        prev_masks, prev_images = masks, images
     common = [x for x in source.names if x in set(target.names)]
     fixes = True
     for x in common:
-        fixed = target.letter(x)
-        moved = {s: hom.apply(source.letter(x)) for s, hom in homs.items()}
-        for g in indices:
-            coord = moved[g.support()]
-            if coord != fixed:
-                fixes = False
-                failures.append(f"coordinate {g} moved common letter {x} to {coord}")
+        fixed, letter = target.letter(x), source.letter(x)
+        moved = {g.support(): coord for g, hom in zip(firsts, homs) if (coord := hom.apply(letter)) != fixed}
+        if moved:
+            fixes = False
+            for gd in ball[1:]:
+                g = Word(source, gd)
+                if g.support() in moved:
+                    failures.append(f"coordinate {g} moved common letter {x} to {moved[g.support()]}")
     return EmbedCheckReport(
         source=source.names,
         target=target.names,
         radius=radius,
-        index_count=len(indices),
+        index_count=len(ball) - 1,
         ball_size=len(ball),
         checked=len(ball) + len(common),
-        injective=len(images) == len(ball),
+        injective=len(seen) == len(ball),
         fixes_common_letters=fixes,
         failures=tuple(failures),
     )

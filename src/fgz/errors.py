@@ -29,6 +29,10 @@ class BallLimitError(FreeGroupError, ValueError):
     """A ball to enumerate is over ``words.MAX_BALL_ELEMENTS`` or ``words.MAX_BALL_LETTERS``."""
 
 
+class SeparationLimitError(FreeGroupError, ValueError):
+    """A word to separate is over ``residual.MAX_SEPARATE_LETTERS`` letters."""
+
+
 class RootError(FreeGroupError, ValueError):
     """A coset root or line direction is trivial or a proper power."""
 

@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Iterable, Union
 
 from .errors import AlphabetError, RootError
-from .words import BALL_CACHE_SIZE, Alphabet, Word, _ball_data, _invert_data, _reduce_data, parse_word
+from .words import BALL_CACHE_SIZE, Alphabet, Word, _ball_data, _ball_layers, _invert_data, _reduce_data, parse_word
 
 DEFAULT_VARIABLE = "x"
 
@@ -97,7 +97,7 @@ class OneVarWord:
     def with_inverted_variable(self) -> "OneVarWord":
         """The word with every variable occurrence replaced by its inverse."""
         vc = self._var_code
-        data = tuple(-v if abs(v) == vc else v for v in self.body.data)
+        data = tuple([-v if abs(v) == vc else v for v in self.body.data])
         return OneVarWord(self.alphabet, self.variable, Word(self.body.alphabet, data))
 
     def evaluate(self, g: Word) -> Word:
@@ -230,13 +230,10 @@ def _letter_images(rank: int) -> list[int]:
 def _quotient_buckets(rank: int, radius: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     """The radius ball split by image in G, each bucket in shortlex order.
 
-    One pass over :func:`_ball_data`: a word's image is its prefix's image
-    times its last letter's.  The ball lists the children of each word of
-    one layer together and in that layer's order (2 * rank children of
-    the empty word, 2 * rank - 1 of any other), so the prefix of the j-th
-    word of the next layer is the (j // fan)-th word of this one and only
-    one layer of images is kept.  Buckets hold the tuples of
-    :func:`_ball_data` itself, not copies.
+    One pass over :func:`_ball_data`, layer by layer as :func:`_ball_layers`
+    gives them: a word's image is its prefix's image times its last
+    letter's, so only one layer of images is kept.  Buckets hold the
+    tuples of :func:`_ball_data` itself, not copies.
     """
     mul = _quotient()[0]
     letters = _letter_images(rank)
@@ -244,15 +241,13 @@ def _quotient_buckets(rank: int, radius: int) -> dict[int, tuple[tuple[int, ...]
     members: list[list[tuple[int, ...]]] = [[] for _ in range(QUOTIENT_ORDER)]
     members[0].append(ball[0])
     prev = bytes(1)
-    start, fan = 1, 2 * rank
-    for _ in range(radius):
-        layer = bytearray(len(prev) * fan)
-        for j in range(len(layer)):
+    for start, size, fan in _ball_layers(rank, radius):
+        layer = bytearray(size)
+        for j in range(size):
             gd = ball[start + j]
             h = layer[j] = mul[QUOTIENT_ORDER * prev[j // fan] + letters[gd[-1]]]
             members[h].append(gd)
-        start += len(layer)
-        prev, fan = layer, 2 * rank - 1
+        prev = layer
     return {h: tuple(bucket) for h, bucket in enumerate(members) if bucket}
 
 

@@ -6,14 +6,23 @@ partial maps complete to permutations.  The resulting homomorphism moves
 state 0 to L on the input word, so the image of the word is not the
 identity: every nontrivial element is separated from the identity in a
 finite quotient.
+
+The representation has degree L + 1, so the image of the word itself,
+which the CLI prints, composes L permutations of degree L + 1: the work
+grows as L^2.  :func:`separate` refuses words over
+:data:`MAX_SEPARATE_LETTERS` letters before it builds anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlphabetError, IdentityWordError
+from .errors import AlphabetError, IdentityWordError, SeparationLimitError
 from .words import Alphabet, Word
+
+#: Most letters a word may have for :func:`separate`.  At the limit the CLI
+#: call ``fgz separate`` takes about 2 s on a 2-core host.
+MAX_SEPARATE_LETTERS = 7_500
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(other.images[v] for v in self.images))
+        return Permutation(tuple([other.images[v] for v in self.images]))
 
     def inverse(self) -> "Permutation":
         out = [0] * self.degree
@@ -88,15 +97,25 @@ class PermRep:
         return self.letter_images[self.alphabet.index(name)]
 
 
+def _code_images(rep: PermRep) -> list[tuple[int, ...]]:
+    """Image tuples of the signed letter codes: entry v is the image of code v.
+
+    Negative codes index from the end, where the inverses sit in reverse.
+    """
+    images = [p.images for p in rep.letter_images]
+    return [(), *images, *[p.inverse().images for p in reversed(rep.letter_images)]]
+
+
 def apply_perm_rep(rep: PermRep, w: Word) -> Permutation:
-    """Image of a word: the product of letter images in reading order."""
+    """Image of a word: the product of letter images in reading order, composed on one list."""
     if w.alphabet != rep.alphabet:
         raise AlphabetError("word is not over the representation's alphabet")
-    result = Permutation.identity(rep.degree)
+    table = _code_images(rep)
+    images = list(range(rep.degree))
     for v in w.data:
-        p = rep.letter_images[abs(v) - 1]
-        result = result * (p if v > 0 else p.inverse())
-    return result
+        p = table[v]
+        images = [p[i] for i in images]
+    return Permutation(tuple(images))
 
 
 def separate(g: Word) -> PermRep:
@@ -106,27 +125,36 @@ def separate(g: Word) -> PermRep:
     the (i+1)-th signed letter is the letter itself, and i + 1 to i when
     it is the inverse; unmatched states pair up in increasing order.
     Because g is reduced the partial maps are injections, which is
-    asserted at runtime.
+    asserted at runtime, as is the path from state 0 to state |g|.
+    Words over :data:`MAX_SEPARATE_LETTERS` letters raise
+    :class:`~fgz.errors.SeparationLimitError` before anything is built.
     """
     if g.is_identity:
         raise IdentityWordError("cannot separate the identity from itself")
+    if len(g) > MAX_SEPARATE_LETTERS:
+        raise SeparationLimitError(
+            f"word has {len(g):,} letters, over the separation limit of {MAX_SEPARATE_LETTERS:,}"
+        )
     degree = len(g) + 1
     partial: list[dict[int, int]] = [{} for _ in g.alphabet.names]
+    used: list[set[int]] = [set() for _ in g.alphabet.names]
     for pos, v in enumerate(g.data):
         src, dst = (pos, pos + 1) if v > 0 else (pos + 1, pos)
-        m = partial[abs(v) - 1]
+        m, targets = partial[abs(v) - 1], used[abs(v) - 1]
         assert src not in m, "prefix-path map got two images for one state"
-        assert dst not in m.values(), "prefix-path map got two sources for one state"
+        assert dst not in targets, "prefix-path map got two sources for one state"
         m[src] = dst
+        targets.add(dst)
     perms = []
-    for m in partial:
+    for m, targets in zip(partial, used):
         free_sources = [i for i in range(degree) if i not in m]
-        used_targets = set(m.values())
-        free_targets = [i for i in range(degree) if i not in used_targets]
-        for s, d in zip(free_sources, free_targets):
-            m[s] = d
-        perms.append(Permutation(tuple(m[i] for i in range(degree))))
+        free_targets = [i for i in range(degree) if i not in targets]
+        m.update(zip(free_sources, free_targets))
+        perms.append(Permutation(tuple([m[i] for i in range(degree)])))
     rep = PermRep(g.alphabet, degree, tuple(perms))
-    image = apply_perm_rep(rep, g)
-    assert image(0) == len(g), "prefix path must lead from state 0 to state L"
+    table = _code_images(rep)
+    state = 0
+    for v in g.data:
+        state = table[v][state]
+    assert state == len(g), "prefix path must lead from state 0 to state L"
     return rep

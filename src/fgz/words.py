@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AlphabetError,
@@ -395,6 +395,24 @@ def _ball_data(rank: int, radius: int) -> tuple[tuple[int, ...], ...]:
         out.extend(nxt)
         layer = nxt
     return tuple(out)
+
+
+def _ball_layers(rank: int, radius: int) -> Iterator[tuple[int, int, int]]:
+    """``(start, size, fan)`` for each layer of :func:`_ball_data` past the empty word.
+
+    Layer i is ``ball[start:start + size]``, the words of length i.  The
+    ball lists the children of each word of one layer together and in that
+    layer's order (2 * rank children of the empty word, 2 * rank - 1 of any
+    other), so ``ball[start + j]`` is the (j // fan)-th word of the layer
+    before with one letter appended.  A walk that extends a value from
+    prefix to word therefore keeps only one layer of values.
+    """
+    start, size, fan = 1, 2 * rank, 2 * rank
+    for _ in range(radius):
+        yield start, size, fan
+        start += size
+        fan = 2 * rank - 1
+        size *= fan
 
 
 def enumerate_ball(alphabet: Alphabet, radius: int) -> list[Word]:

@@ -10,6 +10,7 @@ import pytest
 from fgz.algset import AlgebraicSet, CyclicCoset, from_json_dict, from_json_text, to_json_dict
 from fgz.cli import main
 from fgz.errors import ParseError
+from fgz.residual import MAX_SEPARATE_LETTERS
 from fgz.words import MAX_BALL_ELEMENTS, MAX_PARSE_LETTERS, parse_word
 
 from helpers import AB
@@ -233,6 +234,16 @@ class TestInvocation:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "2,929,687" in err and f"{MAX_BALL_ELEMENTS:,}" in err
+
+    def test_long_separate_fails_at_once(self, capsys):
+        # separation is quadratic in the length: without the limit this
+        # runs for minutes
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--alphabet", "a,b", "separate", "a^1000000")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "1,000,000" in err and f"{MAX_SEPARATE_LETTERS:,}" in err
 
     def test_variable_colliding_with_a_letter(self, capsys):
         code, out, err = run(capsys, "--alphabet", "a,b", "--var", "a", "solve", "x")

@@ -1,6 +1,9 @@
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fgz.embed import EmbedCheckReport, Homomorphism, build_phi_g, check_mono_on_ball
 from fgz.errors import AlphabetError, IdentityWordError
@@ -93,6 +96,12 @@ class TestBuildPhiG:
         with pytest.raises(AlphabetError):
             Homomorphism(AB, Y4, {"a": Y4.letter("c"), "b": AB.letter("a")})
 
+    def test_letter_outside_the_source_refused(self):
+        images = {"a": CD.letter("c"), "b": CD.letter("d"), "z": CD.letter("c")}
+        with pytest.raises(AlphabetError) as excinfo:
+            Homomorphism(AB, CD, images)
+        assert str(excinfo.value) == "letter images given for ['z'], which are not in the source alphabet"
+
 
 def per_index_report(source: Alphabet, target: Alphabet, radius: int) -> EmbedCheckReport:
     """Reference: the per-index product, one ``build_phi_g`` per index word.
@@ -183,6 +192,59 @@ class TestSupportLemma:
             h = first.setdefault(g.support(), g)
             assert build_phi_g(g, Y4).letter_images == build_phi_g(h, Y4).letter_images
         assert len(first) == 7
+
+
+POOL = ("a", "b", "c", "d", "f", "g")
+
+
+@st.composite
+def embed_cases(draw):
+    """Source of rank 1-3, a target of 1-5 letters that may share letters
+    with it or be too small to host it, and a radius of 1-4 (1-3 at rank
+    3, where the per-index reference takes seconds at radius 4)."""
+    rank = draw(st.integers(1, 3))
+    target = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=5, unique=True))
+    radius = draw(st.integers(1, 4 if rank < 3 else 3))
+    return Alphabet(POOL[:rank]), Alphabet(target), radius
+
+
+def same_report_or_error(source, target, radius):
+    try:
+        expected = per_index_report(source, target, radius)
+    except AlphabetError as exc:
+        with pytest.raises(AlphabetError) as got:
+            check_mono_on_ball(source, target, radius)
+        assert str(got.value) == str(exc)
+        return None
+    assert check_mono_on_ball(source, target, radius) == expected
+    return expected
+
+
+class TestBallWalk:
+    """The prefix walk gives the per-index product's report, or its error."""
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(embed_cases())
+    @example((AB, CD, 1))
+    @example((ABC, Y4, 4))
+    @example((ABC, Alphabet(("a", "d")), 2))
+    def test_matches_per_index_product(self, case):
+        same_report_or_error(*case)
+
+    @pytest.mark.parametrize("source, target, radius", [(AB, AB, 3), (ABC, Y4, 2), (Alphabet(("a",)), CD, 3)])
+    def test_failures_match_for_a_careless_map(self, monkeypatch, source, target, radius):
+        # a coordinate map that kills the first support letter and sends
+        # the others to the target's first letter breaks every check
+        def careless_phi_g(g, target):
+            first = min(g.support(), key=g.alphabet.index)
+            images = {x: target.identity() if x == first else target.letter(target.names[0]) for x in g.alphabet}
+            return Homomorphism(g.alphabet, target, images)
+
+        monkeypatch.setattr("fgz.embed.build_phi_g", careless_phi_g)
+        monkeypatch.setattr(sys.modules[__name__], "build_phi_g", careless_phi_g)
+        report = same_report_or_error(source, target, radius)
+        kinds = {failure.split()[0] for failure in report.failures}
+        assert kinds == ({"not", "witness", "coordinate"} if set(source) & set(target) else {"not", "witness"})
 
 
 class TestCheckMonoOnBall:

@@ -19,6 +19,7 @@ from fgz.words import (
     Alphabet,
     Word,
     _ball_data,
+    _ball_layers,
     _ball_letters,
     _reduce_data,
     ball_size,
@@ -409,6 +410,20 @@ class TestEnumerateBall:
         for rank in range(0, 4):
             for radius in range(0, 5):
                 assert _ball_letters(rank, radius) == sum(len(d) for d in _ball_data(rank, radius))
+
+    def test_layers_extend_their_prefixes(self):
+        # each word of a layer is the (j // fan)-th word of the layer
+        # before plus one letter, and the layers tile the ball in order
+        for rank in range(0, 4):
+            for radius in range(0, 5):
+                ball = _ball_data(rank, radius)
+                prev, end = [()], 1
+                for length, (start, size, fan) in enumerate(_ball_layers(rank, radius), 1):
+                    layer = ball[start:start + size]
+                    assert start == end and all(len(d) == length for d in layer)
+                    assert [d[:-1] for d in layer] == [prev[j // fan] for j in range(size)]
+                    prev, end = layer, start + size
+                assert end == len(ball)
 
     def test_huge_radius_fails_at_once(self):
         start = time.perf_counter()
