@@ -2,11 +2,14 @@
 
 A cyclic coset ``a<r>`` is a left translate of a maximal cyclic subgroup;
 its root must be primitive, so the subgroup is a full centralizer.  Every
-set here is kept canonical: roots orientation-canonical, representatives
-minimal, no point inside a listed coset, components sorted.  Intersections
-are exact, by the cyclic centralizers of a free group.  Canonical
-forms are unique, which turns equality and inclusion into structural
-checks and makes serialized output reproducible.  The lengths of a
+value is canonical on construction, however it is built: a coset orients
+its root and minimizes its representative, and a set merges its cosets,
+drops points inside them and sorts both.  The named ways in from raw data
+are :meth:`CyclicCoset.make` for a (rep, root) pair and
+:meth:`AlgebraicSet.of` for points and such pairs.  Intersections are
+exact, by the cyclic centralizers of a free group.  Canonical forms are
+unique, which turns equality and inclusion into structural checks and
+makes serialized output reproducible.  The lengths of a
 coset's elements are bounded once, in :meth:`CyclicCoset.elements_within`.
 """
 
@@ -26,21 +29,19 @@ from .words import Alphabet, Word, parse_word
 
 @dataclass(frozen=True)
 class CyclicCoset:
-    """Canonical ``rep * <root>``; build with :meth:`make`."""
+    """``rep * <root>``, canonical however it is built.
+
+    The root must be primitive, as a proper power would give a coset of a
+    non-maximal cyclic subgroup, not of a centralizer; of it and its inverse
+    the shortlex lesser is kept.  The rep becomes the coset's shortlex least
+    element, no longer than the given rep, so in ``elements_within(len(rep))``.
+    """
 
     rep: Word
     root: Word
 
-    @classmethod
-    def make(cls, rep: Word, root: Word) -> "CyclicCoset":
-        """Canonicalize a raw (representative, root) pair.
-
-        The root must be primitive: a proper power would denote a coset of
-        a non-maximal cyclic subgroup, which is not a centralizer coset
-        and is rejected with a diagnostic.  The representative becomes the
-        shortlex least element of the coset; it is no longer than ``rep``,
-        so it is among ``elements_within(len(rep))``.
-        """
+    def __post_init__(self):
+        rep, root = self.rep, self.root
         if rep.alphabet != root.alphabet:
             raise AlphabetError("rep and root must share an alphabet")
         if root.is_identity:
@@ -53,8 +54,13 @@ class CyclicCoset:
                 "are representable - use the primitive root"
             )
         if ~root < root:
-            root = ~root
-        return cls(min(cls(rep, root).elements_within(len(rep)), key=Word.sort_key), root)
+            object.__setattr__(self, "root", ~root)
+        object.__setattr__(self, "rep", min(self.elements_within(len(rep)), key=Word.sort_key))
+
+    @classmethod
+    def make(cls, rep: Word, root: Word) -> "CyclicCoset":
+        """The coset of a raw (representative, root) pair."""
+        return cls(rep, root)
 
     def elements_within(self, length: int) -> list[Word]:
         """The elements ``rep * root^m`` of length at most ``length``, in order of m.
@@ -110,41 +116,40 @@ WHOLE_GROUP = _WholeGroupType()
 
 @dataclass(frozen=True)
 class AlgebraicSet:
-    """Finite union of singleton points and cyclic cosets, canonical form."""
+    """Finite union of singleton points and cyclic cosets, canonical however it is built.
+
+    The constructor takes points and :class:`CyclicCoset` values over
+    ``alphabet``; duplicate cosets are merged, points inside a coset
+    dropped, and both sorted.  :meth:`of` takes raw (rep, root) pairs.
+    """
 
     alphabet: Alphabet
     points: tuple[Word, ...] = ()
     cosets: tuple[CyclicCoset, ...] = ()
 
-    @classmethod
-    def of(
-        cls,
-        alphabet: Alphabet,
-        points: Iterable[Word] = (),
-        cosets: Iterable[Union[CyclicCoset, tuple[Word, Word]]] = (),
-    ) -> "AlgebraicSet":
-        """Canonicalize raw components into an AlgebraicSet.
-
-        Cosets may be given as CyclicCoset values or raw (rep, root) pairs;
-        roots are orientation-canonicalized, representatives minimized,
-        duplicate cosets merged and absorbed points removed.
-        """
+    def __post_init__(self):
+        alphabet = self.alphabet
         canon: dict[tuple, CyclicCoset] = {}
-        for c in cosets:
-            if isinstance(c, tuple):
-                c = CyclicCoset.make(*c)
+        for c in self.cosets:
             if c.alphabet != alphabet:
                 raise AlphabetError("coset over a different alphabet")
             canon[c.sort_key()] = c
-        coset_list = [canon[k] for k in sorted(canon)]
+        cosets = [canon[k] for k in sorted(canon)]
         kept: dict[tuple, Word] = {}
-        for p in points:
+        for p in self.points:
             if p.alphabet != alphabet:
                 raise AlphabetError("point over a different alphabet")
-            if any(c.member(p) for c in coset_list):
-                continue
-            kept[p.sort_key()] = p
-        return cls(alphabet, tuple([kept[k] for k in sorted(kept)]), tuple(coset_list))
+            if not any(c.member(p) for c in cosets):
+                kept[p.sort_key()] = p
+        object.__setattr__(self, "points", tuple([kept[k] for k in sorted(kept)]))
+        object.__setattr__(self, "cosets", tuple(cosets))
+
+    @classmethod
+    def of(
+        cls, alphabet: Alphabet, points: Iterable[Word] = (), cosets: Iterable[tuple[Word, Word]] = ()
+    ) -> "AlgebraicSet":
+        """The set of ``points`` and of the cosets of raw (rep, root) pairs."""
+        return cls(alphabet, points, [CyclicCoset.make(rep, root) for rep, root in cosets])
 
     @classmethod
     @lru_cache(maxsize=8)
@@ -171,7 +176,7 @@ class AlgebraicSet:
 
 
 def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
-    """Intersection of two canonical cosets: a coset, a singleton, or empty.
+    """Intersection of two cosets: a coset, a singleton, or empty.
 
     Equal cosets meet in themselves; distinct cosets of one subgroup are
     disjoint.  Otherwise ``c1.rep c1.root^n`` is in ``c2`` exactly when
@@ -181,7 +186,7 @@ def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
     """
     alphabet = c1.alphabet
     if c1 == c2:
-        return AlgebraicSet.of(alphabet, cosets=(c1,))
+        return AlgebraicSet(alphabet, (), (c1,))
     if c1.root == c2.root:
         return AlgebraicSet.empty(alphabet)
     h, r1, r2 = ~c2.rep * c1.rep, c1.root, c2.root
@@ -195,7 +200,7 @@ def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
 def union(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:
     if s1.alphabet != s2.alphabet:
         raise AlphabetError("operands over different alphabets")
-    return AlgebraicSet.of(s1.alphabet, s1.points + s2.points, s1.cosets + s2.cosets)
+    return AlgebraicSet(s1.alphabet, s1.points + s2.points, s1.cosets + s2.cosets)
 
 
 def intersect(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:
@@ -209,11 +214,11 @@ def intersect(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:
             piece = intersect_cosets(c1, c2)
             points.extend(piece.points)
             cosets.extend(piece.cosets)
-    return AlgebraicSet.of(s1.alphabet, points, cosets)
+    return AlgebraicSet(s1.alphabet, points, cosets)
 
 
 def subset(s1: AlgebraicSet, s2: AlgebraicSet) -> bool:
-    """True iff s1 lies in s2; both must be canonical.
+    """True iff s1 lies in s2.
 
     A coset meets a coset other than itself in at most one element, so a
     coset of s1 inside the finite union s2 must be one of its cosets, and

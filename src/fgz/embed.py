@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import AlphabetError, IdentityWordError
-from .words import Alphabet, Word, _ball_data, _ball_layers, _concat_data, _invert_data, _reduce_data
+from .words import (
+    Alphabet, Word, _ball_data, _ball_layers, _concat_data, _invert_data, _reduce_data, _signed_code_table
+)
 
 
 class Homomorphism:
@@ -45,9 +47,7 @@ class Homomorphism:
         self.source = source
         self.target = target
         self.letter_images = dict(letter_images)
-        # entry v is the image data of code v; inverses sit at the end in reverse
-        images = [letter_images[n].data for n in source.names]
-        self._images = [(), *images, *[_invert_data(d) for d in reversed(images)]]
+        self._images = _signed_code_table((), [letter_images[n].data for n in source.names], _invert_data)
 
     def apply(self, word: Word) -> Word:
         if word.alphabet != self.source:
@@ -159,8 +159,8 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
     homs = [build_phi_g(g, target) for g in firsts]
     slot = {sum([1 << (v - 1) for v in g.data]): i for i, g in enumerate(firsts)}
     tables = [hom._images for hom in homs]
-    # entry v is the support bit of code v, laid out as the image tables
-    bits = [0, *[1 << i for i in range(rank)], *[1 << i for i in reversed(range(rank))]]
+    # a letter and its inverse share a support bit
+    bits = _signed_code_table(0, [1 << i for i in range(rank)], lambda bit: bit)
     failures: list[str] = []
     identity = ((),) * len(homs)
     seen: dict[tuple[tuple[int, ...], ...], int] = {identity: 0}

@@ -22,7 +22,9 @@ from itertools import chain
 from typing import Iterable, Union
 
 from .errors import AlphabetError, RootError
-from .words import BALL_CACHE_SIZE, Alphabet, Word, _ball_data, _ball_layers, _invert_data, _reduce_data, parse_word
+from .words import (
+    BALL_CACHE_SIZE, Alphabet, Word, _ball_data, _ball_layers, _invert_data, _reduce_data, _signed_code_table, parse_word
+)
 
 DEFAULT_VARIABLE = "x"
 
@@ -217,13 +219,9 @@ def _quotient() -> tuple[bytes, bytes, tuple[int, ...]]:
 
 
 def _letter_images(rank: int) -> list[int]:
-    """Images in G of the signed letter codes: entry v is the image of code v.
-
-    Negative codes index from the end, where the inverses sit in reverse.
-    """
+    """Images in G of the signed letter codes, a :func:`~fgz.words._signed_code_table`."""
     _, inv, gens = _quotient()
-    images = [gens[i % len(gens)] for i in range(rank)]
-    return [0, *images, *[inv[g] for g in reversed(images)]]
+    return _signed_code_table(0, [gens[i % len(gens)] for i in range(rank)], inv.__getitem__)
 
 
 @lru_cache(maxsize=BALL_CACHE_SIZE)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlphabetError, IdentityWordError, SeparationLimitError
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _signed_code_table
 
 #: Most letters a word may have for :func:`separate`.  At the limit the CLI
 #: call ``fgz separate`` takes about 2 s on a 2-core host.
@@ -74,7 +74,7 @@ class Permutation:
             cycle = [start]
             seen.add(start)
             i = self.images[start]
-            while i != start:
+            while i not in seen:  # ends also on images that are not a permutation
                 cycle.append(i)
                 seen.add(i)
                 i = self.images[i]
@@ -98,12 +98,8 @@ class PermRep:
 
 
 def _code_images(rep: PermRep) -> list[tuple[int, ...]]:
-    """Image tuples of the signed letter codes: entry v is the image of code v.
-
-    Negative codes index from the end, where the inverses sit in reverse.
-    """
-    images = [p.images for p in rep.letter_images]
-    return [(), *images, *[p.inverse().images for p in reversed(rep.letter_images)]]
+    """Image tuples of the signed letter codes, a :func:`~fgz.words._signed_code_table`."""
+    return [p.images for p in _signed_code_table(Permutation(()), rep.letter_images, Permutation.inverse)]
 
 
 def apply_perm_rep(rep: PermRep, w: Word) -> Permutation:

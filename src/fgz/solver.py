@@ -37,7 +37,7 @@ from typing import Union
 from .algset import WHOLE_GROUP, AlgebraicSet, CyclicCoset, _WholeGroupType, to_json_dict
 from .errors import BallLimitError, SolverError
 from .onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
-from .words import Word, check_ball_limit
+from .words import Word, _letters_text, check_ball_limit
 
 DEFAULT_DISCOVERY_RADIUS = 6
 DEFAULT_MAX_ESCALATIONS = 3
@@ -157,7 +157,6 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
         return AlgebraicSet.empty(alphabet)
     head, ((positive, run), *rest) = w._segments
     c0, c1 = Word(alphabet, head), Word(alphabet, run)
-    # the sets built below are canonical: one point, or one coset from make
     if not rest:
         y = ~(c1 * c0)
         return AlgebraicSet(alphabet, (y if positive else ~y,))
@@ -184,11 +183,6 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     r = c1.primitive_root().root
     coset = CyclicCoset.make(y0, r) if positive else CyclicCoset.make(~y0, y0 * r * ~y0)
     return AlgebraicSet(alphabet, (), (coset,))
-
-
-def _letters_text(data: tuple[int, ...]) -> str:
-    """One character per letter code, distinct codes to distinct characters."""
-    return "".join([chr(v % 0x110000) for v in data])
 
 
 def _check_pair_limit(n: int, max_pairs: int) -> None:
@@ -285,7 +279,7 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
             # pair of them proposes and proves; no line leaves extra points.
             _check_pair_limit(len(discovered), cfg.max_pairs)
             cosets, extra_points = (exact.cosets if len(discovered) > 1 else ()), []
-        result = AlgebraicSet.of(w.alphabet, discovered + extra_points, cosets)
+        result = AlgebraicSet(w.alphabet, discovered + extra_points, cosets)
         last_report = verify_against_oracle(w, result, radius, solutions)
         if last_report.match:
             return SolveReport(result, last_report.radius, escalation)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     AlphabetError,
@@ -238,20 +238,17 @@ class Word:
     def primitive_root(self) -> "RootDecomposition":
         """The unique primitive r and k >= 1 with ``r**k == self``.
 
-        Cyclically reduce, find the shortest divisor-length period of the
-        core, conjugate back.
+        Cyclically reduce, find the least p > 0 where the core recurs in the
+        core twice over (a rotation by p, so p is a period), conjugate back.
         """
         if not self.data:
             raise IdentityWordError("the identity has no primitive root")
         dec = self.cyclic_decomposition()
-        c = dec.core.data
-        n = len(c)
-        u = dec.conjugator.data
-        for p in _divisors(n):
-            if all(c[i] == c[i % p] for i in range(p, n)):
-                root = Word(self.alphabet, u + c[:p] + _invert_data(u))
-                return RootDecomposition(root, n // p)
-        raise AssertionError("unreachable: n is a period of itself")
+        c, u = dec.core.data, dec.conjugator.data
+        text = _letters_text(c)
+        p = (text + text).find(text, 1)
+        root = self if p == len(c) else Word(self.alphabet, u + c[:p] + _invert_data(u))
+        return RootDecomposition(root, len(c) // p)
 
     def commutes_with(self, other: "Word") -> bool:
         """Two elements commute iff they are powers of one primitive word."""
@@ -299,9 +296,19 @@ class RootDecomposition:
     exponent: int
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _letters_text(data: tuple[int, ...]) -> str:
+    """One character per letter code, distinct codes to distinct characters,
+    so that rotation and period searches on words run as string searches."""
+    return "".join([chr(v % 0x110000) for v in data])
+
+
+def _signed_code_table(identity, images: Sequence, invert: Callable) -> list:
+    """A table indexed by signed letter codes: entry v is the value of code v.
+
+    ``images[i]`` is the value of code i + 1 and entry 0 is ``identity``;
+    negative codes index from the end, where the inverses sit in reverse.
+    """
+    return [identity, *images, *[invert(x) for x in reversed(images)]]
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

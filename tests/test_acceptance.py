@@ -115,7 +115,7 @@ def test_criterion_2_output_shape(solved_suite):
                 assert_coset_canonical(c)
             for p in result.points:
                 assert not any(c.member(p) for c in result.cosets)
-            assert result == AlgebraicSet.of(AB, result.points, result.cosets)
+            assert result == AlgebraicSet(AB, result.points, result.cosets)
         except AssertionError:
             violations += 1
     report_line(
@@ -158,7 +158,7 @@ def _random_algset(rng):
         rep = random_word(rng, AB, 3)
         root = random_word(rng, AB, 3, min_len=1).primitive_root().root
         cosets.append(CyclicCoset.make(rep, root))
-    return AlgebraicSet.of(AB, points, cosets)
+    return AlgebraicSet(AB, points, cosets)
 
 
 def test_criterion_4_noetherian_chains():

@@ -34,7 +34,7 @@ def coset(rep, root):
 
 
 def aset(points=(), cosets=()):
-    return AlgebraicSet.of(AB, [w(p) for p in points], [coset(*c) for c in cosets])
+    return AlgebraicSet.of(AB, [w(p) for p in points], [(w(rep), w(root)) for rep, root in cosets])
 
 
 def ball_restriction(s, radius=5):
@@ -50,30 +50,31 @@ def random_algset(rng):
         rep = random_word(rng, AB, 3)
         root = random_word(rng, AB, 3, min_len=1).primitive_root().root
         cosets.append(CyclicCoset.make(rep, root))
-    return AlgebraicSet.of(AB, points, cosets)
+    return AlgebraicSet(AB, points, cosets)
 
 
 def span_make(rep, root):
-    """Reference canonicalization: the least ``rep * root^m`` over an unproved
-    span of m, one fresh power per m.  ``root`` must be primitive."""
+    """Reference canonicalization: the raw pair of the least ``rep * root^m``
+    over an unproved span of m, one fresh power per m, and the lesser
+    orientation of the root.  ``root`` must be primitive."""
     if ~root < root:
         root = ~root
     span = len(rep) + len(root) + 2
-    return CyclicCoset(min((rep * root ** m for m in range(-span, span + 1)), key=Word.sort_key), root)
+    return min((rep * root ** m for m in range(-span, span + 1)), key=Word.sort_key), root
 
 
 def span_intersect(c1, c2):
-    """Reference intersection of canonical cosets: membership of c1's
-    elements over an unproved span."""
+    """Reference intersection of cosets: the raw ``(points, cosets)`` fields,
+    by membership of c1's elements over an unproved span."""
     if c1 == c2:
-        return AlgebraicSet.of(c1.alphabet, cosets=(c1,))
+        return (), (c1,)
     if c1.root == c2.root:
-        return AlgebraicSet.empty(c1.alphabet)
+        return (), ()
     span = len(c1.rep) + len(c2.rep) + 2 * (len(c1.root) + len(c2.root)) + 4
     for m in range(-span, span + 1):
         if c2.member(c1.element(m)):
-            return AlgebraicSet.of(c1.alphabet, points=(c1.element(m),))
-    return AlgebraicSet.empty(c1.alphabet)
+            return (c1.element(m),), ()
+    return (), ()
 
 
 @st.composite
@@ -150,9 +151,13 @@ class TestCyclicCoset:
     @example((w("a"), w("b^2 a^-1 b^-2")))  # |rep| < |u|: empty window
     @example((w("b a^7"), w("a^-1")))  # long multiple of a letter root, inverse orientation
     @example((w("b a b^-1 a"), w("b a^-1 b^-1")))  # core length 1 under a conjugator
+    # window (4 + 4 - 2) // 1 = 6, and rep * root^6 = a^3 b^-1 has length 4
+    @example((w("a^-3 b^-1"), w("b a b^-1")))  # farthest element at m = window, |u| = 1
+    @example((w("a^4"), w("a^-1")))  # root a: farthest element a^-4 at m = -8 = -window
     def test_make_matches_span_reference(self, raw):
         rep, root = raw
-        assert CyclicCoset.make(rep, root) == span_make(rep, root)
+        c = CyclicCoset.make(rep, root)
+        assert (c.rep, c.root) == span_make(rep, root)
 
     def test_membership_against_ball_oracle(self):
         rng = random.Random(31)
@@ -165,17 +170,18 @@ class TestCyclicCoset:
                 assert c.member(g) == (g in line)
 
     @settings(deadline=None, derandomize=True, max_examples=400)
-    @given(st.sampled_from((AB, ABC)).flatmap(raw_cosets), st.booleans(), st.integers(0, 9))
-    # window (4 + 4 - 2) // 1 = 6, and rep * root^6 = a^3 b^-1 has length 4
-    @example((w("a^-3 b^-1"), w("b a b^-1")), False, 4)  # farthest element at m = window, |u| = 1
-    @example((w("a^-4"), w("a^-1")), False, 4)  # farthest element at m = -8 = -window
-    @example((w("a"), w("b^2 a b^-2")), False, 3)  # |u| > |rep|: window 0, rep alone
-    @example((w("a b"), w("b^2 a b^-2")), False, 1)  # window 0 and rep too long: nothing
-    def test_elements_within_matches_brute_filter(self, raw, flip, length):
-        # the root keeps its drawn orientation, or the inverse one, and the
-        # rep is not minimized; the filter spans twice the widest window
+    @given(st.sampled_from((AB, ABC)).flatmap(raw_cosets), st.integers(0, 9))
+    # window (4 + 1 - 2) // 1 = 3, and rep * root^3 = a^3 b^-1 has length 4
+    @example((w("b^-1"), w("b a b^-1")), 4)  # farthest elements at m = +-window, |u| = 1
+    @example((w("1"), w("a")), 4)  # farthest elements a^4, a^-4 at m = +-window
+    @example((w("a"), w("b^2 a b^-2")), 3)  # |u| > |rep|: window 0, rep alone
+    @example((w("a b"), w("b^2 a b^-2")), 1)  # window 0 and rep too long: nothing
+    def test_elements_within_matches_brute_filter(self, raw, length):
+        # on canonical cosets, as the constructor builds no other; the raw
+        # reps of make go through the window in test_make_matches_span_reference.
+        # The filter spans twice the widest window.
         rep, root = raw
-        c = CyclicCoset(rep, ~root if flip else root)
+        c = CyclicCoset(rep, root)
         span = 2 * (length + len(rep)) + 2
         brute = [c.element(m) for m in range(-span, span + 1) if len(c.element(m)) <= length]
         assert c.elements_within(length) == brute
@@ -205,18 +211,29 @@ class TestAlgebraicSet:
         rng = random.Random(32)
         for _ in range(50):
             s = random_algset(rng)
-            again = AlgebraicSet.of(AB, s.points, s.cosets)
+            again = AlgebraicSet(AB, s.points, s.cosets)
             assert again == s
             assert s == again
 
     def test_coset_values_are_not_canonicalized_again(self, monkeypatch):
         c = coset("b a^3", "a^-1")
 
-        def make(*args):
-            raise AssertionError("AlgebraicSet.of canonicalized a CyclicCoset again")
+        def post_init(self):
+            raise AssertionError("AlgebraicSet canonicalized a CyclicCoset again")
 
-        monkeypatch.setattr(CyclicCoset, "make", make)
-        assert AlgebraicSet.of(AB, cosets=[c]).cosets == (c,)
+        monkeypatch.setattr(CyclicCoset, "__post_init__", post_init)
+        assert AlgebraicSet(AB, cosets=[c]).cosets == (c,)
+
+    def test_raw_constructors_build_canonical_values(self):
+        # one set, written with a non-minimal rep and with a raw pair
+        raw = AlgebraicSet(AB, (), (CyclicCoset(w("a^-4"), w("a")),))
+        made = AlgebraicSet.of(AB, cosets=[(w("1"), w("a"))])
+        assert raw == made and subset(raw, made) and subset(made, raw)
+        assert hash(raw) == hash(made)
+        assert to_json_dict(raw) == to_json_dict(made)
+        assert AlgebraicSet(AB, (w("a^2"), w("b"), w("b")), (coset("1", "a"),)).points == (w("b"),)
+        with pytest.raises(RootError, match="proper power"):
+            CyclicCoset(w("1"), w("a^2"))
 
     def test_duplicate_cosets_merge(self):
         s = AlgebraicSet.of(AB, cosets=[(w("1"), w("a")), (w("a^2"), w("a^-1"))])
@@ -264,8 +281,9 @@ class TestIntersectCosets:
     @example((coset("b", "a b"), coset("a^-1", "a")))
     def test_matches_span_reference(self, pair):
         c1, c2 = pair
-        assert intersect_cosets(c1, c2) == span_intersect(c1, c2)
-        assert intersect_cosets(c2, c1) == span_intersect(c2, c1)
+        for first, second in ((c1, c2), (c2, c1)):
+            out = intersect_cosets(first, second)
+            assert (out.points, out.cosets) == span_intersect(first, second)
 
     @pytest.mark.parametrize("found", [LineSolutionSet.finite([0, 1]), LineSolutionSet.everything()])
     def test_more_than_one_common_element_is_refused(self, monkeypatch, found):
@@ -326,9 +344,9 @@ class TestSetOps:
         # orientation and the second contains the first one's rep
         c1, c2 = pair
         contained = c1.root in (c2.root, ~c2.root) and c2.member(c1.rep)
-        s1, s2 = AlgebraicSet.of(c1.alphabet, cosets=(c1,)), AlgebraicSet.of(c1.alphabet, cosets=(c2,))
+        s1, s2 = AlgebraicSet(c1.alphabet, cosets=(c1,)), AlgebraicSet(c1.alphabet, cosets=(c2,))
         assert subset(s1, s2) == contained
-        assert subset(s1, union(s2, AlgebraicSet.of(c1.alphabet, points=(c1.rep,)))) == contained
+        assert subset(s1, union(s2, AlgebraicSet(c1.alphabet, points=(c1.rep,)))) == contained
 
     def test_subset_false_has_witness(self):
         rng = random.Random(36)
@@ -388,7 +406,7 @@ class TestChainCheck:
                 components = [("p", p) for p in current.points]
                 components += [("c", c) for c in current.cosets]
                 components.pop(rng.randrange(len(components)))
-                current = AlgebraicSet.of(
+                current = AlgebraicSet(
                     AB,
                     [x for kind, x in components if kind == "p"],
                     [x for kind, x in components if kind == "c"],

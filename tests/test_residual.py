@@ -1,6 +1,9 @@
 import gc
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +39,20 @@ class TestPermutation:
         assert Permutation((1, 0)).cycle_notation() == "(0 1)"
         assert Permutation((0, 1, 2)).cycle_notation() == "()"
         assert Permutation((1, 2, 0, 3)).cycle_notation() == "(0 1 2)"
+
+    def test_repr_of_a_failed_permutation_ends(self):
+        # the object exists while __post_init__ raises, and a traceback may
+        # print it; a subprocess turns a hang into a timeout
+        code = (
+            "from fgz.residual import Permutation\n"
+            "p = object.__new__(Permutation)\n"
+            "object.__setattr__(p, 'images', (1, 0, 3, 1))\n"
+            "print(repr(p))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+        assert out.returncode == 0 and out.stdout.startswith("<Permutation (0 1)")
 
 
 class TestSeparate:

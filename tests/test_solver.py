@@ -49,10 +49,10 @@ def full_ball_oracle(w, s, radius):
 
 @st.composite
 def raw_cosets(draw, radius):
-    """A coset ``rep<root>`` built without canonicalization, so ``rep`` may be
-    longer than the coset's shortest element.  Half the roots are conjugates
-    of a letter (core length 1) and half the reps have length ``radius``:
-    the configuration where the sweep's bound on m is tightest."""
+    """A coset ``rep<root>`` from a raw pair whose ``rep`` may be longer than
+    the coset's least element.  Half the roots are conjugates of a letter
+    (core length 1) and half the raw reps have length ``radius``: the
+    configuration where the sweep's bound on m is tightest."""
     if draw(st.booleans()):
         u = Word(AB, draw(reduced_data(2, 3)))
         root = u * Word(AB, (draw(st.sampled_from((1, -1, 2, -2))),)) * ~u
@@ -81,7 +81,7 @@ def oracle_cases(draw):
 class TestWorkedInstances:
     def test_commutator_gives_centralizer(self):
         report = solve(ov("x a x^-1 a^-1"))
-        assert report.result == AlgebraicSet.of(AB, cosets=[coset("1", "a")])
+        assert report.result == AlgebraicSet(AB, cosets=[coset("1", "a")])
         assert verify_against_oracle(ov("x a x^-1 a^-1"), report.result, 5).match
 
     def test_unique_point(self):
@@ -90,7 +90,7 @@ class TestWorkedInstances:
 
     def test_translated_centralizer(self):
         report = solve(ov("x b a b^-1 x^-1 a^-1"))
-        assert report.result == AlgebraicSet.of(AB, cosets=[coset("b^-1", "b a b^-1")])
+        assert report.result == AlgebraicSet(AB, cosets=[coset("b^-1", "b a b^-1")])
 
     def test_no_solutions(self):
         report = solve(ov("x^2 a"))
@@ -116,7 +116,7 @@ class TestDegenerateWords:
 
 class TestVerifyAgainstOracle:
     def test_match(self):
-        s = AlgebraicSet.of(AB, cosets=[coset("1", "a")])
+        s = AlgebraicSet(AB, cosets=[coset("1", "a")])
         assert verify_against_oracle(ov("x a x^-1 a^-1"), s, 4).match
 
     def test_match_point(self):
@@ -130,8 +130,8 @@ class TestVerifyAgainstOracle:
         assert verify_against_oracle(word, s, radius) == full_ball_oracle(word, s, radius)
 
     def test_sweep_reaches_the_bound_on_m(self):
-        # a^-4 <a> at R = 4 holds a^m for |m| <= 4, that is rep * a^k for k in 0..8
-        s = AlgebraicSet(AB, (), (CyclicCoset(w("a^-4"), w("a")),))
+        # a^-4 <a> is 1 <a>; at R = 4 it holds a^m for |m| <= 4, both ends of the window on m
+        s = AlgebraicSet.of(AB, cosets=[(w("a^-4"), w("a"))])
         report = verify_against_oracle(ov("x b x^-1 b^-1"), s, 4)
         assert report == full_ball_oracle(ov("x b x^-1 b^-1"), s, 4)
         assert report.extra == tuple(w(f"a^{m}") for k in range(1, 5) for m in (k, -k))
@@ -149,7 +149,7 @@ class TestSolvePipeline:
         cfg = SolveConfig(discovery_radius=0, verify_radius=2)
         report = solve(ov("x a x^-1 a^-1"), cfg)
         assert report.escalations >= 1
-        assert report.result == AlgebraicSet.of(AB, cosets=[coset("1", "a")])
+        assert report.result == AlgebraicSet(AB, cosets=[coset("1", "a")])
 
     def test_discovery_includes_its_boundary(self):
         report = solve(ov("x a^-3"), FAST)
@@ -181,7 +181,7 @@ class TestSolvePipeline:
     def test_pair_limit_of_an_exact_set(self):
         # the same count and text as pairing's: a^m for |m| <= 3 are 7 solutions
         word = ov("x a x^-1 a^-1")
-        assert solve(word, SolveConfig(discovery_radius=3, max_pairs=42)).result == AlgebraicSet.of(
+        assert solve(word, SolveConfig(discovery_radius=3, max_pairs=42)).result == AlgebraicSet(
             AB, cosets=[coset("1", "a")]
         )
         message = r"7 ball solutions give 21 candidate pairs, and n\(n-1\) = 42 is over max_pairs = 41"
@@ -192,7 +192,7 @@ class TestSolvePipeline:
         # the walk refuses the verification ball of every word the
         # abelianization admits, and an exact set refuses it alike
         commutator = ov("x a x^-1 a^-1")
-        assert solve(commutator, SolveConfig(discovery_radius=9, verify_radius=11)).result == AlgebraicSet.of(
+        assert solve(commutator, SolveConfig(discovery_radius=9, verify_radius=11)).result == AlgebraicSet(
             AB, cosets=[coset("1", "a")]
         )
         with pytest.raises(BallLimitError, match="ball of radius 12 at rank 2 has 1,062,881 elements"):
@@ -301,7 +301,7 @@ class TestExactSolutionSet:
     def test_sets_beyond_the_radius_answer(self):
         # the next element of the coset, a^6 b, has length 7: past verify radius 6
         word = ov("x a^3 b x^-1 a^3 b^-1 a^-6")
-        assert exact_solution_set(word) == AlgebraicSet.of(AB, cosets=[coset("a^3", "a^3 b")])
+        assert exact_solution_set(word) == AlgebraicSet(AB, cosets=[coset("a^3", "a^3 b")])
         assert solve(word, SolveConfig(discovery_radius=4, verify_radius=6)).result == AlgebraicSet.of(
             AB, points=[w("a^3")]
         )
@@ -405,7 +405,7 @@ class TestSolveProperties:
             if not word.contains_variable:
                 continue
             result = solve(word, FAST).result
-            assert result == AlgebraicSet.of(AB, result.points, result.cosets)
+            assert result == AlgebraicSet(AB, result.points, result.cosets)
             for c in result.cosets:
                 assert CyclicCoset.make(c.rep, c.root) == c
                 assert c.root.primitive_root().exponent == 1
