@@ -164,6 +164,14 @@ class AlgebraicSet:
     def member(self, g: Word) -> bool:
         return g in self.points or any(c.member(g) for c in self.cosets)
 
+    def members_within(self, length: int) -> set[Word]:
+        """Members of length at most ``length``: the short points and the
+        :meth:`CyclicCoset.elements_within` of each coset."""
+        members = {p for p in self.points if len(p) <= length}
+        for c in self.cosets:
+            members.update(c.elements_within(length))
+        return members
+
     def __contains__(self, g: Word) -> bool:
         return self.member(g)
 

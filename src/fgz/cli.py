@@ -86,8 +86,8 @@ def _alphabet_from(args) -> Alphabet:
     return Alphabet(names)
 
 
-def _emit(payload: dict, text: str, as_json: bool) -> None:
-    if as_json:
+def _emit(payload: dict, text: str | None = None, as_json: bool = False) -> None:
+    if as_json or text is None:
         print(json.dumps(payload, indent=2))
     else:
         print(text)
@@ -140,8 +140,7 @@ def _run(args) -> int:
     elif cmd == "solve":
         equation = OneVarWord.parse(args.EQUATION, alphabet, args.var)
         cfg = SolveConfig(discovery_radius=args.radius, verify_radius=args.verify_radius)
-        report = solve(equation, cfg)
-        print(json.dumps(report.to_json_dict(), indent=2))
+        _emit(solve(equation, cfg).to_json_dict())
     elif cmd == "member":
         s = from_json_text(args.SET, alphabet)
         word = parse_word(args.WORD, alphabet)
@@ -199,7 +198,7 @@ def _run(args) -> int:
             "image_of_g": image.cycle_notation(),
             "separated": not image.is_identity,
         }
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
     else:  # pragma: no cover - argparse rejects unknown commands
         raise AssertionError(f"unhandled command {cmd}")
     return 0

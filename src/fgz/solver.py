@@ -14,12 +14,13 @@ The solutions inside the smaller discovery ball are a prefix of that
 shortlex-ordered list.  From an oracle walk, every pair of them proposes
 a cyclic line, and each proposed line is verified symbolically by
 parametric reduction; lines that vanish identically become cosets, the
-rest contribute isolated solutions.  From an exact set, its coset is
-taken once two of its members lie in the discovery ball, which is what
-pairing proves for such words.  The assembled set's members in the ball
-are then compared, as a finite set, with the round's solutions,
-escalating the discovery radius on mismatch.  Both paths give the same
-output.
+rest contribute isolated solutions; only pairing has a pair limit.  The
+assembled set's members in the ball are then compared, as a finite set,
+with the round's solutions, escalating the discovery radius on mismatch.
+An exact set is itself the answer once two of its members lie in the
+discovery ball, as pairing would prove exactly its coset and the
+comparison could only match; with fewer, its discovered points are
+compared.  Both paths give the same output.
 
 Soundness is unconditional: every emitted component is proved, by
 parametric reduction or by the closed forms.  Completeness is certified
@@ -80,7 +81,6 @@ class SolveReport:
     result: Union[AlgebraicSet, _WholeGroupType]
     complete_on_radius: int
     escalations: int
-    sound: bool = True
 
     @property
     def whole_group(self) -> bool:
@@ -89,17 +89,8 @@ class SolveReport:
     def to_json_dict(self) -> dict:
         d = to_json_dict(self.result)
         d["complete_on_radius"] = self.complete_on_radius
-        d["sound"] = self.sound
+        d["sound"] = True
         return d
-
-
-def _members_within(s: AlgebraicSet, radius: int) -> set[Word]:
-    """Members of ``s`` in the radius ball: its short points and the
-    :meth:`CyclicCoset.elements_within` of each coset."""
-    members = {p for p in s.points if len(p) <= radius}
-    for c in s.cosets:
-        members.update(c.elements_within(radius))
-    return members
 
 
 def verify_against_oracle(
@@ -114,7 +105,7 @@ def verify_against_oracle(
     """
     if solutions is None:
         solutions = brute_solutions(w, radius)
-    members = _members_within(s, radius)
+    members = s.members_within(radius)
     missing = tuple([g for g in solutions if g not in members])
     extra = tuple(sorted(members.difference(solutions), key=Word.sort_key))
     return OracleReport(not missing and not extra, missing, extra, radius)
@@ -185,15 +176,6 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     return AlgebraicSet(alphabet, (), (coset,))
 
 
-def _check_pair_limit(n: int, max_pairs: int) -> None:
-    """Refuse ``n`` discovered solutions whose ordered pairs are over ``max_pairs``."""
-    if n * (n - 1) > max_pairs:
-        raise SolverError(
-            f"oversize discovery: {n} ball solutions give {n * (n - 1) // 2} candidate pairs, and "
-            f"n(n-1) = {n * (n - 1)} is over max_pairs = {max_pairs}; re-run with a smaller discovery radius"
-        )
-
-
 def _candidate_components(
     w: OneVarWord, discovered: list[Word], max_pairs: int
 ) -> tuple[list[CyclicCoset], list[Word]]:
@@ -203,9 +185,16 @@ def _candidate_components(
     proposes the cyclic line through g in the direction of the primitive
     root r of ``g^-1 h``; lines are deduplicated by canonical coset before
     the symbolic check.  The reverse order would add nothing: with
-    ``h = g r^k`` it proposes ``h<r^-1> = g<r>``, the same coset.
+    ``h = g r^k`` it proposes ``h<r^-1> = g<r>``, the same coset.  Other
+    lines add ``g r^m`` for each m of :func:`reduce_parametric`, exactly
+    where they vanish.  Over ``max_pairs`` ordered pairs are refused.
     """
-    _check_pair_limit(len(discovered), max_pairs)
+    n = len(discovered)
+    if n * (n - 1) > max_pairs:
+        raise SolverError(
+            f"oversize discovery: {n} ball solutions give {n * (n - 1) // 2} candidate pairs, and "
+            f"n(n-1) = {n * (n - 1)} is over max_pairs = {max_pairs}; re-run with a smaller discovery radius"
+        )
     cosets: list[CyclicCoset] = []
     extra_points: list[Word] = []
     seen_lines: set[CyclicCoset] = set()
@@ -219,10 +208,7 @@ def _candidate_components(
         if solutions.all_integers:
             cosets.append(line)
         else:
-            for m in solutions.values:
-                candidate = g * root ** m
-                if w.evaluate(candidate).is_identity:
-                    extra_points.append(candidate)
+            extra_points.extend(g * root ** m for m in solutions.values)
     return cosets, extra_points
 
 
@@ -239,7 +225,7 @@ def _exact_solutions(w: OneVarWord, exact: AlgebraicSet, radius: int) -> list[Wo
     except BallLimitError:
         if not exact.is_empty or abelian_constraint(w) is not None:
             raise
-    return sorted(_members_within(exact, radius), key=Word.sort_key) if not exact.is_empty else []
+    return sorted(exact.members_within(radius), key=Word.sort_key) if not exact.is_empty else []
 
 
 def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
@@ -252,11 +238,11 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     order, so the discovery solutions are the prefix of those with length
     at most the discovery radius; the whole list then feeds verification.
     When :func:`exact_solution_set` knows the whole set, the solutions
-    are its members in the ball, and its coset is proved once two of them
-    lie in the discovery ball; otherwise one oracle walk at the
-    verification radius finds them and pairing proposes the lines.  Both
-    give the same output, as the oracle's solutions are the exact set's
-    members and pairing proves exactly the exact set's coset.
+    are its members in the ball, and the set is returned once two lie in
+    the discovery ball; otherwise an oracle walk at the verification
+    radius finds them and pairing, alone under ``max_pairs``, proposes the
+    lines.  Both give the same output, as the oracle's solutions are the
+    exact set's members and pairing proves exactly the exact set's coset.
     """
     cfg = cfg or SolveConfig()
     verify_radius = cfg.effective_verify_radius
@@ -274,12 +260,12 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
         discovered = list(takewhile(lambda g: len(g) <= discovery, solutions))
         if exact is None:
             cosets, extra_points = _candidate_components(w, discovered, cfg.max_pairs)
+            result = AlgebraicSet(w.alphabet, discovered + extra_points, cosets)
+        elif len(discovered) > 1:
+            # pairing would prove exactly this set, so the oracle check could only match
+            return SolveReport(exact, radius, escalation)
         else:
-            # Two members of an exact set lie on its one coset, which every
-            # pair of them proposes and proves; no line leaves extra points.
-            _check_pair_limit(len(discovered), cfg.max_pairs)
-            cosets, extra_points = (exact.cosets if len(discovered) > 1 else ()), []
-        result = AlgebraicSet(w.alphabet, discovered + extra_points, cosets)
+            result = AlgebraicSet(w.alphabet, discovered)
         last_report = verify_against_oracle(w, result, radius, solutions)
         if last_report.match:
             return SolveReport(result, last_report.radius, escalation)

@@ -87,6 +87,11 @@ class TestEquationCommands:
         expected = AlgebraicSet.of(AB, cosets=[(parse_word("b^-1", AB), parse_word("b a b^-1", AB))])
         assert restored == expected
 
+    def test_solve_rank_one_forms_no_pairs(self, capsys):
+        # 81 ball solutions at discovery radius 40, over the default pair limit
+        payload = run_json(capsys, "--alphabet", "a", "--radius", "40", "solve", "x a x^-1 a^-1")
+        assert payload["cosets"] == [{"rep": "1", "root": "a"}] and payload["points"] == []
+
     def test_variable_override(self, capsys):
         payload = run_json(capsys, "--alphabet", "a,b", "--var", "t", "solve", "t a^-1")
         assert payload["points"] == ["a"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fgz import solver as solver_module
 from fgz.algset import WHOLE_GROUP, AlgebraicSet, CyclicCoset
 from fgz.errors import BallLimitError, SolverError
 from fgz.onevar import OneVarWord, brute_solutions, reduce_parametric, substitute_line
@@ -12,7 +13,6 @@ from fgz.solver import (
     OracleReport,
     SolveConfig,
     _candidate_components,
-    _members_within,
     exact_solution_set,
     solve,
     verify_against_oracle,
@@ -98,7 +98,8 @@ class TestWorkedInstances:
 
     def test_reports_are_sound_and_radius_stamped(self):
         report = solve(ov("x a x^-1 a^-1"))
-        assert report.sound and report.complete_on_radius == 8 and report.escalations == 0
+        assert report.to_json_dict()["sound"] is True
+        assert report.complete_on_radius == 8 and report.escalations == 0
 
 
 class TestDegenerateWords:
@@ -174,19 +175,26 @@ class TestSolvePipeline:
         assert solve(ov("x a^-5"), SolveConfig(discovery_radius=3, verify_radius=5, max_escalations=1)).escalations == 1
 
     def test_oversize_discovery(self):
+        # four occurrences, so pairing runs: a^m for |m| <= 6 are 13 solutions
         cfg = SolveConfig(discovery_radius=6, max_pairs=10)
-        with pytest.raises(SolverError, match="oversize"):
-            solve(ov("x a x^-1 a^-1"), cfg)
+        with pytest.raises(SolverError, match="oversize discovery: 13 ball solutions"):
+            solve(ov("x a x^-1 a^-1 x a x^-1 a^-1"), cfg)
 
-    def test_pair_limit_of_an_exact_set(self):
-        # the same count and text as pairing's: a^m for |m| <= 3 are 7 solutions
+    def test_an_exact_set_forms_no_pairs(self):
+        # 13 discovered solutions, yet no pair limit applies
+        report = solve(ov("x a x^-1 a^-1"), SolveConfig(max_pairs=0))
+        assert report.result == AlgebraicSet(AB, cosets=[coset("1", "a")])
+
+    def test_an_exact_set_is_answered_without_the_oracle_check(self, monkeypatch):
         word = ov("x a x^-1 a^-1")
-        assert solve(word, SolveConfig(discovery_radius=3, max_pairs=42)).result == AlgebraicSet(
-            AB, cosets=[coset("1", "a")]
-        )
-        message = r"7 ball solutions give 21 candidate pairs, and n\(n-1\) = 42 is over max_pairs = 41"
-        with pytest.raises(SolverError, match=message):
-            solve(word, SolveConfig(discovery_radius=3, max_pairs=41))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_against_oracle called")
+
+        monkeypatch.setattr(solver_module, "verify_against_oracle", refuse)
+        report = solve(word, FAST)
+        assert report.result == exact_solution_set(word)
+        assert (report.complete_on_radius, report.escalations) == (5, 0)
 
     def test_ball_limit_as_for_the_oracle_walk(self):
         # the walk refuses the verification ball of every word the
@@ -319,7 +327,7 @@ class TestExactSolutionSet:
             assert not word.contains_variable
             return
         radius = 5 if alphabet is AB else 4
-        assert sorted(_members_within(exact, radius), key=Word.sort_key) == brute_solutions(word, radius)
+        assert sorted(exact.members_within(radius), key=Word.sort_key) == brute_solutions(word, radius)
 
 
 def ordered_pair_components(w, discovered):
