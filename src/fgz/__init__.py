@@ -29,6 +29,7 @@ from .embed import (
 from .errors import (
     AlphabetError,
     BallLimitError,
+    EvaluationLimitError,
     FreeGroupError,
     IdentityWordError,
     ParseError,
@@ -72,6 +73,7 @@ __all__ = [
     "CyclicCoset",
     "CyclicDecomposition",
     "EmbedCheckReport",
+    "EvaluationLimitError",
     "FreeGroupError",
     "Homomorphism",
     "IdentityWordError",

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import AlphabetError, ParseError, RootError
 from .onevar import ConcreteBlock, ParametricWord, PowerBlock, reduce_parametric
-from .words import Alphabet, Word, parse_word
+from .words import Alphabet, Word, _concat_data, _invert_data, _reduce_data, parse_word
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class CyclicCoset:
     The root must be primitive, as a proper power would give a coset of a
     non-maximal cyclic subgroup, not of a centralizer; of it and its inverse
     the shortlex lesser is kept.  The rep becomes the coset's shortlex least
-    element, no longer than the given rep, so in ``elements_within(len(rep))``.
+    element, computed directly by :func:`_least_element`.
     """
 
     rep: Word
@@ -54,8 +54,9 @@ class CyclicCoset:
                 "are representable - use the primitive root"
             )
         if ~root < root:
-            object.__setattr__(self, "root", ~root)
-        object.__setattr__(self, "rep", min(self.elements_within(len(rep)), key=Word.sort_key))
+            root = ~root
+            object.__setattr__(self, "root", root)
+        object.__setattr__(self, "rep", _least_element(rep, root))
 
     @classmethod
     def make(cls, rep: Word, root: Word) -> "CyclicCoset":
@@ -68,8 +69,11 @@ class CyclicCoset:
         With ``root = u core u^-1``, core cyclically reduced, and m != 0,
         ``|rep root^m| >= |root^m| - |rep| = 2|u| + |m| |core| - |rep|``,
         so they lie in the window ``|m| <= (length + |rep| - 2|u|) // |core|``,
-        which always holds m = 0.  One running product walks it.
+        which always holds m = 0.  One running product walks it.  The rep is
+        the shortest element, so a shorter ``length`` gives none.
         """
+        if len(self.rep) > length:
+            return []
         cyc = self.root.cyclic_decomposition()
         window = max(0, (length + len(self.rep) - 2 * len(cyc.conjugator)) // len(cyc.core))
         walk = accumulate(repeat(self.root, 2 * window), mul, initial=self.rep * self.root ** -window)
@@ -95,6 +99,40 @@ class CyclicCoset:
 
     def __str__(self) -> str:
         return f"({self.rep})<{self.root}>"
+
+
+def _least_element(rep: Word, root: Word) -> Word:
+    """The shortlex least element ``rep * root^m`` of ``rep<root>``.
+
+    Write ``root = u k u^-1`` with k cyclically reduced and ``p = rep u``,
+    so ``rep root^m = p k^m u^-1``.  Let t be the length of the longest
+    suffix of p that is also a suffix of the infinite word ``... k^-1 k^-1``.
+    For m >= 1 the seam ``p | k^m`` cancels min(t, m|k|) letters.  While
+    m|k| < t, what is left of p ends in the inverse of k's first letter;
+    while m|k| > t, the product ends in k's last letter.  As ``u k u^-1`` is
+    reduced, neither cancels against ``u^-1``, which can cancel further
+    only at m|k| = t.  So ``|rep root^m|`` falls strictly up to
+    ``q = t // |k|`` and rises strictly from q + 1, and the least element
+    with m >= 1 is ``rep root^q`` or ``rep root^(q+1)``.  When t = 0 every
+    such element is longer than ``|p| + |u| >= |rep|``.  The same holds for
+    ``root^-1 = u k^-1 u^-1``, with t measured against ``... k k``; p's last
+    letter ends at most one of the two infinite words, so at most one t is
+    nonzero.  The least element is the shortlex least of rep and these.
+    """
+    cyc = root.cyclic_decomposition()
+    u, k = cyc.conjugator.data, cyc.core.data
+    p, u_inv = _concat_data(rep.data, u), _invert_data(u)
+    n, size = len(p), len(k)
+    k_inv = _invert_data(k)
+    candidates = [rep]
+    for core, tail in ((k, k_inv), (k_inv, k)):
+        t = 0
+        while t < n and p[n - 1 - t] == tail[size - 1 - t % size]:
+            t += 1
+        if t:
+            q = t // size
+            candidates += [Word(rep.alphabet, _reduce_data((p, core * m, u_inv))) for m in (q, q + 1)]
+    return min(candidates, key=Word.sort_key)
 
 
 class _WholeGroupType:

@@ -66,6 +66,12 @@ def build_phi_g(g: Word, target: Alphabet) -> Homomorphism:
     remaining support letters take the smallest target letters not used
     by a fixed common letter, in canonical order.  The support is mapped
     injectively, so the image of g stays reduced of the same length.
+    Source letters outside both the support and the target take, in
+    target order, the target letters outside the source that the support
+    left unused, and the target's first letter once those run out.  So
+    when the target hosts the whole source (no fewer target letters
+    outside the source than source letters outside the target), distinct
+    letters get distinct images and the map is injective.
     """
     if g.is_identity:
         raise IdentityWordError("index word must be nontrivial")
@@ -78,14 +84,15 @@ def build_phi_g(g: Word, target: Alphabet) -> Homomorphism:
     # prefer target letters outside the common alphabet, then common
     # letters outside the support (those are fixed by other source
     # letters, which cannot break injectivity on the support)
-    fresh_pool = [y for y in target.names if y not in source_set]
-    fresh_pool += [y for y in target.names if y in source_set and y not in support_set]
+    outside = [y for y in target.names if y not in source_set]
+    fresh_pool = outside + [y for y in target.names if y in source_set and y not in support_set]
     if len(needs_fresh) > len(fresh_pool):
         raise AlphabetError(
             f"target alphabet {tuple(target.names)} is too small: "
             f"cannot map support {tuple(support)} injectively while fixing common letters"
         )
     assignment = dict(zip(needs_fresh, fresh_pool))
+    spare = iter(outside[len(needs_fresh):])
     images: dict[str, Word] = {}
     for x in source.names:
         if x in target_set:
@@ -93,7 +100,7 @@ def build_phi_g(g: Word, target: Alphabet) -> Homomorphism:
         elif x in assignment:
             images[x] = target.letter(assignment[x])
         else:
-            images[x] = target.letter(target.names[0])
+            images[x] = target.letter(next(spare, target.names[0]))
     return Homomorphism(source, target, images)
 
 

@@ -29,6 +29,10 @@ class BallLimitError(FreeGroupError, ValueError):
     """A ball to enumerate is over ``words.MAX_BALL_ELEMENTS`` or ``words.MAX_BALL_LETTERS``."""
 
 
+class EvaluationLimitError(FreeGroupError, ValueError):
+    """An evaluation ``w(g)`` is over ``words.MAX_PARSE_LETTERS`` letters before reduction."""
+
+
 class SeparationLimitError(FreeGroupError, ValueError):
     """A word to separate is over ``residual.MAX_SEPARATE_LETTERS`` letters."""
 

@@ -21,9 +21,10 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Union
 
-from .errors import AlphabetError, RootError
+from .errors import AlphabetError, EvaluationLimitError, RootError
 from .words import (
-    BALL_CACHE_SIZE, Alphabet, Word, _ball_data, _ball_layers, _invert_data, _reduce_data, _signed_code_table, parse_word
+    BALL_CACHE_SIZE, MAX_PARSE_LETTERS, Alphabet, Word, _ball_data, _ball_layers, _invert_data, _reduce_data,
+    _signed_code_table, parse_word,
 )
 
 DEFAULT_VARIABLE = "x"
@@ -106,10 +107,17 @@ class OneVarWord:
         """Substitute ``g`` for the variable (with sign) and reduce.
 
         This is the homomorphism fixing the coefficient group and sending
-        the variable to ``g``.
+        the variable to ``g``.  With k occurrences of the variable, ``w(g)``
+        has ``|w| - k + k |g|`` letters before reduction; over
+        :data:`~fgz.words.MAX_PARSE_LETTERS` it is refused before it is built.
         """
         if g.alphabet != self.alphabet:
             raise AlphabetError("evaluation point must be over the coefficient alphabet")
+        k = len(self._segments[1])
+        if (size := len(self.body) - k + k * len(g)) > MAX_PARSE_LETTERS:
+            raise EvaluationLimitError(
+                f"w(g) has {size:,} letters before reduction, over the evaluation limit of {MAX_PARSE_LETTERS:,}"
+            )
         return Word(self.alphabet, _substitute(self._segments, g.data))
 
     def __str__(self) -> str:

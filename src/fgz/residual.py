@@ -121,7 +121,8 @@ def separate(g: Word) -> PermRep:
     the (i+1)-th signed letter is the letter itself, and i + 1 to i when
     it is the inverse; unmatched states pair up in increasing order.
     Because g is reduced the partial maps are injections, which is
-    asserted at runtime, as is the path from state 0 to state |g|.
+    checked at runtime, as is the path from state 0 to state |g|; a failed
+    check raises AssertionError, also under ``python -O``.
     Words over :data:`MAX_SEPARATE_LETTERS` letters raise
     :class:`~fgz.errors.SeparationLimitError` before anything is built.
     """
@@ -137,8 +138,10 @@ def separate(g: Word) -> PermRep:
     for pos, v in enumerate(g.data):
         src, dst = (pos, pos + 1) if v > 0 else (pos + 1, pos)
         m, targets = partial[abs(v) - 1], used[abs(v) - 1]
-        assert src not in m, "prefix-path map got two images for one state"
-        assert dst not in targets, "prefix-path map got two sources for one state"
+        if src in m:
+            raise AssertionError("prefix-path map got two images for one state")
+        if dst in targets:
+            raise AssertionError("prefix-path map got two sources for one state")
         m[src] = dst
         targets.add(dst)
     perms = []
@@ -152,5 +155,6 @@ def separate(g: Word) -> PermRep:
     state = 0
     for v in g.data:
         state = table[v][state]
-    assert state == len(g), "prefix path must lead from state 0 to state L"
+    if state != len(g):
+        raise AssertionError("prefix path must lead from state 0 to state L")
     return rep

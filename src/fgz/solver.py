@@ -41,29 +41,26 @@ from .onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_para
 from .words import Word, _letters_text, check_ball_limit
 
 DEFAULT_DISCOVERY_RADIUS = 6
-DEFAULT_MAX_ESCALATIONS = 3
-DEFAULT_MAX_PAIRS = 5000
+#: Escalations of the discovery radius, by 2 each, before a persistent oracle mismatch is an error.
+MAX_ESCALATIONS = 3
+#: Ordered pairs of discovered solutions that pairing may form; more is an "oversize discovery" error.
+MAX_PAIRS = 5000
 
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """The discovery radius and the verification radius (default: discovery + 2)."""
+
     discovery_radius: int = DEFAULT_DISCOVERY_RADIUS
     verify_radius: int | None = None
-    max_escalations: int = DEFAULT_MAX_ESCALATIONS
-    max_pairs: int = DEFAULT_MAX_PAIRS
 
     def __post_init__(self):
-        for name in ("discovery_radius", "max_escalations", "max_pairs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.verify_radius is not None and self.verify_radius < self.discovery_radius:
-            raise ValueError("verify_radius must be >= discovery_radius")
-
-    @property
-    def effective_verify_radius(self) -> int:
+        if self.discovery_radius < 0:
+            raise ValueError("discovery_radius must be >= 0")
         if self.verify_radius is None:
-            return self.discovery_radius + 2
-        return self.verify_radius
+            object.__setattr__(self, "verify_radius", self.discovery_radius + 2)
+        elif self.verify_radius < self.discovery_radius:
+            raise ValueError("verify_radius must be >= discovery_radius")
 
 
 @dataclass(frozen=True)
@@ -176,9 +173,7 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     return AlgebraicSet(alphabet, (), (coset,))
 
 
-def _candidate_components(
-    w: OneVarWord, discovered: list[Word], max_pairs: int
-) -> tuple[list[CyclicCoset], list[Word]]:
+def _candidate_components(w: OneVarWord, discovered: list[Word]) -> tuple[list[CyclicCoset], list[Word]]:
     """Turn ball solutions into verified cosets and extra verified points.
 
     Each unordered pair ``g, h`` of distinct solutions, g listed first,
@@ -187,13 +182,13 @@ def _candidate_components(
     the symbolic check.  The reverse order would add nothing: with
     ``h = g r^k`` it proposes ``h<r^-1> = g<r>``, the same coset.  Other
     lines add ``g r^m`` for each m of :func:`reduce_parametric`, exactly
-    where they vanish.  Over ``max_pairs`` ordered pairs are refused.
+    where they vanish.  Over :data:`MAX_PAIRS` ordered pairs are refused.
     """
     n = len(discovered)
-    if n * (n - 1) > max_pairs:
+    if n * (n - 1) > MAX_PAIRS:
         raise SolverError(
             f"oversize discovery: {n} ball solutions give {n * (n - 1) // 2} candidate pairs, and "
-            f"n(n-1) = {n * (n - 1)} is over max_pairs = {max_pairs}; re-run with a smaller discovery radius"
+            f"n(n-1) = {n * (n - 1)} is over MAX_PAIRS = {MAX_PAIRS}; re-run with a smaller discovery radius"
         )
     cosets: list[CyclicCoset] = []
     extra_points: list[Word] = []
@@ -212,22 +207,6 @@ def _candidate_components(
     return cosets, extra_points
 
 
-def _exact_solutions(w: OneVarWord, exact: AlgebraicSet, radius: int) -> list[Word]:
-    """``brute_solutions(w, radius)`` for a word whose whole solution set is ``exact``.
-
-    These are the members of ``exact`` in the ball, in shortlex order.  No
-    ball is walked, but a ball over the limits of :func:`check_ball_limit`
-    is refused wherever the walk would have built it: for every word that
-    the abelianization admits.
-    """
-    try:
-        check_ball_limit(len(w.alphabet), radius)
-    except BallLimitError:
-        if not exact.is_empty or abelian_constraint(w) is not None:
-            raise
-    return sorted(exact.members_within(radius), key=Word.sort_key) if not exact.is_empty else []
-
-
 def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     """Solution set of ``w = 1`` in coset normal form.
 
@@ -240,26 +219,36 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     When :func:`exact_solution_set` knows the whole set, the solutions
     are its members in the ball, and the set is returned once two lie in
     the discovery ball; otherwise an oracle walk at the verification
-    radius finds them and pairing, alone under ``max_pairs``, proposes the
-    lines.  Both give the same output, as the oracle's solutions are the
-    exact set's members and pairing proves exactly the exact set's coset.
+    radius finds them and pairing, alone under :data:`MAX_PAIRS`, proposes
+    the lines.  Both give the same output, as the oracle's solutions are
+    the exact set's members and pairing proves exactly the exact set's
+    coset.  A ball over the limits of :func:`check_ball_limit` is refused
+    on both paths alike: the walk builds one for every word that the
+    abelianization admits, and only for those.
     """
     cfg = cfg or SolveConfig()
-    verify_radius = cfg.effective_verify_radius
     exact = exact_solution_set(w)
     if exact is None and not w.contains_variable:
         result = WHOLE_GROUP if w.body.is_identity else AlgebraicSet.empty(w.alphabet)
-        return SolveReport(result, verify_radius, 0)
+        return SolveReport(result, cfg.verify_radius, 0)
 
     discovery = cfg.discovery_radius
-    gap = verify_radius - discovery
+    gap = cfg.verify_radius - discovery
     last_report = None
-    for escalation in range(cfg.max_escalations + 1):
+    for escalation in range(MAX_ESCALATIONS + 1):
         radius = discovery + gap
-        solutions = brute_solutions(w, radius) if exact is None else _exact_solutions(w, exact, radius)
+        if exact is None:
+            solutions = brute_solutions(w, radius)
+        else:
+            try:
+                check_ball_limit(len(w.alphabet), radius)
+            except BallLimitError:
+                if abelian_constraint(w) is not None:
+                    raise
+            solutions = sorted(exact.members_within(radius), key=Word.sort_key)
         discovered = list(takewhile(lambda g: len(g) <= discovery, solutions))
         if exact is None:
-            cosets, extra_points = _candidate_components(w, discovered, cfg.max_pairs)
+            cosets, extra_points = _candidate_components(w, discovered)
             result = AlgebraicSet(w.alphabet, discovered + extra_points, cosets)
         elif len(discovered) > 1:
             # pairing would prove exactly this set, so the oracle check could only match
@@ -273,7 +262,7 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     raise SolverError(
         "escalation exhausted with persistent oracle mismatch at radius "
         f"{last_report.radius}: missing={[str(g) for g in last_report.missing]} "
-        f"extra={[str(g) for g in last_report.extra]}; the discovery radius (--radius) went from "
-        f"{cfg.discovery_radius} to {discovery - 2} in max_escalations = {cfg.max_escalations} escalations; "
-        "raise either"
+        f"extra={[str(g) for g in last_report.extra]}; the discovery radius went from "
+        f"{cfg.discovery_radius} to {discovery - 2} in MAX_ESCALATIONS = {MAX_ESCALATIONS} escalations; "
+        "re-run with a larger --radius"
     )

@@ -35,7 +35,7 @@ RESERVED_NAMES = ("1", "e")
 #: Entries kept by each per-ball cache: distinct (rank, radius) pairs.
 BALL_CACHE_SIZE = 8
 
-#: Most letters a parsed word text may expand to before reduction.
+#: Most letters a word may expand to before reduction, in parsing or in evaluation.
 MAX_PARSE_LETTERS = 10**6
 
 #: Most elements a ball may have; a larger one is refused before it is built.

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -147,17 +148,34 @@ class TestCyclicCoset:
 
     @settings(deadline=None, derandomize=True, max_examples=600)
     @given(st.sampled_from((AB, ABC)).flatmap(raw_cosets))
-    @example((w("b"), w("a b")))  # least element a^-1 at m = -1 = -W, tied in length with b
-    @example((w("a"), w("b^2 a^-1 b^-2")))  # |rep| < |u|: empty window
-    @example((w("b a^7"), w("a^-1")))  # long multiple of a letter root, inverse orientation
-    @example((w("b a b^-1 a"), w("b a^-1 b^-1")))  # core length 1 under a conjugator
-    # window (4 + 4 - 2) // 1 = 6, and rep * root^6 = a^3 b^-1 has length 4
-    @example((w("a^-3 b^-1"), w("b a b^-1")))  # farthest element at m = window, |u| = 1
-    @example((w("a^4"), w("a^-1")))  # root a: farthest element a^-4 at m = -8 = -window
+    @example((w("b"), w("a b")))  # t = 1 for root^-1: a^-1 at m = -1 ties b in length and wins
+    @example((w("a"), w("b^2 a^-1 b^-2")))  # |rep| < |u| and t = 0 both ways: rep stays
+    @example((w("b a^7"), w("a^-1")))  # long multiple of a letter root, inverse orientation: q = 7
+    @example((w("b a b^-1 a"), w("b a^-1 b^-1")))  # core length 1 under a conjugator, t = 0
+    @example((w("a^-3 b^-1"), w("b a b^-1")))  # u^-1 cancels further at m |k| = t = 3: b^-1
+    @example((w("a^-1 b^-1 a^-1"), w("a b")))  # t = 3 over |k| = 2: a^-1 at q = 1 ties b at q + 1
+    @example((w("a^4"), w("a^-1")))  # root a: t = 4 against ... a a, so 1 at m = -4
     def test_make_matches_span_reference(self, raw):
         rep, root = raw
         c = CyclicCoset.make(rep, root)
         assert (c.rep, c.root) == span_make(rep, root)
+
+    def test_least_element_edges(self):
+        # the length falls to m = t / |k| = 2, where u^-1 cancels as well
+        assert str(CyclicCoset.make(w("b a^-2 b^-1"), w("b a b^-1"))) == "(1)<b a b^-1>"
+        # a tie in length, won in the root^-1 direction
+        assert str(CyclicCoset.make(w("b"), w("a b"))) == "(a^-1)<a b>"
+
+    def test_long_reps_in_linear_time(self):
+        # the least element is found without walking the coset: a walk over
+        # elements of length up to |rep| would take about |rep|^2 letter steps
+        a, b = (1,), (2,)
+        start = time.perf_counter()
+        assert CyclicCoset.make(Word(AB, b + a * 100_000), w("a")) == coset("b", "a")
+        assert CyclicCoset.make(Word(AB, a * 100_000 + b), w("a")).rep == Word(AB, a * 100_000 + b)
+        assert CyclicCoset.make(Word(AB, b * 100_000), w("a")).rep == Word(AB, b * 100_000)
+        assert str(CyclicCoset.make(Word(AB, (2, 1) * 50_000 + (2,)), w("a b"))) == "(a^-1)<a b>"
+        assert time.perf_counter() - start < 1
 
     def test_membership_against_ball_oracle(self):
         rng = random.Random(31)

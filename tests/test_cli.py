@@ -248,6 +248,19 @@ class TestInvocation:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "1,000,000" in err and f"{MAX_SEPARATE_LETTERS:,}" in err
 
+    def test_long_eval_fails_at_once(self, capsys):
+        # x^1001 at a^1000 expands to 1,001,000 letters before reduction
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--alphabet", "a,b", "eval", "x^1001", "a^1000")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "1,001,000" in err and f"{MAX_PARSE_LETTERS:,}" in err
+
+    def test_eval_at_the_limit(self, capsys):
+        code, out, _ = run(capsys, "--alphabet", "a,b", "eval", "x^1000", "a^1000")
+        assert (code, out) == (0, "a^1000000\n")
+
     def test_variable_colliding_with_a_letter(self, capsys):
         code, out, err = run(capsys, "--alphabet", "a,b", "--var", "a", "solve", "x")
         assert (code, out) == (1, "")

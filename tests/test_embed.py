@@ -163,14 +163,11 @@ class TestSupportLemma:
     def test_report_matches_per_index_product(self, source, target, radius):
         assert check_mono_on_ball(source, target, radius) == per_index_report(source, target, radius)
 
-    def test_radius_one_is_not_injective(self):
-        # both coordinate maps into c,d send a and b to c, so they collide
+    def test_radius_one_is_injective(self):
+        # the map for support {a} sends b to the spare target letter d, not to c
         report = check_mono_on_ball(AB, CD, 1)
-        assert not report.injective
-        assert report.failures == (
-            "not injective: a and b share an image",
-            "not injective: a^-1 and b^-1 share an image",
-        )
+        assert report.injective and report.failures == ()
+        assert build_phi_g(parse_word("a", AB), CD).letter_images == {"a": CD.letter("c"), "b": CD.letter("d")}
 
     def test_target_too_small_message(self):
         small = Alphabet(("c",))
@@ -230,6 +227,17 @@ class TestBallWalk:
     @example((ABC, Alphabet(("a", "d")), 2))
     def test_matches_per_index_product(self, case):
         same_report_or_error(*case)
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(embed_cases())
+    @example((AB, CD, 1))
+    @example((ABC, Alphabet(("a", "d", "f")), 1))
+    def test_injective_when_the_target_hosts_the_source(self, case):
+        source, target = case[0], case[1]
+        if len(set(source) - set(target)) > len(set(target) - set(source)):
+            return
+        report = check_mono_on_ball(*case)
+        assert report.injective and report.failures == ()
 
     @pytest.mark.parametrize("source, target, radius", [(AB, AB, 3), (ABC, Y4, 2), (Alphabet(("a",)), CD, 3)])
     def test_failures_match_for_a_careless_map(self, monkeypatch, source, target, radius):

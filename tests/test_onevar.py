@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgz import onevar
-from fgz.errors import AlphabetError, RootError
+from fgz.errors import AlphabetError, EvaluationLimitError, RootError
 from fgz.onevar import (
     ConcreteBlock,
     LineSolutionSet,
@@ -97,6 +97,15 @@ class TestEvaluate:
     def test_alphabet_check(self):
         with pytest.raises(AlphabetError):
             ov("x").evaluate(Alphabet(("c",)).letter("c"))
+
+    def test_size_before_reduction_is_limited(self):
+        # |w| - k + k |g| letters: 1,999 - 999 + 999 * 1,000 = 1,000,000 is at the limit
+        assert ov("a^1000 x^999").evaluate(w("a^1000")) == w("a^1000000")
+        with pytest.raises(EvaluationLimitError, match="1,000,001 letters before reduction, over the evaluation limit"):
+            ov("a^1001 x^999").evaluate(w("a^1000"))
+        # the limit counts letters before reduction, even where the result is one letter
+        with pytest.raises(EvaluationLimitError, match="1,200,001 letters"):
+            ov("x a x^-1").evaluate(w("a^600000"))
 
     def test_homomorphism_law_exhaustive(self):
         from fgz.words import _ball_data

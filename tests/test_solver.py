@@ -157,32 +157,37 @@ class TestSolvePipeline:
         assert report.escalations == 0
         assert report.result == AlgebraicSet.of(AB, points=[w("a^3")])
 
-    def test_escalation_disabled_raises(self):
-        cfg = SolveConfig(discovery_radius=0, verify_radius=2, max_escalations=0)
+    def test_escalation_disabled_raises(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_ESCALATIONS", 0)
+        cfg = SolveConfig(discovery_radius=0, verify_radius=2)
         with pytest.raises(SolverError, match="mismatch"):
             solve(ov("x a x^-1 a^-1"), cfg)
 
-    def test_exhausted_escalation_names_its_knobs(self):
+    def test_exhausted_escalation_names_its_knobs(self, monkeypatch):
         # a^5 lies in each verification ball but never in the discovery ball
-        cfg = SolveConfig(discovery_radius=0, verify_radius=6, max_escalations=1)
+        monkeypatch.setattr(solver_module, "MAX_ESCALATIONS", 1)
+        cfg = SolveConfig(discovery_radius=0, verify_radius=6)
         message = (
             "escalation exhausted with persistent oracle mismatch at radius 8: missing=['a^5'] extra=[]; "
-            "the discovery radius (--radius) went from 0 to 2 in max_escalations = 1 escalations; raise either"
+            "the discovery radius went from 0 to 2 in MAX_ESCALATIONS = 1 escalations; "
+            "re-run with a larger --radius"
         )
         with pytest.raises(SolverError, match="mismatch") as info:
             solve(ov("x a^-5"), cfg)
         assert str(info.value) == message
-        assert solve(ov("x a^-5"), SolveConfig(discovery_radius=3, verify_radius=5, max_escalations=1)).escalations == 1
+        assert solve(ov("x a^-5"), SolveConfig(discovery_radius=3, verify_radius=5)).escalations == 1
 
-    def test_oversize_discovery(self):
+    def test_oversize_discovery(self, monkeypatch):
         # four occurrences, so pairing runs: a^m for |m| <= 6 are 13 solutions
-        cfg = SolveConfig(discovery_radius=6, max_pairs=10)
-        with pytest.raises(SolverError, match="oversize discovery: 13 ball solutions"):
-            solve(ov("x a x^-1 a^-1 x a x^-1 a^-1"), cfg)
+        monkeypatch.setattr(solver_module, "MAX_PAIRS", 10)
+        message = r"oversize discovery: 13 ball solutions .* is over MAX_PAIRS = 10; re-run with a smaller discovery radius"
+        with pytest.raises(SolverError, match=message):
+            solve(ov("x a x^-1 a^-1 x a x^-1 a^-1"), SolveConfig(discovery_radius=6))
 
-    def test_an_exact_set_forms_no_pairs(self):
+    def test_an_exact_set_forms_no_pairs(self, monkeypatch):
         # 13 discovered solutions, yet no pair limit applies
-        report = solve(ov("x a x^-1 a^-1"), SolveConfig(max_pairs=0))
+        monkeypatch.setattr(solver_module, "MAX_PAIRS", 0)
+        report = solve(ov("x a x^-1 a^-1"))
         assert report.result == AlgebraicSet(AB, cosets=[coset("1", "a")])
 
     def test_an_exact_set_is_answered_without_the_oracle_check(self, monkeypatch):
@@ -221,13 +226,9 @@ class TestSolvePipeline:
             SolveConfig(discovery_radius=4, verify_radius=2)
         with pytest.raises(ValueError):
             SolveConfig(discovery_radius=-1)
-        with pytest.raises(ValueError, match="max_escalations must be >= 0"):
-            SolveConfig(max_escalations=-1)
-        with pytest.raises(ValueError, match="max_pairs must be >= 0"):
-            SolveConfig(max_pairs=-1)
-        assert solve(ov("x a^-1"), SolveConfig(discovery_radius=1, max_escalations=0, max_pairs=0)).result == (
-            AlgebraicSet.of(AB, points=[w("a")])
-        )
+        assert SolveConfig(discovery_radius=3).verify_radius == 5
+        assert SolveConfig(discovery_radius=3, verify_radius=3).verify_radius == 3
+        assert solve(ov("x a^-1"), SolveConfig(discovery_radius=1)).result == AlgebraicSet.of(AB, points=[w("a")])
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(word=one_var_words(AB), radius=st.integers(0, 4))
@@ -359,6 +360,7 @@ class TestCandidatePairing:
         word = ov("x a x^-1 a^-1")
         discovered = brute_solutions(word, 3)
         n = len(discovered)
+        monkeypatch.setattr(solver_module, "MAX_PAIRS", n * (n - 1))
         made = []
         make = CyclicCoset.make.__func__
 
@@ -367,7 +369,7 @@ class TestCandidatePairing:
             return make(cls, rep, root)
 
         monkeypatch.setattr(CyclicCoset, "make", classmethod(counting_make))
-        cosets, extra_points = _candidate_components(word, discovered, n * (n - 1))
+        cosets, extra_points = _candidate_components(word, discovered)
         assert n == 7 and len(made) <= n * (n - 1) // 2
         assert (cosets, extra_points) == ([coset("1", "a")], [])
 
@@ -378,15 +380,19 @@ class TestCandidatePairing:
         discovered = brute_solutions(word, radius)
         n = len(discovered)
         expected = ordered_pair_components(word, discovered)
-        assert _candidate_components(word, discovered, n * (n - 1)) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver_module, "MAX_PAIRS", n * (n - 1))
+            assert _candidate_components(word, discovered) == expected
 
-    def test_pair_limit_counts_ordered_pairs(self):
+    def test_pair_limit_counts_ordered_pairs(self, monkeypatch):
         word = ov("x a x^-1 a^-1")
         discovered = brute_solutions(word, 3)
-        _candidate_components(word, discovered, 42)
-        message = r"7 ball solutions give 21 candidate pairs, and n\(n-1\) = 42 is over max_pairs = 41"
+        monkeypatch.setattr(solver_module, "MAX_PAIRS", 42)
+        _candidate_components(word, discovered)
+        monkeypatch.setattr(solver_module, "MAX_PAIRS", 41)
+        message = r"7 ball solutions give 21 candidate pairs, and n\(n-1\) = 42 is over MAX_PAIRS = 41"
         with pytest.raises(SolverError, match=message):
-            _candidate_components(word, discovered, 41)
+            _candidate_components(word, discovered)
 
 
 class TestSolveProperties:
