@@ -8,12 +8,12 @@ index word gives a map into a product whose restriction to any finite
 ball is injective, with the coordinate at index g witnessing g itself.
 
 The coordinate at g depends only on supp(g), so the product has at most
-2^rank - 1 distinct coordinate maps however large the index set is.  Two
-elements collide in the product exactly when they collide under those
-few maps, which is how the ball check computes it.  It works on the
-int-coded ball: one walk from prefix to word extends each element's
-support bitmask and its image under every map by one letter, and
-collisions are looked up by the tuple of image data.
+2^rank - 1 coordinate maps however large the index set is, and maps with
+equal letter tables are equal.  Two elements collide in the product
+exactly when they collide under the distinct maps, which is how the ball
+check computes it.  It works on the int-coded ball: for each distinct
+map, one walk from prefix to word extends each element's image by one
+letter, and collisions are looked up by the tuple of image data.
 
 The infinite target alphabet and index set are replaced by finite
 surrogates; the target must merely be large enough to host an injection
@@ -75,33 +75,31 @@ def build_phi_g(g: Word, target: Alphabet) -> Homomorphism:
     """
     if g.is_identity:
         raise IdentityWordError("index word must be nontrivial")
-    source = g.alphabet
-    target_set = set(target.names)
-    source_set = set(source.names)
-    support = sorted(g.support(), key=source.index)
-    needs_fresh = [x for x in support if x not in target_set]
-    support_set = set(support)
+    source, names = g.alphabet.names, target.names
+    support = [source[i - 1] for i in sorted({abs(v) for v in g.data})]
+    needs_fresh = [x for x in support if x not in names]
     # prefer target letters outside the common alphabet, then common
     # letters outside the support (those are fixed by other source
     # letters, which cannot break injectivity on the support)
-    outside = [y for y in target.names if y not in source_set]
-    fresh_pool = outside + [y for y in target.names if y in source_set and y not in support_set]
+    outside = [y for y in names if y not in source]
+    fresh_pool = outside + [y for y in names if y in source and y not in support]
     if len(needs_fresh) > len(fresh_pool):
         raise AlphabetError(
-            f"target alphabet {tuple(target.names)} is too small: "
+            f"target alphabet {tuple(names)} is too small: "
             f"cannot map support {tuple(support)} injectively while fixing common letters"
         )
     assignment = dict(zip(needs_fresh, fresh_pool))
     spare = iter(outside[len(needs_fresh):])
     images: dict[str, Word] = {}
-    for x in source.names:
-        if x in target_set:
-            images[x] = target.letter(x)
-        elif x in assignment:
-            images[x] = target.letter(assignment[x])
-        else:
-            images[x] = target.letter(next(spare, target.names[0]))
-    return Homomorphism(source, target, images)
+    for x in source:
+        y = x if x in names else assignment[x] if x in assignment else next(spare, names[0])
+        images[x] = Word(target, (names.index(y) + 1,))
+    return Homomorphism(g.alphabet, target, images)
+
+
+def _support_mask(data: tuple[int, ...]) -> int:
+    """The letters of an int-coded word as a bitmask: bit i - 1 for codes i and -i."""
+    return sum({1 << (abs(v) - 1) for v in data})
 
 
 @dataclass(frozen=True)
@@ -140,16 +138,25 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
     order: S's letters in alphabet order.  The supports are the letter
     sets of at most ``radius`` letters, taken by size, then in alphabet
     order.  Each index coordinate is one of these maps and each map is
-    some index's coordinate, so two ball elements share an image in the
-    per-index product exactly when their tuples agree.
+    some index's coordinate.
 
-    One walk over the int-coded ball, from prefix to word
-    (:func:`~fgz.words._ball_layers`), gives each element's support mask
-    (the prefix's OR the letter's bit) and its image under each map (the
-    prefix's times the letter's): the values ``Word.support`` and
-    ``Homomorphism.apply`` give.  It visits the ball in shortlex order,
-    so the report is the one a loop over ``enumerate_ball`` gives.
-    Words are built only for failure messages.
+    Maps with equal letter tables give equal images on every word, so
+    the walk keeps one coordinate per distinct table, and ``slot`` sends
+    each support to its map's coordinate.  The per-index tuple of images
+    and the tuple over distinct tables determine each other: the first
+    lists the second's entries through ``slot``, and every entry of the
+    second occurs in the first.  So two ball elements share an image in
+    the per-index product exactly when their tuples agree, the
+    coordinate at index h is entry ``slot[supp(h)]``, and a support's
+    map moves a common letter exactly when its table does: every
+    collision, vanished witness and moved letter is found.
+
+    For each distinct table, one walk over the int-coded ball, from
+    prefix to word (:func:`~fgz.words._ball_layers`), gives each
+    element's image (the prefix's times the letter's): the value
+    ``Homomorphism.apply`` gives.  Failures are listed by ball index,
+    which is shortlex order, so the report is the one a loop over
+    ``enumerate_ball`` gives.  Words are built only for failure messages.
 
     Checks: the restriction of phi to the ball is injective; for every
     nontrivial h the coordinate at index h is nontrivial; every
@@ -163,41 +170,47 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
         raise ValueError("index radius must be >= 1 so the index set is nonempty")
     sizes = range(1, min(rank, radius) + 1)
     firsts = [Word(source, codes) for n in sizes for codes in combinations(range(1, rank + 1), n)]
-    homs = [build_phi_g(g, target) for g in firsts]
-    slot = {sum([1 << (v - 1) for v in g.data]): i for i, g in enumerate(firsts)}
-    tables = [hom._images for hom in homs]
-    # a letter and its inverse share a support bit
-    bits = _signed_code_table(0, [1 << i for i in range(rank)], lambda bit: bit)
+    # maps with equal letter tables share one coordinate
+    coords: dict[tuple[tuple[int, ...], ...], int] = {}
+    slot: dict[int, int] = {}
+    for g in firsts:
+        table = tuple(build_phi_g(g, target)._images)
+        slot[_support_mask(g.data)] = coords.setdefault(table, len(coords))
+    columns = []
+    for table in coords:
+        column, prev = [()], [()]
+        for start, size, fan in _ball_layers(rank, radius):
+            prev = [_concat_data(prev[j // fan], table[gd[-1]]) for j, gd in enumerate(ball[start:start + size])]
+            column += prev
+        columns.append(column)
+    images = list(zip(*columns))
+    # later entries overwrite earlier ones, so each image keeps its first index
+    first = dict(zip(reversed(images), range(len(ball) - 1, -1, -1)))
+    collided = set() if len(first) == len(ball) else {i for i, image in enumerate(images) if first[image] != i}
+    vanished = {
+        i
+        for c, column in enumerate(columns)
+        for i, coord in enumerate(column)
+        if not coord and i and slot[_support_mask(ball[i])] == c
+    }
     failures: list[str] = []
-    identity = ((),) * len(homs)
-    seen: dict[tuple[tuple[int, ...], ...], int] = {identity: 0}
-    prev_masks, prev_images = [0], [identity]
-    for start, size, fan in _ball_layers(rank, radius):
-        masks, images = [], []
-        for j in range(size):
-            i, prefix, v = start + j, j // fan, ball[start + j][-1]
-            mask = prev_masks[prefix] | bits[v]
-            image = tuple([_concat_data(coord, table[v]) for coord, table in zip(prev_images[prefix], tables)])
-            if image in seen:
-                failures.append(f"not injective: {Word(source, ball[seen[image]])} and {Word(source, ball[i])} share an image")
-            else:
-                seen[image] = i
-            if not image[slot[mask]]:
-                failures.append(f"witness coordinate vanished for {Word(source, ball[i])}")
-            masks.append(mask)
-            images.append(image)
-        prev_masks, prev_images = masks, images
+    for i in sorted(collided | vanished):
+        h = Word(source, ball[i])
+        if i in collided:
+            failures.append(f"not injective: {Word(source, ball[first[images[i]]])} and {h} share an image")
+        if i in vanished:
+            failures.append(f"witness coordinate vanished for {h}")
     common = [x for x in source.names if x in set(target.names)]
     fixes = True
     for x in common:
-        fixed, letter = target.letter(x), source.letter(x)
-        moved = {g.support(): coord for g, hom in zip(firsts, homs) if (coord := hom.apply(letter)) != fixed}
+        fixed, v = (target.value(x),), source.value(x)
+        moved = {c: table[v] for c, table in enumerate(coords) if table[v] != fixed}
         if moved:
             fixes = False
             for gd in ball[1:]:
-                g = Word(source, gd)
-                if g.support() in moved:
-                    failures.append(f"coordinate {g} moved common letter {x} to {moved[g.support()]}")
+                if (c := slot[_support_mask(gd)]) in moved:
+                    coord = Word(target, moved[c])
+                    failures.append(f"coordinate {Word(source, gd)} moved common letter {x} to {coord}")
     return EmbedCheckReport(
         source=source.names,
         target=target.names,
@@ -205,7 +218,7 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
         index_count=len(ball) - 1,
         ball_size=len(ball),
         checked=len(ball) + len(common),
-        injective=len(seen) == len(ball),
+        injective=len(first) == len(ball),
         fixes_common_letters=fixes,
         failures=tuple(failures),
     )

@@ -113,12 +113,16 @@ class OneVarWord:
         """
         if g.alphabet != self.alphabet:
             raise AlphabetError("evaluation point must be over the coefficient alphabet")
+        self._check_evaluation_size(len(g))
+        return Word(self.alphabet, _substitute(self._segments, g.data))
+
+    def _check_evaluation_size(self, length: int) -> None:
+        """Refuse ``w(g)`` with ``|g| = length`` if it is over the evaluation limit before reduction."""
         k = len(self._segments[1])
-        if (size := len(self.body) - k + k * len(g)) > MAX_PARSE_LETTERS:
+        if (size := len(self.body) - k + k * length) > MAX_PARSE_LETTERS:
             raise EvaluationLimitError(
                 f"w(g) has {size:,} letters before reduction, over the evaluation limit of {MAX_PARSE_LETTERS:,}"
             )
-        return Word(self.alphabet, _substitute(self._segments, g.data))
 
     def __str__(self) -> str:
         return str(self.body)
@@ -305,12 +309,17 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
     A bucket lists its members in the order of the ball walk, which is
     shortlex.  Solutions from one bucket come out in that order; the
     quotient filter draws them from many buckets, so they are sorted.
+
+    A word the abelianization admits is refused with
+    :class:`~fgz.errors.EvaluationLimitError` before any ball is built if
+    :meth:`OneVarWord.evaluate` would refuse a point of length ``radius``.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     constraint = abelian_constraint(w)
     if constraint is None:
         return []
+    w._check_evaluation_size(radius)
     rank = len(w.alphabet)
     sigma, coeff_ab = constraint
     if sigma == 0:

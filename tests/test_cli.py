@@ -257,6 +257,20 @@ class TestInvocation:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "1,001,000" in err and f"{MAX_PARSE_LETTERS:,}" in err
 
+    def test_long_oracle_evaluation_fails_at_once(self, capsys, monkeypatch):
+        # 500,000 occurrences of x: a point of length 8 expands to 4,500,000
+        # letters, and without the limit the oracle evaluates for about 25 s
+        def no_evaluation(*args):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr("fgz.onevar._substitute", no_evaluation)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--alphabet", "a,b", "solve", "x^500000 a^500000")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "4,500,000" in err and f"{MAX_PARSE_LETTERS:,}" in err
+
     def test_eval_at_the_limit(self, capsys):
         code, out, _ = run(capsys, "--alphabet", "a,b", "eval", "x^1000", "a^1000")
         assert (code, out) == (0, "a^1000000\n")

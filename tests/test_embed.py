@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fgz.embed import EmbedCheckReport, Homomorphism, build_phi_g, check_mono_on_ball
 from fgz.errors import AlphabetError, IdentityWordError
-from fgz.words import Alphabet, Word, enumerate_ball, parse_word
+from fgz.words import Alphabet, Word, _concat_data, enumerate_ball, parse_word
 
 from helpers import AB, ABC, random_word
 
@@ -225,6 +225,7 @@ class TestBallWalk:
     @example((AB, CD, 1))
     @example((ABC, Y4, 4))
     @example((ABC, Alphabet(("a", "d")), 2))
+    @example((ABC, Alphabet(("c", "d", "f", "g", "h")), 3))
     def test_matches_per_index_product(self, case):
         same_report_or_error(*case)
 
@@ -253,6 +254,34 @@ class TestBallWalk:
         report = same_report_or_error(source, target, radius)
         kinds = {failure.split()[0] for failure in report.failures}
         assert kinds == ({"not", "witness", "coordinate"} if set(source) & set(target) else {"not", "witness"})
+
+
+class TestWalkCost:
+    """The walk extends each nontrivial ball element once per distinct coordinate map."""
+
+    @pytest.mark.parametrize(
+        "source, target, radius, calls",
+        [
+            (ABC, Y4, 3, 186 * 1),
+            (AB, CD, 3, 52 * 2),
+            # a target that hosts the source gives 2^k - k distinct maps for
+            # the k source letters outside it, once every support occurs
+            (ABC, Alphabet(("a", "b", "c", "d")), 3, 186 * 1),
+            (ABC, Alphabet(("c", "d", "f")), 3, 186 * 2),
+            (ABC, Alphabet(("d", "f", "g")), 3, 186 * 5),
+            (ABC, Alphabet(("d", "f", "g")), 1, 6 * 3),
+        ],
+    )
+    def test_one_product_per_element_and_distinct_map(self, monkeypatch, source, target, radius, calls):
+        counted = []
+
+        def counting_concat(a, b):
+            counted.append(None)
+            return _concat_data(a, b)
+
+        monkeypatch.setattr("fgz.embed._concat_data", counting_concat)
+        check_mono_on_ball(source, target, radius)
+        assert len(counted) == calls
 
 
 class TestCheckMonoOnBall:

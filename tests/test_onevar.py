@@ -182,6 +182,22 @@ class TestBruteSolutions:
         assert brute_solutions(ov("x a x^-1 b"), 5) == []  # sigma = 0, ab(c) != 0
         assert brute_solutions(ov("x^2 a b^2"), 5) == []  # sigma = 2 does not divide ab(c)
 
+    def test_evaluation_size_is_limited(self, monkeypatch):
+        # |w| - k + k * radius letters: 999,999 - 1 + 2 = 1,000,000 is at the limit
+        word = ov("x a^-1 b^499998 a b^-499998")
+        assert brute_solutions(word, 2) == []
+
+        def no_walk(*args):
+            raise AssertionError("walked the ball")
+
+        monkeypatch.setattr(onevar, "_ball_buckets", no_walk)
+        monkeypatch.setattr(onevar, "_quotient_survivors", no_walk)
+        with pytest.raises(EvaluationLimitError, match="1,000,001 letters before reduction, over the evaluation limit"):
+            brute_solutions(word, 3)
+        # a word the abelianization rules out is answered, whatever its size:
+        # 999,999 - 2 + 2 * 3 = 1,000,003 letters, but sigma = 2 does not divide ab(c)
+        assert brute_solutions(ov("x^2 a b^499997 a^2 b^-499997"), 3) == []
+
     def test_ball_caches_stay_bounded(self):
         word = OneVarWord.parse("x a^-1", Alphabet(("a",)))
         commutator = OneVarWord.parse("x a x^-1 a^-1", Alphabet(("a",)))
