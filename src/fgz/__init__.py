@@ -7,7 +7,6 @@ permutation witnesses separating nontrivial elements from the identity.
 """
 
 from .algset import (
-    WHOLE_GROUP,
     AlgebraicSet,
     ChainReport,
     CyclicCoset,
@@ -91,7 +90,6 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "SolverError",
-    "WHOLE_GROUP",
     "WholeGroupError",
     "Word",
     "apply_perm_rep",

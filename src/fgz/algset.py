@@ -1,4 +1,4 @@
-"""Closed sets in coset normal form: finite unions of points and cyclic cosets.
+"""Closed sets: finite unions of points and cyclic cosets, and the whole group.
 
 A cyclic coset ``a<r>`` is a left translate of a maximal cyclic subgroup;
 its root must be primitive, so the subgroup is a full centralizer.  Every
@@ -11,6 +11,11 @@ exact, by the cyclic centralizers of a free group.  Canonical forms are
 unique, which turns equality and inclusion into structural checks and
 makes serialized output reproducible.  The lengths of a
 coset's elements are bounded once, in :meth:`CyclicCoset.elements_within`.
+
+The whole group F, the solution set of the trivial equation and the top of
+the lattice of closed sets, is an :class:`AlgebraicSet` with ``whole_group``
+set and no points or cosets.  At rank 1 a coset ``a<r>`` is all of Z, so a
+rank-1 set with a coset becomes F, which then has one form too.
 """
 
 from __future__ import annotations
@@ -20,11 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import AlphabetError, ParseError, RootError
 from .onevar import ConcreteBlock, ParametricWord, PowerBlock, reduce_parametric
-from .words import Alphabet, Word, _concat_data, _invert_data, _reduce_data, parse_word
+from .words import Alphabet, Word, _concat_data, _invert_data, _reduce_data, enumerate_ball, parse_word
 
 
 @dataclass(frozen=True)
@@ -135,35 +140,21 @@ def _least_element(rep: Word, root: Word) -> Word:
     return min(candidates, key=Word.sort_key)
 
 
-class _WholeGroupType:
-    """Singleton marker for the whole group, which has no coset normal form."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "WHOLE_GROUP"
-
-
-WHOLE_GROUP = _WholeGroupType()
-
-
 @dataclass(frozen=True)
 class AlgebraicSet:
-    """Finite union of singleton points and cyclic cosets, canonical however it is built.
+    """Finite union of singleton points and cyclic cosets, or the whole group;
+    canonical however it is built.
 
     The constructor takes points and :class:`CyclicCoset` values over
     ``alphabet``; duplicate cosets are merged, points inside a coset
     dropped, and both sorted.  :meth:`of` takes raw (rep, root) pairs.
+    ``whole_group`` gives F, which keeps no points and no cosets.
     """
 
     alphabet: Alphabet
     points: tuple[Word, ...] = ()
     cosets: tuple[CyclicCoset, ...] = ()
+    whole_group: bool = False
 
     def __post_init__(self):
         alphabet = self.alphabet
@@ -172,6 +163,12 @@ class AlgebraicSet:
             if c.alphabet != alphabet:
                 raise AlphabetError("coset over a different alphabet")
             canon[c.sort_key()] = c
+        if self.whole_group or (canon and len(alphabet) == 1):
+            # at rank 1 the one maximal cyclic subgroup is F itself
+            object.__setattr__(self, "whole_group", True)
+            object.__setattr__(self, "points", ())
+            object.__setattr__(self, "cosets", ())
+            return
         cosets = [canon[k] for k in sorted(canon)]
         kept: dict[tuple, Word] = {}
         for p in self.points:
@@ -197,14 +194,17 @@ class AlgebraicSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.points and not self.cosets
+        return not (self.whole_group or self.points or self.cosets)
 
     def member(self, g: Word) -> bool:
-        return g in self.points or any(c.member(g) for c in self.cosets)
+        return self.whole_group or g in self.points or any(c.member(g) for c in self.cosets)
 
     def members_within(self, length: int) -> set[Word]:
         """Members of length at most ``length``: the short points and the
-        :meth:`CyclicCoset.elements_within` of each coset."""
+        :meth:`CyclicCoset.elements_within` of each coset; for F, the ball,
+        under the limits of :func:`~fgz.words.check_ball_limit`."""
+        if self.whole_group:
+            return set(enumerate_ball(self.alphabet, length))
         members = {p for p in self.points if len(p) <= length}
         for c in self.cosets:
             members.update(c.elements_within(length))
@@ -214,6 +214,8 @@ class AlgebraicSet:
         return self.member(g)
 
     def __str__(self) -> str:
+        if self.whole_group:
+            return "whole group"
         if self.is_empty:
             return "empty"
         parts = [f"{{{', '.join(str(p) for p in self.points)}}}"] if self.points else []
@@ -246,12 +248,15 @@ def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
 def union(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:
     if s1.alphabet != s2.alphabet:
         raise AlphabetError("operands over different alphabets")
-    return AlgebraicSet(s1.alphabet, s1.points + s2.points, s1.cosets + s2.cosets)
+    whole = s1.whole_group or s2.whole_group
+    return AlgebraicSet(s1.alphabet, s1.points + s2.points, s1.cosets + s2.cosets, whole)
 
 
 def intersect(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:
     if s1.alphabet != s2.alphabet:
         raise AlphabetError("operands over different alphabets")
+    if s1.whole_group or s2.whole_group:
+        return s2 if s1.whole_group else s1
     points = [p for p in s1.points if s2.member(p)]
     points += [p for p in s2.points if s1.member(p)]
     cosets: list[CyclicCoset] = []
@@ -266,12 +271,18 @@ def intersect(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:
 def subset(s1: AlgebraicSet, s2: AlgebraicSet) -> bool:
     """True iff s1 lies in s2.
 
-    A coset meets a coset other than itself in at most one element, so a
-    coset of s1 inside the finite union s2 must be one of its cosets, and
-    canonical cosets are equal exactly when they are the same set.
+    Every set lies in F, and F lies in no finite union of points and
+    cosets: at rank 1 a set with a coset is F itself, and from rank 2 a
+    cyclic subgroup has infinite index, while a group covered by finitely
+    many cosets has one of finite index (B. H. Neumann).  A coset meets a
+    coset other than itself in at most one element, so a coset of s1
+    inside the finite union s2 must be one of its cosets, and canonical
+    cosets are equal exactly when they are the same set.
     """
     if s1.alphabet != s2.alphabet:
         raise AlphabetError("operands over different alphabets")
+    if s1.whole_group or s2.whole_group:
+        return s2.whole_group
     return all(s2.member(p) for p in s1.points) and all(c in s2.cosets for c in s1.cosets)
 
 
@@ -291,8 +302,9 @@ def chain_check(sets: Sequence[AlgebraicSet]) -> ChainReport:
     ``strict_prefix_length`` counts the sets in the longest strictly
     decreasing initial run; ``stabilization_index`` is the first index
     after which all sets are equal.  Along every strict inclusion of
-    canonical forms the measure (coset count, point count) must strictly
-    lexicographically decrease; ``measure_ok`` records that check.
+    canonical forms the measure (whole group, coset count, point count)
+    must strictly lexicographically decrease; ``measure_ok`` records that
+    check.
     """
     n = len(sets)
     if n == 0:
@@ -312,8 +324,8 @@ def chain_check(sets: Sequence[AlgebraicSet]) -> ChainReport:
         else:
             strict_run = False
         if is_strict:
-            m_big = (len(big.cosets), len(big.points))
-            m_small = (len(small.cosets), len(small.points))
+            m_big = (big.whole_group, len(big.cosets), len(big.points))
+            m_small = (small.whole_group, len(small.cosets), len(small.points))
             if not m_small < m_big:
                 measure_ok = False
     stab = n - 1
@@ -322,14 +334,12 @@ def chain_check(sets: Sequence[AlgebraicSet]) -> ChainReport:
     return ChainReport(descending, strict, stab, measure_ok)
 
 
-def to_json_dict(s: Union[AlgebraicSet, _WholeGroupType]) -> dict:
+def to_json_dict(s: AlgebraicSet) -> dict:
     """The documented JSON shape: points, cosets, whole_group."""
-    if s is WHOLE_GROUP:
-        return {"points": [], "cosets": [], "whole_group": True}
     return {
         "points": [str(p) for p in s.points],
         "cosets": [{"rep": str(c.rep), "root": str(c.root)} for c in s.cosets],
-        "whole_group": False,
+        "whole_group": s.whole_group,
     }
 
 
@@ -346,25 +356,25 @@ def _json_word(text, alphabet: Alphabet) -> Word:
     return parse_word(text, alphabet)
 
 
-def from_json_dict(d: object, alphabet: Alphabet) -> Union[AlgebraicSet, _WholeGroupType]:
+def from_json_dict(d: object, alphabet: Alphabet) -> AlgebraicSet:
     """Read the documented JSON shape; any other shape raises :class:`ParseError`."""
     if not isinstance(d, dict):
         raise ParseError(f"set JSON must be an object, got {json.dumps(d)}")
     whole_group = d.get("whole_group", False)
     if not isinstance(whole_group, bool):
         raise ParseError(f"set JSON 'whole_group' must be a boolean, got {json.dumps(whole_group)}")
-    if whole_group:
-        return WHOLE_GROUP
     points = [_json_word(t, alphabet) for t in _json_list(d, "points")]
     cosets = []
     for c in _json_list(d, "cosets"):
         if not isinstance(c, dict) or "rep" not in c or "root" not in c:
             raise ParseError(f"set JSON coset {json.dumps(c)} needs a 'rep' and a 'root'")
         cosets.append((_json_word(c["rep"], alphabet), _json_word(c["root"], alphabet)))
+    if whole_group:
+        return AlgebraicSet(alphabet, whole_group=True)
     return AlgebraicSet.of(alphabet, points, cosets)
 
 
-def from_json_text(text: str, alphabet: Alphabet) -> Union[AlgebraicSet, _WholeGroupType]:
+def from_json_text(text: str, alphabet: Alphabet) -> AlgebraicSet:
     try:
         d = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

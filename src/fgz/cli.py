@@ -3,7 +3,8 @@
 Global flags come before the subcommand; words are quoted arguments in
 the word grammar (whitespace-separated IDENT or IDENT^INT terms, ``1`` or
 ``e`` for the identity).  Set-valued arguments use the JSON schema
-{"points": [...], "cosets": [{"rep":..,"root":..}], "whole_group": bool}.
+{"points": [...], "cosets": [{"rep":..,"root":..}], "whole_group": bool};
+the whole group is a set like any other, and every set command takes it.
 Exit status: 0 success, 1 domain error (diagnostic on stderr), 2 usage
 error.  Identical invocations produce byte-identical output.
 """
@@ -15,21 +16,12 @@ import json
 import os
 import sys
 
-from .algset import (
-    WHOLE_GROUP,
-    AlgebraicSet,
-    chain_check,
-    from_json_text,
-    intersect,
-    subset,
-    to_json_dict,
-    union,
-)
+from .algset import chain_check, from_json_text, intersect, subset, to_json_dict, union
 from .embed import check_mono_on_ball
 from .errors import FreeGroupError
 from .onevar import DEFAULT_VARIABLE, OneVarWord, brute_solutions
 from .residual import apply_perm_rep, separate
-from .solver import SolveConfig, solve
+from .solver import DEFAULT_DISCOVERY_RADIUS, SolveConfig, solve
 from .words import Alphabet, centralizer, parse_word
 
 ALPHABET_ENV_VAR = "FGZ_ALPHABET"
@@ -46,7 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated letters, e.g. a,b (default: ${ALPHABET_ENV_VAR})",
     )
     parser.add_argument("--var", default=DEFAULT_VARIABLE, help="variable symbol (default x)")
-    parser.add_argument("--radius", type=int, default=6, help="search/discovery radius (default 6)")
+    parser.add_argument(
+        "--radius", type=int, default=DEFAULT_DISCOVERY_RADIUS, help="search/discovery radius (default %(default)s)"
+    )
     parser.add_argument("--verify-radius", type=int, default=None, help="solver verification radius")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -93,12 +87,6 @@ def _emit(payload: dict, text: str | None = None, as_json: bool = False) -> None
         print(text)
 
 
-def _set_text(s) -> str:
-    if s is WHOLE_GROUP:
-        return "whole group"
-    return str(s)
-
-
 def _run(args) -> int:
     alphabet = _alphabet_from(args)
     cmd = args.command
@@ -142,26 +130,19 @@ def _run(args) -> int:
         cfg = SolveConfig(discovery_radius=args.radius, verify_radius=args.verify_radius)
         _emit(solve(equation, cfg).to_json_dict())
     elif cmd == "member":
-        s = from_json_text(args.SET, alphabet)
-        word = parse_word(args.WORD, alphabet)
-        result = True if s is WHOLE_GROUP else s.member(word)
+        result = from_json_text(args.SET, alphabet).member(parse_word(args.WORD, alphabet))
         _emit({"member": result}, "true" if result else "false", args.json)
     elif cmd in ("intersect", "union", "subset"):
         s1 = from_json_text(args.S1, alphabet)
         s2 = from_json_text(args.S2, alphabet)
-        if s1 is WHOLE_GROUP or s2 is WHOLE_GROUP:
-            raise FreeGroupError(f"{cmd} does not accept a whole-group operand")
         if cmd == "subset":
             result = subset(s1, s2)
             _emit({"subset": result}, "true" if result else "false", args.json)
         else:
             out = (intersect if cmd == "intersect" else union)(s1, s2)
-            _emit(to_json_dict(out), _set_text(out), args.json)
+            _emit(to_json_dict(out), str(out), args.json)
     elif cmd == "chain":
-        sets = [from_json_text(t, alphabet) for t in args.SETS]
-        if any(s is WHOLE_GROUP for s in sets):
-            raise FreeGroupError("chain does not accept a whole-group operand")
-        report = chain_check(sets)
+        report = chain_check([from_json_text(t, alphabet) for t in args.SETS])
         payload = {
             "descending": report.descending,
             "strict_prefix_length": report.strict_prefix_length,

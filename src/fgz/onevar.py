@@ -83,26 +83,6 @@ class OneVarWord:
                 runs[-1].append(v)
         return tuple(runs[0]), tuple(zip(signs, map(tuple, runs[1:])))
 
-    def coefficient_word(self) -> Word:
-        """Reinterpret a variable-free body over the coefficient alphabet."""
-        if self.contains_variable:
-            raise ValueError("word still contains the variable")
-        return Word(self.alphabet, self.body.data)
-
-    def __mul__(self, other: "OneVarWord") -> "OneVarWord":
-        if (self.alphabet, self.variable) != (other.alphabet, other.variable):
-            raise AlphabetError("operands use different alphabets or variables")
-        return OneVarWord(self.alphabet, self.variable, self.body * other.body)
-
-    def __invert__(self) -> "OneVarWord":
-        return OneVarWord(self.alphabet, self.variable, ~self.body)
-
-    def with_inverted_variable(self) -> "OneVarWord":
-        """The word with every variable occurrence replaced by its inverse."""
-        vc = self._var_code
-        data = tuple([-v if abs(v) == vc else v for v in self.body.data])
-        return OneVarWord(self.alphabet, self.variable, Word(self.body.alphabet, data))
-
     def evaluate(self, g: Word) -> Word:
         """Substitute ``g`` for the variable (with sign) and reduce.
 

@@ -27,20 +27,13 @@ MAX_SEPARATE_LETTERS = 7_500
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection on {0..n-1}; ``images[i]`` is the image of i.
-
-    Products compose left to right: ``(p * q)(i) == q(p(i))``.
-    """
+    """Bijection on {0..n-1}; ``images[i]`` is the image of i."""
 
     images: tuple[int, ...]
 
     def __post_init__(self):
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
 
     @property
     def degree(self) -> int:
@@ -52,11 +45,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple([other.images[v] for v in self.images]))
 
     def inverse(self) -> "Permutation":
         out = [0] * self.degree
@@ -103,7 +91,8 @@ def _code_images(rep: PermRep) -> list[tuple[int, ...]]:
 
 
 def apply_perm_rep(rep: PermRep, w: Word) -> Permutation:
-    """Image of a word: the product of letter images in reading order, composed on one list."""
+    """Image of a word: its letters' images applied in reading order, so that
+    the image of ``a b`` sends i to ``b(a(i))``, composed on one list."""
     if w.alphabet != rep.alphabet:
         raise AlphabetError("word is not over the representation's alphabet")
     table = _code_images(rep)

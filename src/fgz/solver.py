@@ -27,15 +27,23 @@ parametric reduction or by the closed forms.  Completeness is certified
 only relative to the verification radius, which the report records; no
 effective bound on the number of components in terms of the word length
 is known for three or more occurrences, so no global claim is made.
+
+A nonzero exponent sum sigma of the variable makes ``g -> w(g)`` injective,
+so ``w = 1`` has at most one solution and pairing never forms a pair.  In
+the lower central series G_1 = F, G_(i+1) = [G_i, F], each z in G_i is
+central modulo G_(i+1), so ``w(g z) = w(g) z^sigma`` modulo G_(i+1).  If
+``w(g) = w(h)`` and ``z = g^-1 h`` lies in G_i, then z^sigma lies in
+G_(i+1), and so does z, as ``G_i / G_(i+1)`` is free abelian.  From G_1 = F,
+z lies in every G_i, whose intersection is trivial (Magnus;
+Magnus-Karrass-Solitar, *Combinatorial Group Theory*, ch. 5), so g = h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, takewhile
-from typing import Union
 
-from .algset import WHOLE_GROUP, AlgebraicSet, CyclicCoset, _WholeGroupType, to_json_dict
+from .algset import AlgebraicSet, CyclicCoset, to_json_dict
 from .errors import BallLimitError, SolverError
 from .onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
 from .words import Word, _letters_text, check_ball_limit
@@ -44,6 +52,7 @@ DEFAULT_DISCOVERY_RADIUS = 6
 #: Escalations of the discovery radius, by 2 each, before a persistent oracle mismatch is an error.
 MAX_ESCALATIONS = 3
 #: Ordered pairs of discovered solutions that pairing may form; more is an "oversize discovery" error.
+#: It cannot happen for a nonzero exponent sum of the variable, which allows one solution at most.
 MAX_PAIRS = 5000
 
 
@@ -75,13 +84,13 @@ class OracleReport:
 
 @dataclass(frozen=True)
 class SolveReport:
-    result: Union[AlgebraicSet, _WholeGroupType]
+    result: AlgebraicSet
     complete_on_radius: int
     escalations: int
 
     @property
     def whole_group(self) -> bool:
-        return self.result is WHOLE_GROUP
+        return self.result.whole_group
 
     def to_json_dict(self) -> dict:
         d = to_json_dict(self.result)
@@ -229,8 +238,7 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     cfg = cfg or SolveConfig()
     exact = exact_solution_set(w)
     if exact is None and not w.contains_variable:
-        result = WHOLE_GROUP if w.body.is_identity else AlgebraicSet.empty(w.alphabet)
-        return SolveReport(result, cfg.verify_radius, 0)
+        return SolveReport(AlgebraicSet(w.alphabet, whole_group=w.body.is_identity), cfg.verify_radius, 0)
 
     discovery = cfg.discovery_radius
     gap = cfg.verify_radius - discovery

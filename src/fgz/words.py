@@ -153,26 +153,16 @@ def _invert_data(a: tuple[int, ...]) -> tuple[int, ...]:
 class Word:
     """A reduced word; the element type of the free group on ``alphabet``.
 
-    ``data`` must already be reduced.  Use :meth:`from_letters` or
-    :func:`parse_word` to build words from arbitrary input.
+    ``data`` must already be reduced.  Use :func:`parse_word` to build
+    words from arbitrary input.
     """
 
     alphabet: Alphabet
     data: tuple[int, ...] = ()
 
-    @classmethod
-    def from_letters(cls, alphabet: Alphabet, letters: Iterable[tuple[str, int]]) -> "Word":
-        """Reduce a sequence of (name, sign) pairs into a word."""
-        return cls(alphabet, _reduce_data([(alphabet.value(n, s),) for n, s in letters]))
-
     @property
     def is_identity(self) -> bool:
         return not self.data
-
-    @property
-    def signed_letters(self) -> tuple[tuple[str, int], ...]:
-        names = self.alphabet.names
-        return tuple((names[abs(v) - 1], 1 if v > 0 else -1) for v in self.data)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -202,13 +192,6 @@ class Word:
         # u . core^|k| . u^-1 is reduced as written (core cyclically reduced,
         # seams inherited from the reduced original).
         return Word(self.alphabet, u + core * abs(k) + _invert_data(u))
-
-    def conjugated_by(self, u: "Word") -> "Word":
-        """u * self * u^-1."""
-        return u * self * ~u
-
-    def commutator(self, other: "Word") -> "Word":
-        return self * other * ~self * ~other
 
     def support(self) -> frozenset[str]:
         """Letters occurring in the reduced form."""
@@ -249,14 +232,6 @@ class Word:
         p = (text + text).find(text, 1)
         root = self if p == len(c) else Word(self.alphabet, u + c[:p] + _invert_data(u))
         return RootDecomposition(root, len(c) // p)
-
-    def commutes_with(self, other: "Word") -> bool:
-        """Two elements commute iff they are powers of one primitive word."""
-        if not self.data or not other.data:
-            return True
-        r = self.primitive_root().root
-        s = other.primitive_root().root
-        return r == s or r == ~s
 
     def __str__(self) -> str:
         if not self.data:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 from hypothesis import strategies as st
 
 from fgz.onevar import OneVarWord
+from fgz.residual import Permutation
 from fgz.words import Alphabet, Word, _reduce_data, enumerate_ball
 
 AB = Alphabet(("a", "b"))
@@ -34,6 +36,33 @@ def random_unreduced_letters(rng: random.Random, alphabet: Alphabet, length: int
     for _ in range(length):
         out.append((rng.choice(alphabet.names), rng.choice((1, -1))))
     return out
+
+
+def word_from_letters(alphabet: Alphabet, letters) -> Word:
+    """Reduce a raw (name, sign) sequence with the reduction kernel, one letter per piece."""
+    return Word(alphabet, _reduce_data([(alphabet.value(n, s),) for n, s in letters]))
+
+
+def signed_letters(word: Word) -> tuple[tuple[str, int], ...]:
+    """The (name, sign) pairs of a word, in reading order."""
+    names = word.alphabet.names
+    return tuple((names[abs(v) - 1], 1 if v > 0 else -1) for v in word.data)
+
+
+def commutator(s: Word, t: Word) -> Word:
+    return s * t * ~s * ~t
+
+
+def with_inverted_variable(word: OneVarWord) -> OneVarWord:
+    """The word with every variable occurrence replaced by its inverse."""
+    vc = len(word.alphabet) + 1
+    data = tuple([-v if abs(v) == vc else v for v in word.body.data])
+    return OneVarWord(word.alphabet, word.variable, Word(word.body.alphabet, data))
+
+
+def compose(degree: int, perms) -> Permutation:
+    """Apply ``perms`` one after the other, left to right, point by point."""
+    return Permutation(tuple([reduce(lambda i, p: p(i), perms, start) for start in range(degree)]))
 
 
 def brute_reduce(alphabet: Alphabet, letters) -> Word:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fgz import algset
 from fgz.algset import (
-    WHOLE_GROUP,
     AlgebraicSet,
     ChainReport,
     CyclicCoset,
@@ -19,11 +18,14 @@ from fgz.algset import (
     to_json_dict,
     union,
 )
-from fgz.errors import AlphabetError, RootError
+from fgz.errors import AlphabetError, BallLimitError, RootError
 from fgz.onevar import LineSolutionSet
-from fgz.words import Word, enumerate_ball, parse_word
+from fgz.words import Alphabet, Word, enumerate_ball, parse_word
 
 from helpers import AB, ABC, random_word, reduced_data
+from test_reference_outputs import _load_workloads
+
+WHOLE = AlgebraicSet(AB, whole_group=True)
 
 
 def w(text):
@@ -435,6 +437,45 @@ class TestChainCheck:
             assert report.strict_prefix_length <= head_size + 1
 
 
+class TestWholeGroup:
+    """F is the top of the lattice of closed sets."""
+
+    def test_top_of_the_lattice_on_universe_sets(self):
+        # the first set of each of the first 200 chains of the set-algebra benchmark universe
+        chain_input = _load_workloads().chain_input
+        for i in range(200):
+            s = AlgebraicSet.of(AB, *chain_input(i)[0])
+            assert union(WHOLE, s) == WHOLE == union(s, WHOLE)
+            assert intersect(WHOLE, s) == s == intersect(s, WHOLE)
+            assert subset(s, WHOLE) and not subset(WHOLE, s)
+            assert chain_check([WHOLE, s]) == ChainReport(True, 2, 1, True)
+
+    def test_a_chain_may_start_at_the_whole_group(self):
+        chain = [WHOLE, aset(cosets=(("1", "a"), ("1", "b"))), aset(cosets=(("1", "a"),)), aset(points=("1",))]
+        assert chain_check(chain) == ChainReport(True, 4, 3, True)
+        assert chain_check([WHOLE, WHOLE]) == ChainReport(True, 1, 0, True)
+
+    def test_canonical_form_keeps_no_components(self):
+        s = AlgebraicSet(AB, (w("a"),), (coset("1", "b"),), whole_group=True)
+        assert s == WHOLE and s.points == () and s.cosets == ()
+        assert s.member(w("b a^-2")) and not s.is_empty and str(s) == "whole group"
+
+    def test_members_within_is_the_ball(self):
+        for radius in range(5):
+            assert WHOLE.members_within(radius) == set(enumerate_ball(AB, radius))
+        with pytest.raises(BallLimitError):
+            WHOLE.members_within(12)  # 1,062,881 elements at rank 2
+
+    def test_rank_one_forms_agree(self):
+        # at rank 1 every coset a<r> is all of Z, so a set with a coset is F
+        one = Alphabet(("a",))
+        whole = AlgebraicSet(one, whole_group=True)
+        coset_form = AlgebraicSet.of(one, [parse_word("a^5", one)], [(parse_word("a^3", one), parse_word("a^-1", one))])
+        assert coset_form == whole and coset_form.cosets == () and coset_form.points == ()
+        assert subset(coset_form, whole) and subset(whole, coset_form)
+        assert not subset(whole, AlgebraicSet.of(one, [parse_word("a", one)]))
+
+
 class TestSerialization:
     def test_round_trip(self):
         s = aset(points=("a^2",), cosets=(("b^-1", "b a b^-1"),))
@@ -443,9 +484,9 @@ class TestSerialization:
         assert from_json_dict(d, AB) == s
 
     def test_whole_group(self):
-        d = to_json_dict(WHOLE_GROUP)
+        d = to_json_dict(WHOLE)
         assert d == {"points": [], "cosets": [], "whole_group": True}
-        assert from_json_dict(d, AB) is WHOLE_GROUP
+        assert from_json_dict(d, AB) == WHOLE
 
     def test_non_canonical_input_normalizes(self):
         d = {"points": ["a"], "cosets": [{"rep": "a^3", "root": "a^-1"}], "whole_group": False}

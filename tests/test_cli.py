@@ -31,6 +31,7 @@ def run_json(capsys, *argv):
 SET_A = json.dumps({"points": [], "cosets": [{"rep": "1", "root": "a"}], "whole_group": False})
 SET_B = json.dumps({"points": [], "cosets": [{"rep": "1", "root": "b"}], "whole_group": False})
 POINTS = json.dumps({"points": ["a^3", "b"], "cosets": [], "whole_group": False})
+WHOLE = json.dumps({"points": [], "cosets": [], "whole_group": True})
 
 
 class TestWordCommands:
@@ -88,9 +89,10 @@ class TestEquationCommands:
         assert restored == expected
 
     def test_solve_rank_one_forms_no_pairs(self, capsys):
-        # 81 ball solutions at discovery radius 40, over the default pair limit
+        # 81 ball solutions at discovery radius 40, over the default pair limit; at rank 1
+        # the coset <a> is the whole group
         payload = run_json(capsys, "--alphabet", "a", "--radius", "40", "solve", "x a x^-1 a^-1")
-        assert payload["cosets"] == [{"rep": "1", "root": "a"}] and payload["points"] == []
+        assert payload["whole_group"] is True and payload["cosets"] == [] and payload["points"] == []
 
     def test_variable_override(self, capsys):
         payload = run_json(capsys, "--alphabet", "a,b", "--var", "t", "solve", "t a^-1")
@@ -136,14 +138,34 @@ class TestSetCommands:
             "measure_ok": True,
         }
 
-    def test_whole_group_operand_rejected(self, capsys):
-        whole = json.dumps({"points": [], "cosets": [], "whole_group": True})
-        code, _, err = run(capsys, "--alphabet", "a,b", "intersect", whole, SET_A)
-        assert code == 1 and "whole-group" in err
+    @pytest.mark.parametrize(
+        "argv, text, payload",
+        [
+            (("intersect", WHOLE, SET_A), "(1)<a>\n", json.loads(SET_A)),
+            (("intersect", SET_A, WHOLE), "(1)<a>\n", json.loads(SET_A)),
+            (("union", WHOLE, SET_A), "whole group\n", json.loads(WHOLE)),
+            (("union", POINTS, WHOLE), "whole group\n", json.loads(WHOLE)),
+            (("subset", SET_A, WHOLE), "true\n", {"subset": True}),
+            (("subset", WHOLE, SET_A), "false\n", {"subset": False}),
+            (
+                ("chain", WHOLE, SET_A, json.dumps({"points": ["1"]})),
+                "descending: true\nstrict prefix length: 3\nstabilization index: 2\n",
+                {"descending": True, "strict_prefix_length": 3, "stabilization_index": 2, "measure_ok": True},
+            ),
+        ],
+        ids=["intersect", "intersect-right", "union", "union-right", "subset", "subset-of-a-coset", "chain"],
+    )
+    def test_whole_group_operand_answers(self, capsys, argv, text, payload):
+        assert run(capsys, "--alphabet", "a,b", *argv) == (0, text, "")
+        assert run_json(capsys, "--alphabet", "a,b", "--json", *argv) == payload
+
+    def test_rank_one_coset_is_the_whole_group(self, capsys):
+        coset = json.dumps({"cosets": [{"rep": "1", "root": "a"}]})
+        assert run(capsys, "--alphabet", "a", "subset", WHOLE, coset) == (0, "true\n", "")
+        assert run(capsys, "--alphabet", "a", "subset", coset, WHOLE) == (0, "true\n", "")
 
     def test_member_of_whole_group(self, capsys):
-        whole = json.dumps({"points": [], "cosets": [], "whole_group": True})
-        code, out, _ = run(capsys, "--alphabet", "a,b", "member", whole, "b a")
+        code, out, _ = run(capsys, "--alphabet", "a,b", "member", WHOLE, "b a")
         assert (code, out) == (0, "true\n")
 
 
@@ -294,6 +316,7 @@ class TestInvocation:
             ("[1]", "must be an object"),
             ('{"cosets":[{"rep":"a"}]}', "needs a 'rep' and a 'root'"),
             ('{"whole_group":"no"}', "must be a boolean"),
+            ('{"whole_group":true,"points":[5]}', "must be strings"),
             pytest.param("[" * 100000, "malformed set JSON", id="deep-nesting"),
         ],
     )

@@ -9,7 +9,7 @@ from fgz.embed import EmbedCheckReport, Homomorphism, build_phi_g, check_mono_on
 from fgz.errors import AlphabetError, IdentityWordError
 from fgz.words import Alphabet, Word, _concat_data, enumerate_ball, parse_word
 
-from helpers import AB, ABC, random_word
+from helpers import AB, ABC, random_word, signed_letters
 
 Y4 = Alphabet(("b", "c", "d", "f"))
 CD = Alphabet(("c", "d"))
@@ -26,7 +26,7 @@ class TestHomomorphism:
             hom = Homomorphism(AB, Y4, images)
             h = random_word(rng, AB, 8)
             expected = Y4.identity()
-            for name, sign in h.signed_letters:
+            for name, sign in signed_letters(h):
                 expected = expected * (images[name] if sign > 0 else ~images[name])
                 inverse_letters += sign < 0
             assert hom.apply(h) == expected

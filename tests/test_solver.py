@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgz import solver as solver_module
-from fgz.algset import WHOLE_GROUP, AlgebraicSet, CyclicCoset
+from fgz.algset import AlgebraicSet, CyclicCoset
 from fgz.errors import BallLimitError, SolverError
 from fgz.onevar import OneVarWord, brute_solutions, reduce_parametric, substitute_line
 from fgz.solver import (
@@ -19,7 +19,15 @@ from fgz.solver import (
 )
 from fgz.words import Word, _reduce_data, enumerate_ball, parse_word
 
-from helpers import AB, ABC, one_var_words, plain_solutions, random_reduced_data, reduced_data
+from helpers import (
+    AB,
+    ABC,
+    one_var_words,
+    plain_solutions,
+    random_reduced_data,
+    reduced_data,
+    with_inverted_variable,
+)
 
 X = AB.extend("x")
 
@@ -105,7 +113,7 @@ class TestWorkedInstances:
 class TestDegenerateWords:
     def test_trivial_coefficient_word_solves_everywhere(self):
         report = solve(ov("a a^-1"))
-        assert report.result is WHOLE_GROUP
+        assert report.result == AlgebraicSet(AB, whole_group=True)
         assert report.whole_group
         assert report.to_json_dict()["whole_group"] is True
 
@@ -395,6 +403,22 @@ class TestCandidatePairing:
             _candidate_components(word, discovered)
 
 
+def exponent_sum(word: OneVarWord) -> int:
+    vc = len(word.alphabet) + 1
+    return sum(1 if v > 0 else -1 for v in word.body.data if abs(v) == vc)
+
+
+class TestNonzeroExponentSum:
+    """For sigma != 0, ``g -> w(g)`` is injective (module docstring), so pairing never gets a pair."""
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(word=one_var_words(AB, max_occurrences=5).filter(lambda word: exponent_sum(word) != 0))
+    def test_at_most_one_solution(self, word):
+        found = plain_solutions(word, 4)
+        assert len(found) <= 1
+        assert brute_solutions(word, 4) == found
+
+
 class TestSolveProperties:
     def _random_onevar(self, rng, max_len=8):
         return OneVarWord.from_body(Word(X, random_reduced_data(rng, 3, rng.randint(0, max_len))))
@@ -432,8 +456,8 @@ class TestSolveProperties:
             word = self._random_onevar(rng, max_len=6)
             if not word.contains_variable:
                 continue
-            u = OneVarWord.from_body(Word(X, random_reduced_data(rng, 3, rng.randint(0, 3))))
-            conjugated = u * word * ~u
+            u = Word(X, random_reduced_data(rng, 3, rng.randint(0, 3)))
+            conjugated = OneVarWord.from_body(u * word.body * ~u)
             s1 = solve(word, FAST).result
             s2 = solve(conjugated, FAST).result
             for g in ball:
@@ -446,7 +470,7 @@ class TestSolveProperties:
             word = self._random_onevar(rng, max_len=6)
             if not word.contains_variable:
                 continue
-            flipped = word.with_inverted_variable()
+            flipped = with_inverted_variable(word)
             s1 = solve(word, FAST).result
             s2 = solve(flipped, FAST).result
             for g in ball:
