@@ -158,6 +158,9 @@ class AlgebraicSet:
 
     def __post_init__(self):
         alphabet = self.alphabet
+        for p in self.points:
+            if p.alphabet != alphabet:
+                raise AlphabetError("point over a different alphabet")
         canon: dict[tuple, CyclicCoset] = {}
         for c in self.cosets:
             if c.alphabet != alphabet:
@@ -172,8 +175,6 @@ class AlgebraicSet:
         cosets = [canon[k] for k in sorted(canon)]
         kept: dict[tuple, Word] = {}
         for p in self.points:
-            if p.alphabet != alphabet:
-                raise AlphabetError("point over a different alphabet")
             if not any(c.member(p) for c in cosets):
                 kept[p.sort_key()] = p
         object.__setattr__(self, "points", tuple([kept[k] for k in sorted(kept)]))

@@ -276,7 +276,9 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
     Only ball elements that pass a necessary condition are evaluated.
     Words that :func:`abelian_constraint` rules out have no solution at
     all, and no ball is built for them.  If sigma != 0, every solution
-    has ``ab(g) = -ab(c) / sigma`` and lies in that one bucket of the ball.
+    has ``ab(g) = -ab(c) / sigma`` and lies in that one bucket of the ball,
+    and there is at most one (:mod:`fgz.solver`), so the walk of the
+    bucket stops at the first.
 
     If sigma = 0 and ab(c) = 0 the abelianization says nothing, and the
     finite quotient G = PSL(2, 7) filters instead.  The homomorphism phi
@@ -287,8 +289,8 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
     non-solutions only.
 
     A bucket lists its members in the order of the ball walk, which is
-    shortlex.  Solutions from one bucket come out in that order; the
-    quotient filter draws them from many buckets, so they are sorted.
+    shortlex.  The quotient filter draws solutions from many buckets, so
+    they are sorted.
 
     A word the abelianization admits is refused with
     :class:`~fgz.errors.EvaluationLimitError` before any ball is built if
@@ -302,12 +304,13 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
     w._check_evaluation_size(radius)
     rank = len(w.alphabet)
     sigma, coeff_ab = constraint
-    if sigma == 0:
-        buckets = _quotient_survivors(w._segments, rank, radius)
-    else:
-        target = tuple([-a // sigma for a in coeff_ab])
-        buckets = [_ball_buckets(rank, radius).get(target, ())]
     segments = w._segments
+    if sigma:
+        target = tuple([-a // sigma for a in coeff_ab])
+        bucket = _ball_buckets(rank, radius).get(target, ())
+        found = next((gd for gd in bucket if not _substitute(segments, gd)), None)
+        return [] if found is None else [Word(w.alphabet, found)]
+    buckets = _quotient_survivors(segments, rank, radius)
     sols = [
         Word(w.alphabet, gd) for gd in chain.from_iterable(buckets) if not _substitute(segments, gd)
     ]

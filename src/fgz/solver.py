@@ -2,13 +2,13 @@
 
 The solution set of ``w = 1`` is computed in coset normal form, in
 rounds at a discovery radius and a larger verification radius.  Each
-round takes the solutions in the verification ball.  When the variable
-occurs once or twice, :func:`exact_solution_set` gives the whole set in
-closed form (empty, one point, or one cyclic coset) and the solutions
-are its members in the ball.  Otherwise one walk of the ball with the
-brute-force oracle finds them; it evaluates only the ball elements that
-the abelianization or the image in the finite quotient PSL(2, 7) does
-not rule out.
+round takes the solutions in the verification ball.  When the body's
+cyclic core has the shape of a closed form, or the abelianization rules
+the word out, :func:`exact_solution_set` gives the whole set (empty, one
+point, or one cyclic coset) and the solutions are its members in the
+ball.  Otherwise one walk of the ball with the brute-force oracle finds
+them; it evaluates only the ball elements that the abelianization or the
+image in the finite quotient PSL(2, 7) does not rule out.
 
 The solutions inside the smaller discovery ball are a prefix of that
 shortlex-ordered list.  From an oracle walk, every pair of them proposes
@@ -26,16 +26,17 @@ Soundness is unconditional: every emitted component is proved, by
 parametric reduction or by the closed forms.  Completeness is certified
 only relative to the verification radius, which the report records; no
 effective bound on the number of components in terms of the word length
-is known for three or more occurrences, so no global claim is made.
+is known for three or more occurrences in the core; no global claim is made.
 
 A nonzero exponent sum sigma of the variable makes ``g -> w(g)`` injective,
-so ``w = 1`` has at most one solution and pairing never forms a pair.  In
-the lower central series G_1 = F, G_(i+1) = [G_i, F], each z in G_i is
-central modulo G_(i+1), so ``w(g z) = w(g) z^sigma`` modulo G_(i+1).  If
-``w(g) = w(h)`` and ``z = g^-1 h`` lies in G_i, then z^sigma lies in
-G_(i+1), and so does z, as ``G_i / G_(i+1)`` is free abelian.  From G_1 = F,
-z lies in every G_i, whose intersection is trivial (Magnus;
-Magnus-Karrass-Solitar, *Combinatorial Group Theory*, ch. 5), so g = h.
+so ``w = 1`` has at most one solution: the oracle walk stops at the first,
+and pairing never forms a pair.  In the lower central series G_1 = F,
+G_(i+1) = [G_i, F], each z in G_i is central modulo G_(i+1), so
+``w(g z) = w(g) z^sigma`` modulo G_(i+1).  If ``w(g) = w(h)`` and
+``z = g^-1 h`` lies in G_i, then z^sigma lies in G_(i+1), and so does z,
+as ``G_i / G_(i+1)`` is free abelian.  From G_1 = F, z lies in every G_i,
+whose intersection is trivial (Magnus; Magnus-Karrass-Solitar,
+*Combinatorial Group Theory*, ch. 5), so g = h.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import combinations, takewhile
 from .algset import AlgebraicSet, CyclicCoset, to_json_dict
 from .errors import BallLimitError, SolverError
 from .onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
-from .words import Word, _letters_text, check_ball_limit
+from .words import Word, _invert_data, _letters_text, check_ball_limit
 
 DEFAULT_DISCOVERY_RADIUS = 6
 #: Escalations of the discovery radius, by 2 each, before a persistent oracle mismatch is an error.
@@ -117,69 +118,68 @@ def verify_against_oracle(
     return OracleReport(not missing and not extra, missing, extra, radius)
 
 
+def _root(d: Word, m: int) -> Word | None:
+    """The m-th root of d, or None; unique, as a z with ``z^m = d`` commutes with d."""
+    if m == 1 or d.is_identity:
+        return d
+    dec = d.primitive_root()
+    return None if dec.exponent % m else dec.root ** (dec.exponent // m)
+
+
 def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
-    """The whole solution set of ``w = 1`` if the variable occurs once or twice, else None.
+    """The whole solution set of ``w = 1`` when the body's cyclic core has a closed form, else None.
 
-    Words the abelianization rules out (:func:`abelian_constraint`) get
-    the empty set at once.  Otherwise write the body as
-    ``c0 x^e1 c1 [x^e2 c2]`` and ``y = x^e1``; the closed forms follow from
-    unique roots and from conjugacy by cyclic rotation in a free group
-    (Lyndon-Schupp, *Combinatorial Group Theory*, ch. I):
+    None without the variable; the empty set at once if the abelianization
+    rules the word out (:func:`abelian_constraint`).  Otherwise take the
+    cyclic core of the body over the letters and x, invert it if it has no
+    ``x^+1``, and rotate it to begin at a syllable ``x^m``, m > 0.  Each step
+    keeps the solution set, as it conjugates or inverts ``w(g)``: the core v
+    of ``u v u^-1`` by ``u(g)``, a rotation ``q p = p^-1 (p q) p`` by ``p(g)``.
+    In a free group roots are unique (:func:`_root`), and cyclically reduced
+    conjugates are rotations of each other (Lyndon-Schupp, *Combinatorial
+    Group Theory*, ch. I).  So:
 
-    - one occurrence: ``c0 y c1 = 1`` has the one point
-      ``y = c0^-1 c1^-1``;
-    - same signs: ``c0 y c1 y c2 = 1`` says ``(y c1)^2 = d`` with
-      ``d = c0^-1 c2^-1 c1``.  A z with ``z^2 = d`` commutes with d, so
-      it is a power of the primitive root r of d; with ``d = r^k`` there
-      is one if k is even and none if k is odd, and z = 1 if d = 1.  So
-      there is at most one point;
-    - opposite signs: ``c0 y c1 y^-1 c2 = 1`` says ``y c1 y^-1 = d`` with
-      ``d = c0^-1 c2^-1``, and c1 != 1 as the body is reduced.  Write
-      ``c1 = u1 k1 u1^-1`` and ``d = ud kd ud^-1`` with k1, kd cyclically
-      reduced.  They are conjugate exactly when kd is a rotation
-      ``s t = t^-1 k1 t`` of ``k1 = t s``; then ``y0 = ud t^-1 u1^-1`` is
-      a solution, and y is one exactly when ``y0^-1 y`` centralizes c1,
-      that is ``y in y0<r>`` with r the primitive root of c1.  For
-      e1 = -1, ``x = y^-1`` runs over ``<r> y0^-1 = y0^-1<y0 r y0^-1>``.
-
-    So a set with a coset has no points, and the others have at most one.
-    Words without the variable, or with three or more occurrences, give
-    None.
+    - a core without x (m = 0) is a nontrivial coefficient word: empty;
+    - ``x^m c``: x is the m-th root of c^-1, if any;
+    - ``x c1 x c2``: ``y = x c1`` is the square root of ``c2^-1 c1``, if any;
+    - ``x c1 x^-1 c2``: with ``d = c2^-1 = ud kd ud^-1`` and ``c1 = u1 k1 u1^-1``
+      (k1, kd cyclically reduced), ``x c1 x^-1 = d`` is solvable exactly when
+      kd is a rotation ``s t = t^-1 k1 t`` of ``k1 = t s``, which one string
+      search finds in linear time.  The solutions are then ``x0<r>``, with
+      ``x0 = ud t^-1 u1^-1`` and r the primitive root of c1, as ``x0^-1 x``
+      must centralize c1.  Other cores give None.
     """
     data, vc = w.body.data, w._var_code
-    if not 0 < data.count(vc) + data.count(-vc) <= 2:
+    if vc not in data and -vc not in data:
         return None
     alphabet = w.alphabet
     if abelian_constraint(w) is None:
         return AlgebraicSet.empty(alphabet)
-    head, ((positive, run), *rest) = w._segments
-    c0, c1 = Word(alphabet, head), Word(alphabet, run)
-    if not rest:
-        y = ~(c1 * c0)
-        return AlgebraicSet(alphabet, (y if positive else ~y,))
-    ((positive2, run2),) = rest
-    d = ~(Word(alphabet, run2) * c0)
-    if positive == positive2:
-        d = d * c1
-        if d.is_identity:
-            z = d
-        else:
-            dec = d.primitive_root()
-            if dec.exponent % 2:
-                return AlgebraicSet.empty(alphabet)
-            z = dec.root ** (dec.exponent // 2)
-        y = z * ~c1
-        return AlgebraicSet(alphabet, (y if positive else ~y,))
-    c1_cyc, d_cyc = c1.cyclic_decomposition(), d.cyclic_decomposition()
+    core = w.body.cyclic_decomposition().core.data
+    if vc not in core:
+        core = _invert_data(core)
+    i = next((i for i, v in enumerate(core) if v == vc and core[i - 1] != vc), 0)
+    core = core[i:] + core[:i]
+    m = next((j for j, v in enumerate(core) if v != vc), len(core))
+    rest = core[m:]
+    hits = [j for j, v in enumerate(rest) if abs(v) == vc]
+    if not hits:
+        x = _root(Word(alphabet, _invert_data(rest)), m) if m else None
+        return AlgebraicSet(alphabet, () if x is None else (x,))
+    if m > 1 or len(hits) > 1:
+        return None
+    (j,) = hits
+    c1, c2 = Word(alphabet, rest[:j]), Word(alphabet, rest[j + 1 :])
+    if rest[j] == vc:
+        y = _root(~c2 * c1, 2)
+        return AlgebraicSet(alphabet, () if y is None else (y * ~c1,))
+    c1_cyc, d_cyc = c1.cyclic_decomposition(), (~c2).cyclic_decomposition()
     k1, kd = c1_cyc.core.data, d_cyc.core.data
-    # kd = k1[i:] + k1[:i] exactly when kd starts at i in k1 k1; a string search finds i in linear time
     shift = (_letters_text(k1) * 2).find(_letters_text(kd)) if len(k1) == len(kd) else -1
     if shift < 0:
         return AlgebraicSet.empty(alphabet)
-    y0 = d_cyc.conjugator * ~Word(alphabet, k1[:shift]) * ~c1_cyc.conjugator
-    r = c1.primitive_root().root
-    coset = CyclicCoset.make(y0, r) if positive else CyclicCoset.make(~y0, y0 * r * ~y0)
-    return AlgebraicSet(alphabet, (), (coset,))
+    x0 = d_cyc.conjugator * ~Word(alphabet, k1[:shift]) * ~c1_cyc.conjugator
+    return AlgebraicSet(alphabet, (), (CyclicCoset.make(x0, c1.primitive_root().root),))
 
 
 def _candidate_components(w: OneVarWord, discovered: list[Word]) -> tuple[list[CyclicCoset], list[Word]]:

@@ -460,6 +460,15 @@ class TestWholeGroup:
         assert s == WHOLE and s.points == () and s.cosets == ()
         assert s.member(w("b a^-2")) and not s.is_empty and str(s) == "whole group"
 
+    def test_points_over_another_alphabet_are_refused(self):
+        # the whole-group forms check each point's alphabet like any other set
+        foreign = (Word(ABC, (3,)),)
+        with pytest.raises(AlphabetError, match="point over a different alphabet"):
+            AlgebraicSet(AB, foreign, whole_group=True)
+        one = Alphabet(("a",))
+        with pytest.raises(AlphabetError, match="point over a different alphabet"):
+            AlgebraicSet(one, foreign, (CyclicCoset.make(parse_word("a", one), parse_word("a", one)),))
+
     def test_members_within_is_the_ball(self):
         for radius in range(5):
             assert WHOLE.members_within(radius) == set(enumerate_ball(AB, radius))

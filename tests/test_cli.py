@@ -280,18 +280,25 @@ class TestInvocation:
         assert "1,001,000" in err and f"{MAX_PARSE_LETTERS:,}" in err
 
     def test_long_oracle_evaluation_fails_at_once(self, capsys, monkeypatch):
-        # 500,000 occurrences of x: a point of length 8 expands to 4,500,000
-        # letters, and without the limit the oracle evaluates for about 25 s
+        # 500,000 occurrences of x in two syllables, no closed form: a point of
+        # length 8 expands to 4,000,002 letters, refused before the oracle walk
         def no_evaluation(*args):
             raise AssertionError("evaluated")
 
         monkeypatch.setattr("fgz.onevar._substitute", no_evaluation)
         start = time.perf_counter()
-        code, out, err = run(capsys, "--alphabet", "a,b", "solve", "x^500000 a^500000")
+        code, out, err = run(capsys, "--alphabet", "a,b", "solve", "x^250000 a x^250000 a^-1")
         assert time.perf_counter() - start < 5
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "4,500,000" in err and f"{MAX_PARSE_LETTERS:,}" in err
+        assert "4,000,002" in err and f"{MAX_PARSE_LETTERS:,}" in err
+
+    def test_one_long_syllable_is_solved_in_closed_form(self, capsys):
+        # x^500000 = a^-500000 has the one root a^-1; the oracle would refuse the word
+        start = time.perf_counter()
+        payload = run_json(capsys, "--alphabet", "a,b", "solve", "x^500000 a^500000")
+        assert time.perf_counter() - start < 5
+        assert (payload["points"], payload["cosets"], payload["whole_group"]) == (["a^-1"], [], False)
 
     def test_eval_at_the_limit(self, capsys):
         code, out, _ = run(capsys, "--alphabet", "a,b", "eval", "x^1000", "a^1000")

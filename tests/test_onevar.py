@@ -179,6 +179,20 @@ class TestBruteSolutions:
         assert brute_solutions(ov("x a x^-1 b"), 5) == []  # sigma = 0, ab(c) != 0
         assert brute_solutions(ov("x^2 a b^2"), 5) == []  # sigma = 2 does not divide ab(c)
 
+    def test_nonzero_exponent_sum_stops_at_the_first_solution(self, monkeypatch):
+        # sigma != 0 allows one solution at most; the bucket ab(g) = (1, 0) at
+        # radius 5 has 19 elements, and its shortlex first, a, solves x a^-1
+        calls = []
+
+        def counting(segments, gd):
+            calls.append(gd)
+            return substitute(segments, gd)
+
+        substitute = onevar._substitute
+        monkeypatch.setattr(onevar, "_substitute", counting)
+        assert brute_solutions(ov("x a^-1"), 5) == [w("a")]
+        assert calls == [(1,)]
+
     def test_evaluation_size_is_limited(self, monkeypatch):
         # |w| - k + k * radius letters: 999,999 - 1 + 2 = 1,000,000 is at the limit
         word = ov("x a^-1 b^499998 a b^-499998")

@@ -1,0 +1,38 @@
+"""README's shell examples: each ``$ fgz ...`` line of a ``sh`` block, run
+through :func:`fgz.cli.main`, exits 0 and prints exactly the lines that
+follow it in the block."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from fgz.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _examples() -> list[tuple[str, str]]:
+    """``(command, expected stdout)`` for each ``$ `` line of README's ``sh`` blocks."""
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S):
+        for example in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = example.partition("\n")
+            examples.append((command, output))
+    return examples
+
+
+EXAMPLES = _examples()
+
+
+def test_readme_shows_examples():
+    assert len(EXAMPLES) >= 6
+
+
+@pytest.mark.parametrize("command, expected", EXAMPLES, ids=[command for command, _ in EXAMPLES])
+def test_example_prints_what_readme_shows(command, expected, capsys):
+    program, *argv = shlex.split(command)
+    assert program == "fgz"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected

@@ -48,9 +48,9 @@ def test_universe_matches_reference(name):
     assert not mismatched, f"{len(mismatched)} outputs differ from the reference, first: {mismatched[:5]}"
 
 
-@pytest.mark.parametrize("name, covered, grown", [("corpus-solve", 19_760, 5), ("coset-solve", 8_480, 1_728)])
+@pytest.mark.parametrize("name, covered, grown", [("corpus-solve", 19_779, 5), ("coset-solve", 8_480, 1_728)])
 def test_radius_answer_lies_in_the_exact_set(name, covered, grown):
-    """Each solve entry whose word has one or two variable occurrences:
+    """Each solve entry whose word has a closed-form solution set:
     the radius answer is a subset of the whole solution set, and equal to
     it but for ``grown`` entries, whose sets reach past the radius."""
     workloads = _load_workloads()

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fgz import solver as solver_module
@@ -293,6 +293,13 @@ class TestExactSolutionSet:
             ("x^-1 a x b a^-1 b^-1", [], [("b^-1", "b a b^-1")]),
             ("x a b a^-1 b^-1 x^-1 a b a^-1 b^-1", [], []),  # admitted, but not conjugate
             ("x a x^-1 b^-1", [], []),  # ruled out by the abelianization
+            ("x^3 a^6", ["a^-2"], []),  # one syllable: the cube root of a^-6
+            ("x^-3 a^6", ["a^2"], []),  # inverted to x^3 a^-6
+            ("x^4 a b^-1 a^-1 b", [], []),  # admitted, but no fourth power
+            ("a x b x^-2 a^-1", ["b"], []),  # cyclic core b x^-1
+            ("x a x^-1", [], []),  # core a, without x
+            ("x a b a^-1 b^-1 x^-1", [], []),  # core without x, admitted
+            ("x a x b x", [], []),  # three occurrences, ruled out by the abelianization
         ],
     )
     def test_closed_forms(self, text, points, cosets):
@@ -300,8 +307,15 @@ class TestExactSolutionSet:
         assert exact_solution_set(ov(text)) == expected
 
     def test_none_without_a_closed_form(self):
-        assert exact_solution_set(ov("x a x b x")) is None
+        assert exact_solution_set(ov("x a x a x a")) is None  # three syllables, admitted
+        assert exact_solution_set(ov("x^2 a x a^2")) is None  # a syllable x^2 and one more occurrence
         assert exact_solution_set(ov("a b")) is None
+
+    def test_one_long_syllable_in_linear_time(self):
+        word = ov("x^500000 a^500000")
+        start = time.perf_counter()
+        assert exact_solution_set(word) == AlgebraicSet(AB, (w("a^-1"),))
+        assert time.perf_counter() - start < 1
 
     def test_long_cores_are_matched_in_linear_time(self):
         # cores of 100,002 letters: trying each rotation in turn would compare
@@ -337,6 +351,22 @@ class TestExactSolutionSet:
             return
         radius = 5 if alphabet is AB else 4
         assert sorted(exact.members_within(radius), key=Word.sort_key) == brute_solutions(word, radius)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(data=st.data())
+    def test_conjugated_bodies_keep_the_set(self, data):
+        # p w p^-1 for p over the letters and x: three or more occurrences,
+        # but the cyclic core, and so the solution set, of w
+        alphabet = data.draw(st.sampled_from((AB, ABC)))
+        word = data.draw(planted_words(alphabet))
+        var = len(alphabet) + 1
+        pieces = [data.draw(reduced_data(var, 3)), (data.draw(st.sampled_from((var, -var))),)]
+        p = Word(word.body.alphabet, _reduce_data(pieces + [data.draw(reduced_data(var, 3))]))
+        conjugated = OneVarWord.from_body(p * word.body * ~p)
+        assume(word.contains_variable and sum(abs(v) == var for v in conjugated.body.data) >= 3)
+        exact = exact_solution_set(conjugated)
+        assert exact == exact_solution_set(word)
+        assert sorted(exact.members_within(4), key=Word.sort_key) == brute_solutions(conjugated, 4)
 
 
 def ordered_pair_components(w, discovered):
