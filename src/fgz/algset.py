@@ -28,7 +28,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import AlphabetError, ParseError, RootError
-from .onevar import ConcreteBlock, ParametricWord, PowerBlock, reduce_parametric
+from .onevar import ParametricWord, PowerBlock, reduce_parametric
 from .words import Alphabet, Word, _concat_data, _invert_data, _reduce_data, enumerate_ball, parse_word
 
 
@@ -239,7 +239,7 @@ def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
     if c1.root == c2.root:
         return AlgebraicSet.empty(alphabet)
     h, r1, r2 = ~c2.rep * c1.rep, c1.root, c2.root
-    blocks = (ConcreteBlock(h), PowerBlock(1, 0), ConcreteBlock(r2), PowerBlock(-1, 0), ConcreteBlock(~h * ~r2))
+    blocks = (h, PowerBlock(1, 0), r2, PowerBlock(-1, 0), ~h * ~r2)
     found = reduce_parametric(ParametricWord(alphabet, r1, blocks))
     if found.all_integers or len(found.values) > 1:
         raise AssertionError(f"{c1} and {c2} share {found}, but centralizers in a free group are cyclic")

@@ -320,13 +320,6 @@ def brute_solutions(w: OneVarWord, radius: int) -> list[Word]:
 
 
 @dataclass(frozen=True)
-class ConcreteBlock:
-    """A fixed nontrivial coefficient segment."""
-
-    word: Word
-
-
-@dataclass(frozen=True)
 class PowerBlock:
     """``root ** (alpha * n + beta)`` for the formal integer n and the root of its :class:`ParametricWord`."""
 
@@ -337,7 +330,8 @@ class PowerBlock:
         return self.alpha * n + self.beta
 
 
-Block = Union[ConcreteBlock, PowerBlock]
+#: A block is a concrete coefficient word or a power of the root.
+Block = Union[Word, PowerBlock]
 
 
 def _exact_power_exponent(word: Word, root: Word) -> int | None:
@@ -359,14 +353,14 @@ def _normalize_blocks(root: Word, blocks: Iterable[Block]) -> tuple[Word, tuple[
     the only one; neither ``at`` nor ``reduce_parametric`` depends on it.
     """
     cyc = root.cyclic_decomposition()
-    core, u, ui = cyc.core, ConcreteBlock(cyc.conjugator), ConcreteBlock(~cyc.conjugator)
+    core, u, ui = cyc.core, cyc.conjugator, ~cyc.conjugator
     spliced = chain.from_iterable((u, b, ui) if isinstance(b, PowerBlock) else (b,) for b in blocks)
     out: list[Block] = []
     for item in spliced:
         while True:
             if isinstance(item, PowerBlock) and item.alpha == 0:
-                item = ConcreteBlock(core ** item.beta)
-            if isinstance(item, ConcreteBlock) and not item.word.data:
+                item = core ** item.beta
+            if isinstance(item, Word) and not item.data:
                 break
             merged = _merge(out[-1], item, core) if out else None
             if merged is None:
@@ -380,16 +374,16 @@ def _normalize_blocks(root: Word, blocks: Iterable[Block]) -> tuple[Word, tuple[
 def _merge(left: Block, right: Block, root: Word) -> Block | None:
     """One block equal to ``left`` times ``right`` for every n, or None.
 
-    Concretes multiply, powers add exponents, and a concrete that is an
+    Words multiply, powers add exponents, and a word that is an
     exact power of ``root`` joins the power next to it (on either side, as
     powers of one root commute).
     """
-    if isinstance(left, ConcreteBlock) and isinstance(right, ConcreteBlock):
-        return ConcreteBlock(left.word * right.word)
+    if isinstance(left, Word) and isinstance(right, Word):
+        return left * right
     if isinstance(left, PowerBlock) and isinstance(right, PowerBlock):
         return PowerBlock(left.alpha + right.alpha, left.beta + right.beta)
     power, concrete = (left, right) if isinstance(left, PowerBlock) else (right, left)
-    k = _exact_power_exponent(concrete.word, root)
+    k = _exact_power_exponent(concrete, root)
     return None if k is None else PowerBlock(power.alpha, power.beta + k)
 
 
@@ -424,7 +418,7 @@ class ParametricWord:
     def at(self, n: int) -> Word:
         """Concrete value at integer n."""
         pieces = [
-            b.word.data if isinstance(b, ConcreteBlock) else (self.root ** b.exponent_at(n)).data
+            b.data if isinstance(b, Word) else (self.root ** b.exponent_at(n)).data
             for b in self.blocks
         ]
         return Word(self.alphabet, _reduce_data(pieces))
@@ -432,8 +426,8 @@ class ParametricWord:
     def __repr__(self) -> str:
         parts = []
         for block in self.blocks:
-            if isinstance(block, ConcreteBlock):
-                parts.append(str(block.word))
+            if isinstance(block, Word):
+                parts.append(str(block))
             else:
                 parts.append(f"({self.root})^({block.alpha}n{block.beta:+d})")
         return "<ParametricWord " + (" . ".join(parts) or "1") + ">"
@@ -468,13 +462,13 @@ def substitute_line(w: OneVarWord, base: Word, root: Word) -> ParametricWord:
     if base.alphabet != w.alphabet or root.alphabet != w.alphabet:
         raise AlphabetError("base and root must be over the coefficient alphabet")
     head, steps = w._segments
-    blocks: list[Block] = [ConcreteBlock(Word(w.alphabet, head))]
+    blocks: list[Block] = [Word(w.alphabet, head)]
     for positive, run in steps:
         if positive:
-            blocks += (ConcreteBlock(base), PowerBlock(1, 0))
+            blocks += (base, PowerBlock(1, 0))
         else:
-            blocks += (PowerBlock(-1, 0), ConcreteBlock(~base))
-        blocks.append(ConcreteBlock(Word(w.alphabet, run)))
+            blocks += (PowerBlock(-1, 0), ~base)
+        blocks.append(Word(w.alphabet, run))
     return ParametricWord(w.alphabet, root, blocks)
 
 
@@ -505,12 +499,12 @@ def reduce_parametric(pw: ParametricWord) -> LineSolutionSet:
     r = len(pw.root)
     candidates: set[int] = set()
     for i, p in enumerate(pw.blocks):
-        if isinstance(p, ConcreteBlock):
+        if isinstance(p, Word):
             continue
         room = 0
         for side in (pw.blocks[max(i - 2, 0) : i][::-1], pw.blocks[i + 1 : i + 3]):
             if side:
-                room += len(side[0].word) + (r - 1) * (len(side) - 1)
+                room += len(side[0]) + (r - 1) * (len(side) - 1)
         bound = room // r
         lo, hi = -bound - p.beta, bound - p.beta
         if p.alpha > 0:

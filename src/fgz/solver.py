@@ -147,7 +147,11 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
       kd is a rotation ``s t = t^-1 k1 t`` of ``k1 = t s``, which one string
       search finds in linear time.  The solutions are then ``x0<r>``, with
       ``x0 = ud t^-1 u1^-1`` and r the primitive root of c1, as ``x0^-1 x``
-      must centralize c1.  Other cores give None.
+      must centralize c1.
+
+    A core of no such shape that is a proper power ``v^k`` is split again as
+    v, its primitive root, which keeps the start at ``x^m``: F is torsion-free,
+    so ``v(g)^k = 1`` exactly when ``v(g) = 1``.  Other cores give None.
     """
     data, vc = w.body.data, w._var_code
     if vc not in data and -vc not in data:
@@ -160,14 +164,19 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
         core = _invert_data(core)
     i = next((i for i, v in enumerate(core) if v == vc and core[i - 1] != vc), 0)
     core = core[i:] + core[:i]
-    m = next((j for j, v in enumerate(core) if v != vc), len(core))
-    rest = core[m:]
-    hits = [j for j, v in enumerate(rest) if abs(v) == vc]
-    if not hits:
-        x = _root(Word(alphabet, _invert_data(rest)), m) if m else None
-        return AlgebraicSet(alphabet, () if x is None else (x,))
-    if m > 1 or len(hits) > 1:
-        return None
+    while True:
+        m = next((j for j, v in enumerate(core) if v != vc), len(core))
+        rest = core[m:]
+        hits = [j for j, v in enumerate(rest) if abs(v) == vc]
+        if not hits:
+            x = _root(Word(alphabet, _invert_data(rest)), m) if m else None
+            return AlgebraicSet(alphabet, () if x is None else (x,))
+        if m == 1 and len(hits) == 1:
+            break
+        dec = Word(w.body.alphabet, core).primitive_root()
+        if dec.exponent == 1:
+            return None
+        core = dec.root.data
     (j,) = hits
     c1, c2 = Word(alphabet, rest[:j]), Word(alphabet, rest[j + 1 :])
     if rest[j] == vc:

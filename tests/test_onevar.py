@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from fgz import onevar
 from fgz.errors import AlphabetError, EvaluationLimitError, RootError
 from fgz.onevar import (
-    ConcreteBlock,
     LineSolutionSet,
     OneVarWord,
     ParametricWord,
@@ -356,9 +355,9 @@ class TestSubstituteLine:
         assert pw.root == w("a")
         assert pw.blocks == (
             PowerBlock(1, 0),
-            ConcreteBlock(w("b")),
+            w("b"),
             PowerBlock(-1, 0),
-            ConcreteBlock(w("b^-1")),
+            w("b^-1"),
         )
 
     def test_exponent_shift(self):
@@ -393,27 +392,27 @@ def fixpoint_normalized(alphabet, root, blocks):
     core, u = cyc.core, cyc.conjugator
     items = []
     for block in blocks:
-        if isinstance(block, ConcreteBlock):
+        if isinstance(block, Word):
             items.append(block)
         else:
-            items += [ConcreteBlock(u), block, ConcreteBlock(~u)]
+            items += [u, block, ~u]
     changed = True
     while changed:
         changed = False
         out = []
         for item in items:
             if isinstance(item, PowerBlock) and item.alpha == 0:
-                item = ConcreteBlock(core ** item.beta)
+                item = core ** item.beta
                 changed = True
-            if isinstance(item, ConcreteBlock) and not item.word.data:
+            if isinstance(item, Word) and not item.data:
                 changed = True
                 continue
             if out:
                 last = out[-1]
-                if isinstance(last, ConcreteBlock) and isinstance(item, ConcreteBlock):
-                    merged = last.word * item.word
+                if isinstance(last, Word) and isinstance(item, Word):
+                    merged = last * item
                     if merged.data:
-                        out[-1] = ConcreteBlock(merged)
+                        out[-1] = merged
                     else:
                         out.pop()
                     changed = True
@@ -422,14 +421,14 @@ def fixpoint_normalized(alphabet, root, blocks):
                     out[-1] = PowerBlock(last.alpha + item.alpha, last.beta + item.beta)
                     changed = True
                     continue
-                if isinstance(last, PowerBlock) and isinstance(item, ConcreteBlock):
-                    k = onevar._exact_power_exponent(item.word, core)
+                if isinstance(last, PowerBlock) and isinstance(item, Word):
+                    k = onevar._exact_power_exponent(item, core)
                     if k is not None:
                         out[-1] = PowerBlock(last.alpha, last.beta + k)
                         changed = True
                         continue
-                if isinstance(last, ConcreteBlock) and isinstance(item, PowerBlock):
-                    k = onevar._exact_power_exponent(last.word, core)
+                if isinstance(last, Word) and isinstance(item, PowerBlock):
+                    k = onevar._exact_power_exponent(last, core)
                     if k is not None:
                         out[-1] = PowerBlock(item.alpha, item.beta + k)
                         changed = True
@@ -458,7 +457,7 @@ def raw_blocks(draw):
     whose alphas cancel between concretes."""
     small = st.integers(-2, 2)
     root = draw(st.sampled_from(ROOT_POOL))
-    concrete = reduced_data(2, 3).map(lambda d: ConcreteBlock(Word(AB, d)))
+    concrete = reduced_data(2, 3).map(lambda d: Word(AB, d))
     blocks = []
     for _ in range(draw(st.integers(0, 5))):
         power = PowerBlock(draw(small), draw(small))
@@ -468,9 +467,9 @@ def raw_blocks(draw):
         elif kind == "concrete":
             blocks.append(draw(concrete))
         elif kind == "left":
-            blocks += [ConcreteBlock(root ** draw(small)), power]
+            blocks += [root ** draw(small), power]
         elif kind == "right":
-            blocks += [power, ConcreteBlock(root ** draw(small))]
+            blocks += [power, root ** draw(small)]
         else:
             blocks += [draw(concrete), power, PowerBlock(-power.alpha, draw(small)), draw(concrete)]
     return root, blocks
@@ -480,7 +479,7 @@ def raw_value(root, blocks, n):
     """The raw blocks multiplied out at n, without normalization."""
     value = root.alphabet.identity()
     for b in blocks:
-        value = value * (b.word if isinstance(b, ConcreteBlock) else root ** b.exponent_at(n))
+        value = value * (b if isinstance(b, Word) else root ** b.exponent_at(n))
     return value
 
 
@@ -514,19 +513,19 @@ class TestNormalization:
             root = random_word(rng, AB, 3, min_len=1).primitive_root().root
             pw = substitute_line(word, base, root)
             assert pw.root == root.cyclic_decomposition().core
-            kinds = [isinstance(block, ConcreteBlock) for block in pw.blocks]
+            kinds = [isinstance(block, Word) for block in pw.blocks]
             assert all(left != right for left, right in zip(kinds, kinds[1:]))
             for block in pw.blocks:
-                if isinstance(block, ConcreteBlock):
-                    assert block.word.data
+                if isinstance(block, Word):
+                    assert block.data
                 else:
                     assert block.alpha != 0
 
     def test_idempotent(self):
         blocks = (
-            ConcreteBlock(w("a b")),
+            w("a b"),
             PowerBlock(2, 1),
-            ConcreteBlock(w("b a^-1")),
+            w("b a^-1"),
         )
         once = ParametricWord(AB, w("b a b^-1"), blocks)
         twice = ParametricWord(AB, once.root, once.blocks)
@@ -534,9 +533,9 @@ class TestNormalization:
 
     def test_conjugated_root_is_spliced(self):
         # (b a b^-1)^n b a^-1 = b a^n b^-1 b a^-1 = b a^(n-1)
-        pw = ParametricWord(AB, w("b a b^-1"), (PowerBlock(1, 0), ConcreteBlock(w("b a^-1"))))
+        pw = ParametricWord(AB, w("b a b^-1"), (PowerBlock(1, 0), w("b a^-1")))
         assert pw.root == w("a")
-        assert pw.blocks == (ConcreteBlock(w("b")), PowerBlock(1, -1))
+        assert pw.blocks == (w("b"), PowerBlock(1, -1))
 
     @pytest.mark.parametrize("root", ["b a", "a^-1", "b^-1 a^-1"])
     def test_cyclically_reduced_root_is_kept(self, root):
@@ -558,7 +557,7 @@ class TestNormalization:
             raw = []
             for _ in range(rng.randint(0, 5)):
                 if rng.random() < 0.5:
-                    raw.append(ConcreteBlock(random_word(rng, AB, 3)))
+                    raw.append(random_word(rng, AB, 3))
                 else:
                     raw.append(PowerBlock(rng.randint(-2, 2), rng.randint(-2, 2)))
             pw = ParametricWord(AB, root, tuple(raw))
@@ -572,9 +571,9 @@ class TestReduceParametric:
     def test_all_integers(self):
         blocks = (
             PowerBlock(1, 0),
-            ConcreteBlock(w("a")),
+            w("a"),
             PowerBlock(-1, 0),
-            ConcreteBlock(w("a^-1")),
+            w("a^-1"),
         )
         pw = ParametricWord(AB, w("a"), blocks)
         assert reduce_parametric(pw) == LineSolutionSet.everything()
@@ -584,9 +583,9 @@ class TestReduceParametric:
     def test_single_exceptional_point(self):
         blocks = (
             PowerBlock(1, 0),
-            ConcreteBlock(w("b")),
+            w("b"),
             PowerBlock(-1, 0),
-            ConcreteBlock(w("b^-1")),
+            w("b^-1"),
         )
         assert reduce_parametric(ParametricWord(AB, w("a"), blocks)) == LineSolutionSet.finite([0])
 
@@ -595,7 +594,7 @@ class TestReduceParametric:
         assert reduce_parametric(pw) == LineSolutionSet.finite([1])
 
     def test_pure_concrete_never_vanishes(self):
-        pw = ParametricWord(AB, w("a"), (ConcreteBlock(w("a b")),))
+        pw = ParametricWord(AB, w("a"), (w("a b"),))
         assert reduce_parametric(pw) == LineSolutionSet.finite([])
 
     def test_matches_concrete_evaluation(self):
@@ -629,7 +628,7 @@ class TestReduceParametric:
             if data.draw(st.integers(0, 4)) == 0:
                 y = Word(alphabet, data.draw(reduced_data(len(alphabet), 2)))
             power = PowerBlock(data.draw(st.sampled_from((1, -1, 2, -2, 3))), data.draw(st.integers(-9, 9)))
-            blocks += [ConcreteBlock(x), power, ConcreteBlock(y)]
+            blocks += [x, power, y]
         pw = ParametricWord(alphabet, root, blocks)
         solutions = reduce_parametric(pw)
         assert all(pw.at(n).is_identity for n in solutions.values)
@@ -650,7 +649,7 @@ class TestReduceParametric:
         power = core ** k
         prefix, suffix = Word(alphabet, power.data[:cut]), Word(alphabet, power.data[cut:])
         alpha, n_star = data.draw(st.sampled_from((1, -1, 2, -2))), data.draw(st.integers(-5, 5))
-        blocks = (ConcreteBlock(~prefix), PowerBlock(alpha, k - alpha * n_star), ConcreteBlock(~suffix))
+        blocks = (~prefix, PowerBlock(alpha, k - alpha * n_star), ~suffix)
         pw = ParametricWord(alphabet, core, blocks)
         assert reduce_parametric(pw) == LineSolutionSet.finite([n_star])
         assert [n for n in range(n_star - 12, n_star + 13) if pw.at(n).is_identity] == [n_star]
@@ -677,11 +676,11 @@ class TestReduceParametric:
         assert abs(e1) * len(r) > len(c0) + len(c1) and abs(e2) * len(r) > len(c1) + len(c2)
         a1, a2 = alphas
         blocks = (
-            ConcreteBlock(c0),
+            c0,
             PowerBlock(a1, e1 - a1 * n_star),
-            ConcreteBlock(c1),
+            c1,
             PowerBlock(a2, e2 - a2 * n_star),
-            ConcreteBlock(c2),
+            c2,
         )
         pw = ParametricWord(ABC, r, blocks)
         assert pw.blocks == blocks
@@ -707,11 +706,11 @@ class TestReduceParametric:
         assert len(c1) + len(c2) < len(r) <= len(c1) + len(c2) + term < 2 * len(r)
         a1, a2 = alphas
         blocks = (
-            ConcreteBlock(c0),
+            c0,
             PowerBlock(a1, e - a1 * n_star),
-            ConcreteBlock(c1),
+            c1,
             PowerBlock(a2, -1 - a2 * n_star),
-            ConcreteBlock(c2),
+            c2,
         )
         pw = ParametricWord(AB, r, blocks)
         assert pw.blocks == blocks

@@ -1,6 +1,10 @@
-"""README's shell examples: each ``$ fgz ...`` line of a ``sh`` block, run
-through :func:`fgz.cli.main`, exits 0 and prints exactly the lines that
-follow it in the block."""
+"""README's examples.
+
+Each ``$ fgz ...`` line of a ``sh`` block, run through :func:`fgz.cli.main`,
+exits 0 and prints exactly the lines that follow it in the block.  Each
+``python`` block runs as a script and prints, line by line, the
+``# expected`` comments of its ``print`` calls.
+"""
 
 import re
 import shlex
@@ -13,10 +17,15 @@ from fgz.cli import main
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _blocks(language: str) -> list[str]:
+    """The body of each of README's fenced blocks in ``language``."""
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
 def _examples() -> list[tuple[str, str]]:
     """``(command, expected stdout)`` for each ``$ `` line of README's ``sh`` blocks."""
     examples = []
-    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S):
+    for block in _blocks("sh"):
         for example in re.split(r"^\$ ", block, flags=re.M)[1:]:
             command, _, output = example.partition("\n")
             examples.append((command, output))
@@ -36,3 +45,13 @@ def test_example_prints_what_readme_shows(command, expected, capsys):
     assert program == "fgz"
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_python_examples_print_their_comments(capsys):
+    blocks = _blocks("python")
+    assert blocks
+    for block in blocks:
+        expected = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+        assert expected
+        exec(compile(block, str(README), "exec"), {})
+        assert capsys.readouterr().out.splitlines() == expected

@@ -186,11 +186,11 @@ class TestSolvePipeline:
         assert solve(ov("x a^-5"), SolveConfig(discovery_radius=3, verify_radius=5)).escalations == 1
 
     def test_oversize_discovery(self, monkeypatch):
-        # four occurrences, so pairing runs: a^m for |m| <= 6 are 13 solutions
+        # four occurrences and no proper power, so pairing runs: a^m for |m| <= 6 are 13 solutions
         monkeypatch.setattr(solver_module, "MAX_PAIRS", 10)
         message = r"oversize discovery: 13 ball solutions .* is over MAX_PAIRS = 10; re-run with a smaller discovery radius"
         with pytest.raises(SolverError, match=message):
-            solve(ov("x a x^-1 a^-1 x a x^-1 a^-1"), SolveConfig(discovery_radius=6))
+            solve(ov("x a x^-1 a^-1 x a^2 x^-1 a^-2"), SolveConfig(discovery_radius=6))
 
     def test_an_exact_set_forms_no_pairs(self, monkeypatch):
         # 13 discovered solutions, yet no pair limit applies
@@ -300,6 +300,8 @@ class TestExactSolutionSet:
             ("x a x^-1", [], []),  # core a, without x
             ("x a b a^-1 b^-1 x^-1", [], []),  # core without x, admitted
             ("x a x b x", [], []),  # three occurrences, ruled out by the abelianization
+            ("x a x a x a", ["a^-1"], []),  # the cube of x a, which is 1 exactly when x a is
+            ("x a x^-1 a^-1 x a x^-1 a^-1", [], [("1", "a")]),  # the square of a commutator
         ],
     )
     def test_closed_forms(self, text, points, cosets):
@@ -307,7 +309,7 @@ class TestExactSolutionSet:
         assert exact_solution_set(ov(text)) == expected
 
     def test_none_without_a_closed_form(self):
-        assert exact_solution_set(ov("x a x a x a")) is None  # three syllables, admitted
+        assert exact_solution_set(ov("x a x^-1 a^-1 x a^2 x^-1 a^-2")) is None  # four occurrences, no proper power
         assert exact_solution_set(ov("x^2 a x a^2")) is None  # a syllable x^2 and one more occurrence
         assert exact_solution_set(ov("a b")) is None
 

@@ -3,17 +3,20 @@
 ``-O`` strips ``assert`` statements, so a construction check written as
 one would silently stop checking.  The package raises AssertionError
 explicitly instead; a test parses every module and fails on any
-``assert`` statement.  Another keeps the export list ``fgz.__all__``
-honest: each name once, each one there.
+``assert`` statement.  Others keep the export list ``fgz.__all__``
+honest: each name once, each one there, and no name beyond those README's
+quickstart imports from the package root.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import fgz
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fgz"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fgz"
 
 
 def test_no_assert_statements_in_the_package():
@@ -32,3 +35,9 @@ def test_every_exported_name_resolves_once():
     repeated = [name for name, count in Counter(fgz.__all__).items() if count > 1]
     missing = [name for name in fgz.__all__ if not hasattr(fgz, name)]
     assert not repeated and not missing, f"repeated: {repeated}, missing: {missing}"
+
+
+def test_root_exports_exactly_the_quickstart_names():
+    imports = re.findall(r"^from fgz import (.+)$", (ROOT / "README.md").read_text(), re.M)
+    quickstart = {name.strip() for line in imports for name in line.split(",")}
+    assert quickstart and set(fgz.__all__) == quickstart
