@@ -27,9 +27,11 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import AlphabetError, ParseError, RootError
+from .errors import AlphabetError, BallLimitError, ParseError, RootError
 from .onevar import ParametricWord, PowerBlock, reduce_parametric
-from .words import Alphabet, Word, _concat_data, _invert_data, _reduce_data, enumerate_ball, parse_word
+from .words import (
+    MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _reduce_data, enumerate_ball, parse_word
+)
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,19 @@ class CyclicCoset:
         ``|rep root^m| >= |root^m| - |rep| = 2|u| + |m| |core| - |rep|``,
         so they lie in the window ``|m| <= (length + |rep| - 2|u|) // |core|``,
         which always holds m = 0.  One running product walks it.  The rep is
-        the shortest element, so a shorter ``length`` gives none.
+        the shortest element, so a shorter ``length`` gives none.  Before the
+        walk, a window of ``2 window + 1 <= 4 length + 1`` elements that may
+        keep over :data:`~fgz.words.MAX_BALL_LETTERS` letters is refused.
         """
         if len(self.rep) > length:
             return []
         cyc = self.root.cyclic_decomposition()
         window = max(0, (length + len(self.rep) - 2 * len(cyc.conjugator)) // len(cyc.core))
+        if (letters := (2 * window + 1) * length) > MAX_BALL_LETTERS:
+            raise BallLimitError(
+                f"coset {self} within length {length:,} has a window of {2 * window + 1:,} elements "
+                f"that may keep {letters:,} letters, over the limit of {MAX_BALL_LETTERS:,}"
+            )
         walk = accumulate(repeat(self.root, 2 * window), mul, initial=self.rep * self.root ** -window)
         return [g for g in walk if len(g) <= length]
 

@@ -158,6 +158,14 @@ def _run(args) -> int:
     elif cmd == "embed-check":
         target = Alphabet(tuple(part.strip() for part in args.target.split(",") if part.strip()))
         report = check_mono_on_ball(alphabet, target, args.radius)
+        payload = {
+            "indices": report.index_count,
+            "ball": report.ball_size,
+            "checked": report.checked,
+            "failures": list(report.failures),
+            "injective": report.injective,
+            "fixes_common_letters": report.fixes_common_letters,
+        }
         text = (
             f"indices: {report.index_count}\n"
             f"ball: {report.ball_size}\n"
@@ -166,7 +174,7 @@ def _run(args) -> int:
             f"fixes common letters: {str(report.fixes_common_letters).lower()}\n"
             + ("failures:\n  " + "\n  ".join(report.failures) if report.failures else "failures: none")
         )
-        _emit(report.to_json_dict(), text, args.json)
+        _emit(payload, text, args.json)
     elif cmd == "separate":
         word = parse_word(args.WORD, alphabet)
         rep = separate(word)

@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import AlphabetError, IdentityWordError
+from .errors import AlphabetError, BallLimitError, IdentityWordError
 from .words import (
-    Alphabet, Word, _ball_data, _ball_layers, _concat_data, _invert_data, _reduce_data, _signed_code_table
+    MAX_BALL_LETTERS, Alphabet, Word, _ball_data, _ball_layers, _ball_letters, _concat_data, _invert_data,
+    _reduce_data, _signed_code_table,
 )
 
 
@@ -104,9 +105,6 @@ def _support_mask(data: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class EmbedCheckReport:
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    radius: int
     index_count: int
     ball_size: int
     checked: int
@@ -117,16 +115,6 @@ class EmbedCheckReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "indices": self.index_count,
-            "ball": self.ball_size,
-            "checked": self.checked,
-            "failures": list(self.failures),
-            "injective": self.injective,
-            "fixes_common_letters": self.fixes_common_letters,
-        }
 
 
 def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> EmbedCheckReport:
@@ -154,9 +142,12 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
     For each distinct table, one walk over the int-coded ball, from
     prefix to word (:func:`~fgz.words._ball_layers`), gives each
     element's image (the prefix's times the letter's): the value
-    ``Homomorphism.apply`` gives.  Failures are listed by ball index,
-    which is shortlex order, so the report is the one a loop over
-    ``enumerate_ball`` gives.  Words are built only for failure messages.
+    ``Homomorphism.apply`` gives.  Tables send letters to letters, so the
+    walks keep the ball's letters once per table, and more than
+    :data:`~fgz.words.MAX_BALL_LETTERS` in all are refused before them.
+    Failures are listed by ball index, which is shortlex order, so the
+    report is the one a loop over ``enumerate_ball`` gives.  Words are
+    built only for failure messages.
 
     Checks: the restriction of phi to the ball is injective; for every
     nontrivial h the coordinate at index h is nontrivial; every
@@ -176,6 +167,11 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
     for g in firsts:
         table = tuple(build_phi_g(g, target)._images)
         slot[_support_mask(g.data)] = coords.setdefault(table, len(coords))
+    if (letters := _ball_letters(rank, radius)) * len(coords) > MAX_BALL_LETTERS:
+        raise BallLimitError(
+            f"{len(coords)} distinct coordinate maps of a ball of {letters:,} letters keep "
+            f"{len(coords) * letters:,} image letters, over the limit of {MAX_BALL_LETTERS:,}"
+        )
     columns = []
     for table in coords:
         column, prev = [()], [()]
@@ -212,9 +208,6 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
                     coord = Word(target, moved[c])
                     failures.append(f"coordinate {Word(source, gd)} moved common letter {x} to {coord}")
     return EmbedCheckReport(
-        source=source.names,
-        target=target.names,
-        radius=radius,
         index_count=len(ball) - 1,
         ball_size=len(ball),
         checked=len(ball) + len(common),

@@ -26,7 +26,7 @@ class WholeGroupError(FreeGroupError):
 
 
 class BallLimitError(FreeGroupError, ValueError):
-    """A ball to enumerate is over ``words.MAX_BALL_ELEMENTS`` or ``words.MAX_BALL_LETTERS``."""
+    """A ball, coset window or set of embed images is over ``words.MAX_BALL_ELEMENTS`` or ``MAX_BALL_LETTERS``."""
 
 
 class EvaluationLimitError(FreeGroupError, ValueError):

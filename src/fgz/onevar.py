@@ -62,8 +62,8 @@ class OneVarWord:
 
     @property
     def contains_variable(self) -> bool:
-        vc = self._var_code
-        return any(abs(v) == vc for v in self.body.data)
+        vc, data = self._var_code, self.body.data
+        return vc in data or -vc in data
 
     @cached_property
     def _segments(self) -> tuple[tuple[int, ...], tuple[tuple[bool, tuple[int, ...]], ...]]:

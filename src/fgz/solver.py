@@ -45,9 +45,9 @@ from dataclasses import dataclass
 from itertools import combinations, takewhile
 
 from .algset import AlgebraicSet, CyclicCoset, to_json_dict
-from .errors import BallLimitError, SolverError
+from .errors import SolverError
 from .onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
-from .words import Word, _invert_data, _letters_text, check_ball_limit
+from .words import Word, _invert_data, _letters_text
 
 DEFAULT_DISCOVERY_RADIUS = 6
 #: Escalations of the discovery radius, by 2 each, before a persistent oracle mismatch is an error.
@@ -153,10 +153,9 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     v, its primitive root, which keeps the start at ``x^m``: F is torsion-free,
     so ``v(g)^k = 1`` exactly when ``v(g) = 1``.  Other cores give None.
     """
-    data, vc = w.body.data, w._var_code
-    if vc not in data and -vc not in data:
+    if not w.contains_variable:
         return None
-    alphabet = w.alphabet
+    vc, alphabet = w._var_code, w.alphabet
     if abelian_constraint(w) is None:
         return AlgebraicSet.empty(alphabet)
     core = w.body.cyclic_decomposition().core.data
@@ -240,14 +239,12 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     radius finds them and pairing, alone under :data:`MAX_PAIRS`, proposes
     the lines.  Both give the same output, as the oracle's solutions are
     the exact set's members and pairing proves exactly the exact set's
-    coset.  A ball over the limits of :func:`check_ball_limit` is refused
-    on both paths alike: the walk builds one for every word that the
-    abelianization admits, and only for those.
+    coset.  Only the walk builds a ball, so only it refuses one.
     """
     cfg = cfg or SolveConfig()
-    exact = exact_solution_set(w)
-    if exact is None and not w.contains_variable:
+    if not w.contains_variable:
         return SolveReport(AlgebraicSet(w.alphabet, whole_group=w.body.is_identity), cfg.verify_radius, 0)
+    exact = exact_solution_set(w)
 
     discovery = cfg.discovery_radius
     gap = cfg.verify_radius - discovery
@@ -257,11 +254,6 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
         if exact is None:
             solutions = brute_solutions(w, radius)
         else:
-            try:
-                check_ball_limit(len(w.alphabet), radius)
-            except BallLimitError:
-                if abelian_constraint(w) is not None:
-                    raise
             solutions = sorted(exact.members_within(radius), key=Word.sort_key)
         discovered = list(takewhile(lambda g: len(g) <= discovery, solutions))
         if exact is None:

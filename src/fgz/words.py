@@ -334,14 +334,12 @@ def centralizer(b: Word) -> Word:
     return b.primitive_root().root
 
 
-@lru_cache(maxsize=BALL_CACHE_SIZE)
 def check_ball_limit(rank: int, radius: int) -> None:
     """Raise :class:`BallLimitError` if the radius ball is too big to walk.
 
     The ball is refused past :data:`MAX_BALL_ELEMENTS` elements, then past
     :data:`MAX_BALL_LETTERS` letters; at rank >= 2 both are counted to
-    radius 64 at most, far past the limits.  Passing (rank, radius) pairs
-    are cached, so a caller that checks without walking pays a lookup.
+    radius 64 at most, far past the limits.
     """
     capped = min(radius, 64) if rank > 1 else radius
     more = "" if capped == radius else "more than "

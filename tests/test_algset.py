@@ -20,7 +20,7 @@ from fgz.algset import (
 )
 from fgz.errors import AlphabetError, BallLimitError, RootError
 from fgz.onevar import LineSolutionSet
-from fgz.words import Alphabet, Word, enumerate_ball, parse_word
+from fgz.words import MAX_BALL_LETTERS, Alphabet, Word, enumerate_ball, parse_word
 
 from helpers import AB, ABC, random_word, reduced_data
 from test_reference_outputs import _load_workloads
@@ -205,6 +205,19 @@ class TestCyclicCoset:
         span = 2 * (length + len(rep)) + 2
         brute = [c.element(m) for m in range(-span, span + 1) if len(c.element(m)) <= length]
         assert c.elements_within(length) == brute
+
+    def test_elements_within_refuses_a_window_over_the_letter_limit(self):
+        # (1)<a> within length L has the window |m| <= L: 2L + 1 elements
+        # that may keep (2L + 1) L letters
+        c = CyclicCoset.make(w("1"), w("a"))
+        assert 4471 * 2235 <= MAX_BALL_LETTERS < 4473 * 2236
+        assert len(c.elements_within(2235)) == 4471
+        message = "coset \\(1\\)<a> within length 2,236 has a window of 4,473 elements that may keep 10,001,628 letters"
+        with pytest.raises(BallLimitError, match=message + ", over the limit of 10,000,000"):
+            c.elements_within(2236)
+        with pytest.raises(BallLimitError, match="within length 1,000,000,000,000 has a window of 2,000,000,000,001"):
+            c.elements_within(10**12)
+        assert CyclicCoset.make(w("a"), w("b")).elements_within(0) == []
 
 
 class TestAlgebraicSet:

@@ -190,6 +190,30 @@ class TestOtherCommands:
         assert code == 1 and "separate" in err
 
 
+COMMANDS = {
+    "reduce", "mul", "inv", "root", "centralizer", "support", "eval", "oracle", "solve",
+    "member", "intersect", "union", "subset", "chain", "embed-check", "separate",
+}
+#: one recorded row per argv list: stdout, stderr and exit code
+OUTPUT_ROWS = json.loads(Path(__file__).with_name("cli_outputs.json").read_text())
+
+
+def command_of(argv):
+    return next(a for a in argv if a in COMMANDS)
+
+
+class TestOutputTable:
+    def test_every_subcommand_in_both_modes(self):
+        seen = {(command_of(row["argv"]), row["argv"][0] == "--json") for row in OUTPUT_ROWS}
+        assert seen == {(c, as_json) for c in COMMANDS for as_json in (False, True)}
+
+    @pytest.mark.parametrize(
+        "row", OUTPUT_ROWS, ids=[f"{i:02d}-{command_of(row['argv'])}" for i, row in enumerate(OUTPUT_ROWS)]
+    )
+    def test_output_as_recorded(self, capsys, row):
+        assert run(capsys, *row["argv"]) == (row["exit"], row["stdout"], row["stderr"])
+
+
 class TestInvocation:
     def test_closed_pipe_is_one_line_error(self):
         # every ball word solves the trivial equation: about 265 KB of

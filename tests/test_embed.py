@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fgz.embed import EmbedCheckReport, Homomorphism, build_phi_g, check_mono_on_ball
-from fgz.errors import AlphabetError, IdentityWordError
-from fgz.words import Alphabet, Word, _concat_data, enumerate_ball, parse_word
+from fgz.errors import AlphabetError, BallLimitError, IdentityWordError
+from fgz.words import MAX_BALL_LETTERS, Alphabet, Word, _ball_letters, _concat_data, enumerate_ball, parse_word
 
 from helpers import AB, ABC, random_word, signed_letters
 
@@ -132,9 +132,6 @@ def per_index_report(source: Alphabet, target: Alphabet, radius: int) -> EmbedCh
                 fixes = False
                 failures.append(f"coordinate {g} moved common letter {x} to {coord}")
     return EmbedCheckReport(
-        source=source.names,
-        target=target.names,
-        radius=radius,
         index_count=len(indices),
         ball_size=len(ball),
         checked=len(ball) + len(common),
@@ -283,6 +280,26 @@ class TestWalkCost:
         check_mono_on_ball(source, target, radius)
         assert len(counted) == calls
 
+    def test_image_letters_at_the_limit(self, monkeypatch):
+        # a, b into c, d at radius 3: 2 distinct maps of a ball of 136 letters
+        assert _ball_letters(2, 3) == 136
+        monkeypatch.setattr("fgz.embed.MAX_BALL_LETTERS", 272)
+        assert check_mono_on_ball(AB, CD, 3).passed
+        monkeypatch.setattr("fgz.embed.MAX_BALL_LETTERS", 271)
+        message = "2 distinct coordinate maps of a ball of 136 letters keep 272 image letters, over the limit of 271"
+        with pytest.raises(BallLimitError, match=message):
+            check_mono_on_ball(AB, CD, 3)
+
+    def test_too_many_image_letters_fail_before_the_walk(self, monkeypatch):
+        # rank 12 into a disjoint target at radius 3: 296 distinct maps of
+        # 39,216 ball letters; rank 11 keeps 229 x 30,052 = 6,881,908
+        monkeypatch.setattr("fgz.embed._concat_data", None)  # a walk would call it
+        source = Alphabet([f"s{i}" for i in range(12)])
+        target = Alphabet([f"t{i}" for i in range(12)])
+        assert _ball_letters(11, 3) * 229 <= MAX_BALL_LETTERS < _ball_letters(12, 3) * 296
+        with pytest.raises(BallLimitError, match="296 distinct coordinate maps of a ball of 39,216 letters keep 11,607,936"):
+            check_mono_on_ball(source, target, 3)
+
 
 class TestCheckMonoOnBall:
     def test_two_generators_into_four(self):
@@ -301,4 +318,4 @@ class TestCheckMonoOnBall:
     def test_overlapping_alphabets(self):
         report = check_mono_on_ball(ABC, Y4, 2)
         assert report.passed
-        assert report.to_json_dict()["failures"] == []
+        assert report.failures == ()

@@ -17,7 +17,7 @@ from fgz.solver import (
     solve,
     verify_against_oracle,
 )
-from fgz.words import Word, _reduce_data, enumerate_ball, parse_word
+from fgz.words import Alphabet, Word, _reduce_data, enumerate_ball, parse_word
 
 from helpers import (
     AB,
@@ -28,6 +28,7 @@ from helpers import (
     reduced_data,
     with_inverted_variable,
 )
+from test_reference_outputs import _load_workloads
 
 X = AB.extend("x")
 
@@ -209,24 +210,24 @@ class TestSolvePipeline:
         assert report.result == exact_solution_set(word)
         assert (report.complete_on_radius, report.escalations) == (5, 0)
 
-    def test_ball_limit_as_for_the_oracle_walk(self):
-        # the walk refuses the verification ball of every word the
-        # abelianization admits, and an exact set refuses it alike
+    def test_only_the_radius_path_refuses_its_ball(self):
+        # a closed form builds no ball: only the members it lists are bounded
         commutator = ov("x a x^-1 a^-1")
-        assert solve(commutator, SolveConfig(discovery_radius=9, verify_radius=11)).result == AlgebraicSet(
-            AB, cosets=[coset("1", "a")]
-        )
-        with pytest.raises(BallLimitError, match="ball of radius 12 at rank 2 has 1,062,881 elements"):
-            solve(commutator, SolveConfig(discovery_radius=9, verify_radius=12))
-        with pytest.raises(BallLimitError, match="ball of radius 14 at rank 2 has 9,565,937 elements"):
-            solve(commutator, SolveConfig(discovery_radius=12))
-        with pytest.raises(BallLimitError, match="ball of radius 1000000002 at rank 2 has more than"):
-            solve(commutator, SolveConfig(discovery_radius=10**9))
+        report = solve(commutator, SolveConfig(discovery_radius=12))
+        assert (report.result, report.complete_on_radius) == (AlgebraicSet(AB, cosets=[coset("1", "a")]), 14)
+        abcd = Alphabet(("a", "b", "c", "d"))
+        report = solve(OneVarWord.parse("x a^-1", abcd))  # a ball of 7,686,401 elements at radius 8
+        assert (report.result, report.complete_on_radius) == (AlgebraicSet.of(abcd, points=[parse_word("a", abcd)]), 8)
         not_conjugate = ov("x a b a^-1 b^-1 x^-1 a b a^-1 b^-1")  # admitted, yet no solution
-        assert exact_solution_set(not_conjugate).is_empty
-        with pytest.raises(BallLimitError, match="ball of radius 14 at rank 2"):
-            solve(not_conjugate, SolveConfig(discovery_radius=12))
-        # ruled out by the abelianization: the walk builds no ball
+        report = solve(not_conjugate, SolveConfig(discovery_radius=12))
+        assert report.result.is_empty and report.complete_on_radius == 14
+        with pytest.raises(BallLimitError, match="ball of radius 8 at rank 4 has 7,686,401 elements"):
+            solve(OneVarWord.parse("x a x^-1 a^-1 x a^2 x^-1 a^-2", abcd))
+        start = time.perf_counter()
+        with pytest.raises(BallLimitError, match=r"coset \(1\)<a> within length 1,000,000,002 has a window of 2,000,000,005"):
+            solve(commutator, SolveConfig(discovery_radius=10**9))
+        assert time.perf_counter() - start < 1
+        # ruled out by the abelianization: the empty set lists no members
         assert solve(ov("x a x^-1 b^-1"), SolveConfig(discovery_radius=10**9)).result.is_empty
 
     def test_config_validation(self):
@@ -341,6 +342,28 @@ class TestExactSolutionSet:
         word = ov("a^4 b^-2 x b^-1")
         assert exact_solution_set(word) == AlgebraicSet.of(AB, points=[w("b^2 a^-4 b")])
         assert solve(word, FAST).result.is_empty
+
+    def test_set_components_are_the_sets_of_their_equations(self):
+        # a point p is the solution set of x p^-1, and a coset rep<root> that
+        # of [rep^-1 x, root] = rep^-1 x root x^-1 rep root^-1; taken from the
+        # raw sets of every 10th chain of the benchmark's set-algebra universe
+        workloads = _load_workloads()
+        xw = Word(X, (3,))  # the letter codes of AB are those of X
+        checked, mismatched = [0, 0], []
+        for index in range(0, workloads.CHAIN_UNIVERSE, 10):
+            for points, cosets in workloads.chain_input(index):
+                for p in points:
+                    checked[0] += 1
+                    if exact_solution_set(OneVarWord.from_body(xw * ~Word(X, p.data))) != AlgebraicSet(AB, (p,)):
+                        mismatched.append(str(p))
+                for rep, root in cosets:
+                    checked[1] += 1
+                    r, t = Word(X, rep.data), Word(X, root.data)
+                    body = ~r * xw * t * ~xw * r * ~t
+                    if exact_solution_set(OneVarWord.from_body(body)) != AlgebraicSet.of(AB, cosets=[(rep, root)]):
+                        mismatched.append(f"({rep})<{root}>")
+        assert checked == [6020, 5976]
+        assert not mismatched, f"{len(mismatched)} components differ from their equation's set: {mismatched[:5]}"
 
     @settings(deadline=None, derandomize=True, max_examples=300)
     @given(data=st.data())
