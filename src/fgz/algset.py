@@ -353,6 +353,17 @@ def to_json_dict(s: AlgebraicSet) -> dict:
     }
 
 
+#: the keys a set object may hold: the schema's three, and the two that
+#: ``solve`` adds to it, so that its output reads back as a set
+_SET_KEYS = ("points", "cosets", "whole_group", "complete_on_radius", "sound")
+
+
+def _json_keys(d: dict, known: tuple[str, ...], what: str) -> None:
+    for key in d:
+        if key not in known:
+            raise ParseError(f"set JSON {what} has unknown key {key!r}")
+
+
 def _json_list(d: dict, key: str) -> list:
     value = d.get(key, [])
     if not isinstance(value, list):
@@ -370,6 +381,7 @@ def from_json_dict(d: object, alphabet: Alphabet) -> AlgebraicSet:
     """Read the documented JSON shape; any other shape raises :class:`ParseError`."""
     if not isinstance(d, dict):
         raise ParseError(f"set JSON must be an object, got {json.dumps(d)}")
+    _json_keys(d, _SET_KEYS, "object")
     whole_group = d.get("whole_group", False)
     if not isinstance(whole_group, bool):
         raise ParseError(f"set JSON 'whole_group' must be a boolean, got {json.dumps(whole_group)}")
@@ -378,6 +390,7 @@ def from_json_dict(d: object, alphabet: Alphabet) -> AlgebraicSet:
     for c in _json_list(d, "cosets"):
         if not isinstance(c, dict) or "rep" not in c or "root" not in c:
             raise ParseError(f"set JSON coset {json.dumps(c)} needs a 'rep' and a 'root'")
+        _json_keys(c, ("rep", "root"), "coset")
         cosets.append((_json_word(c["rep"], alphabet), _json_word(c["root"], alphabet)))
     if whole_group:
         return AlgebraicSet(alphabet, whole_group=True)

@@ -112,10 +112,6 @@ class EmbedCheckReport:
     fixes_common_letters: bool
     failures: tuple[str, ...]
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
 
 def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> EmbedCheckReport:
     """Exhaustively verify the embedding's properties on a ball.

@@ -89,10 +89,6 @@ class SolveReport:
     complete_on_radius: int
     escalations: int
 
-    @property
-    def whole_group(self) -> bool:
-        return self.result.whole_group
-
     def to_json_dict(self) -> dict:
         d = to_json_dict(self.result)
         d["complete_on_radius"] = self.complete_on_radius

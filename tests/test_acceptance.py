@@ -82,7 +82,7 @@ def test_criterion_1_solver_matches_oracle(solved_suite):
         result = report.result
         for g in ball:
             expected = word.evaluate(g).is_identity
-            got = True if report.whole_group else result.member(g)
+            got = True if result.whole_group else result.member(g)
             checked += 1
             if got != expected:
                 discrepancies += 1
@@ -106,7 +106,7 @@ def test_criterion_2_output_shape(solved_suite):
     violations = 0
     outputs = 0
     for _, report in solved_suite:
-        if report.whole_group:
+        if report.result.whole_group:
             continue
         outputs += 1
         result = report.result
@@ -197,7 +197,7 @@ def test_criterion_5_product_embedding():
     ball_report = check_mono_on_ball(ABC, target, 3)
     report_line(
         "criterion 5 (embedding into a product)",
-        failures == 0 and ball_report.passed and ball_report.injective,
+        failures == 0 and not ball_report.failures and ball_report.injective,
         f"100 coordinate maps checked ({failures} failures); radius-3 ball: "
         f"{ball_report.checked} checks, {len(ball_report.failures)} failures, "
         f"injective={ball_report.injective}",

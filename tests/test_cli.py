@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fgz.algset import AlgebraicSet, CyclicCoset, from_json_dict, from_json_text, to_json_dict
-from fgz.cli import main
+from fgz.cli import COMMANDS as TABLE, build_parser, main
 from fgz.errors import ParseError
 from fgz.residual import MAX_SEPARATE_LETTERS
 from fgz.words import MAX_BALL_ELEMENTS, MAX_PARSE_LETTERS, parse_word
@@ -207,6 +207,11 @@ class TestOutputTable:
         seen = {(command_of(row["argv"]), row["argv"][0] == "--json") for row in OUTPUT_ROWS}
         assert seen == {(c, as_json) for c in COMMANDS for as_json in (False, True)}
 
+    def test_every_table_row_is_pinned_in_both_modes(self):
+        # the parser names each row's command, so a table row missing from COMMANDS is checked too
+        pinned = {(build_parser().parse_args(row["argv"]).command, "--json" in row["argv"]) for row in OUTPUT_ROWS}
+        assert pinned >= {(name, as_json) for name, *_ in TABLE for as_json in (False, True)}
+
     @pytest.mark.parametrize(
         "row", OUTPUT_ROWS, ids=[f"{i:02d}-{command_of(row['argv'])}" for i, row in enumerate(OUTPUT_ROWS)]
     )
@@ -348,6 +353,8 @@ class TestInvocation:
             ('{"cosets":[{"rep":"a"}]}', "needs a 'rep' and a 'root'"),
             ('{"whole_group":"no"}', "must be a boolean"),
             ('{"whole_group":true,"points":[5]}', "must be strings"),
+            ('{"pointz":["a"]}', "set JSON object has unknown key 'pointz'"),
+            ('{"cosets":[{"rep":"1","root":"a","weight":2}]}', "set JSON coset has unknown key 'weight'"),
             pytest.param("[" * 100000, "malformed set JSON", id="deep-nesting"),
         ],
     )

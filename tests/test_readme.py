@@ -3,7 +3,8 @@
 Each ``$ fgz ...`` line of a ``sh`` block, run through :func:`fgz.cli.main`,
 exits 0 and prints exactly the lines that follow it in the block.  Each
 ``python`` block runs as a script and prints, line by line, the
-``# expected`` comments of its ``print`` calls.
+``# expected`` comments of its ``print`` calls.  The "Subcommands:"
+sentence lists the CLI's command table, in its order.
 """
 
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fgz.cli import main
+from fgz.cli import COMMANDS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,3 +56,9 @@ def test_python_examples_print_their_comments(capsys):
         assert expected
         exec(compile(block, str(README), "exec"), {})
         assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_subcommands_sentence_lists_the_command_table():
+    sentence = re.search(r"^Subcommands: (.*?)\.\s", README.read_text(), re.M | re.S)
+    assert sentence
+    assert re.findall(r"`([^`]+)`", sentence.group(1)) == [name for name, *_ in COMMANDS]

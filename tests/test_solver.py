@@ -115,13 +115,13 @@ class TestDegenerateWords:
     def test_trivial_coefficient_word_solves_everywhere(self):
         report = solve(ov("a a^-1"))
         assert report.result == AlgebraicSet(AB, whole_group=True)
-        assert report.whole_group
+        assert report.result.whole_group
         assert report.to_json_dict()["whole_group"] is True
 
     def test_nontrivial_coefficient_word_never_solves(self):
         report = solve(ov("a b"))
         assert report.result == AlgebraicSet.empty(AB)
-        assert not report.whole_group
+        assert not report.result.whole_group
 
 
 class TestVerifyAgainstOracle:
