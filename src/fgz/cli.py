@@ -9,7 +9,8 @@ Exit status: 0 success, 1 domain error (diagnostic on stderr), 2 usage
 error.  Identical invocations produce byte-identical output.
 
 Each subcommand is declared once, as one row of ``COMMANDS``: its name,
-help, arguments and a handler ``(args, alphabet) -> (payload, text)``.
+help, least ``--radius``, arguments and a handler ``(args, alphabet) ->
+(payload, text)``.
 The parser is built from the rows; the payload prints as JSON under
 ``--json`` or when the text is None, and the text prints otherwise.
 """
@@ -34,7 +35,7 @@ ALPHABET_ENV_VAR = "FGZ_ALPHABET"
 
 def _names(spec: str) -> tuple[str, ...]:
     """The letters of a comma-separated spec: ``" a, b,"`` gives ``("a", "b")``."""
-    return tuple(part.strip() for part in spec.split(",") if part.strip())
+    return tuple([part.strip() for part in spec.split(",") if part.strip()])
 
 
 def _alphabet_from(args) -> Alphabet:
@@ -125,28 +126,29 @@ WORD = ("WORD", "word text")
 EQUATION = ("EQUATION", "one-variable word")
 OPERANDS = (("S1", "set JSON"), ("S2", "set JSON"))
 
-#: (name, help, arguments as (name, help[, add_argument options]), handler), in help order
+#: (name, help, least --radius, arguments as (name, help[, add_argument options]), handler), in help order
 COMMANDS = (
-    ("reduce", "reduce a word to normal form", (WORD,), lambda args, ab: _word(parse_word(args.WORD, ab))),
-    ("mul", "product of two words", (("U", "left factor"), ("V", "right factor")),
+    ("reduce", "reduce a word to normal form", 0, (WORD,), lambda args, ab: _word(parse_word(args.WORD, ab))),
+    ("mul", "product of two words", 0, (("U", "left factor"), ("V", "right factor")),
      lambda args, ab: _word(parse_word(args.U, ab) * parse_word(args.V, ab))),
-    ("inv", "inverse of a word", (WORD,), lambda args, ab: _word(~parse_word(args.WORD, ab))),
-    ("root", "primitive root and exponent", (WORD,), _root),
-    ("centralizer", "generator of the centralizer", (WORD,), _centralizer),
-    ("support", "letters in the reduced form", (WORD,), _support),
-    ("eval", "substitute a word for the variable", (EQUATION, ("POINT", "word text")),
+    ("inv", "inverse of a word", 0, (WORD,), lambda args, ab: _word(~parse_word(args.WORD, ab))),
+    ("root", "primitive root and exponent", 0, (WORD,), _root),
+    ("centralizer", "generator of the centralizer", 0, (WORD,), _centralizer),
+    ("support", "letters in the reduced form", 0, (WORD,), _support),
+    ("eval", "substitute a word for the variable", 0, (EQUATION, ("POINT", "word text")),
      lambda args, ab: _word(_equation(args, ab).evaluate(parse_word(args.POINT, ab)))),
-    ("oracle", "ball solutions of EQUATION = 1 (brute force)", (EQUATION,), _oracle),
-    ("solve", "solution set of EQUATION = 1 in coset form", (EQUATION,), _solve),
-    ("member", "test membership in a set", (("SET", "set JSON"), WORD),
+    ("oracle", "ball solutions of EQUATION = 1 (brute force)", 0, (EQUATION,), _oracle),
+    ("solve", "solution set of EQUATION = 1 in coset form", 0, (EQUATION,), _solve),
+    ("member", "test membership in a set", 0, (("SET", "set JSON"), WORD),
      lambda args, ab: _truth("member", from_json_text(args.SET, ab).member(parse_word(args.WORD, ab)))),
-    ("intersect", "intersection of two sets", OPERANDS, lambda args, ab: _set(intersect(*_operands(args, ab)))),
-    ("union", "union of two sets", OPERANDS, lambda args, ab: _set(union(*_operands(args, ab)))),
-    ("subset", "test inclusion of two sets", OPERANDS, lambda args, ab: _truth("subset", subset(*_operands(args, ab)))),
-    ("chain", "check a descending chain of sets", (("SETS", "set JSON values", {"nargs": "+"}),), _chain),
-    ("embed-check", "verify the product-embedding construction on a ball",
+    ("intersect", "intersection of two sets", 0, OPERANDS, lambda args, ab: _set(intersect(*_operands(args, ab)))),
+    ("union", "union of two sets", 0, OPERANDS, lambda args, ab: _set(union(*_operands(args, ab)))),
+    ("subset", "test inclusion of two sets", 0, OPERANDS,
+     lambda args, ab: _truth("subset", subset(*_operands(args, ab)))),
+    ("chain", "check a descending chain of sets", 0, (("SETS", "set JSON values", {"nargs": "+"}),), _chain),
+    ("embed-check", "verify the product-embedding construction on a ball", 1,
      (("--target", "comma-separated target letters", {"required": True}),), _embed_check),
-    ("separate", "finite permutation witness for a nontrivial word", (WORD,), _separate),
+    ("separate", "finite permutation witness for a nontrivial word", 0, (WORD,), _separate),
 )
 
 
@@ -160,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verify-radius", type=int, default=None, help="solver verification radius")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, help_text, arguments, handler in COMMANDS:
+    for name, help_text, least_radius, arguments, handler in COMMANDS:
         command = sub.add_parser(name, help=help_text)
         for arg_name, arg_help, *options in arguments:
             command.add_argument(arg_name, help=arg_help, **(options[0] if options else {}))
-        command.set_defaults(handler=handler)
+        command.set_defaults(handler=handler, least_radius=least_radius)
     return parser
 
 
@@ -176,11 +178,11 @@ def _run(args) -> int:
 
 
 def _radius_usage_error(args) -> str | None:
-    """One-line diagnostic for inconsistent radius flags, or None."""
+    """One-line diagnostic for inconsistent radius flags, or None; read before the alphabet is resolved."""
     if args.radius < 0:
         return f"--radius must be >= 0 (got {args.radius})"
-    if args.command == "embed-check" and args.radius < 1:
-        return f"--radius must be >= 1 for embed-check (got {args.radius})"
+    if args.radius < args.least_radius:
+        return f"--radius must be >= {args.least_radius} for {args.command} (got {args.radius})"
     if args.verify_radius is not None and args.verify_radius < args.radius:
         return f"--verify-radius must be >= --radius (got {args.verify_radius} < {args.radius})"
     return None

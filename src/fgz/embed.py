@@ -23,11 +23,11 @@ of each index word's support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import AlphabetError, BallLimitError, IdentityWordError
 from .words import (
-    MAX_BALL_LETTERS, Alphabet, Word, _ball_data, _ball_layers, _ball_letters, _concat_data, _invert_data,
+    MAX_BALL_LETTERS, Alphabet, Word, _ball_data, _ball_images, _ball_letters, _concat_data, _invert_data,
     _reduce_data, _signed_code_table,
 )
 
@@ -51,6 +51,7 @@ class Homomorphism:
         self._images = _signed_code_table((), [letter_images[n].data for n in source.names], _invert_data)
 
     def apply(self, word: Word) -> Word:
+        """The image of ``word``: the reference that :func:`check_mono_on_ball`'s ball walk is tested against."""
         if word.alphabet != self.source:
             raise AlphabetError("word is not over the source alphabet")
         return Word(self.target, _reduce_data(map(self._images.__getitem__, word.data)))
@@ -136,7 +137,7 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
     collision, vanished witness and moved letter is found.
 
     For each distinct table, one walk over the int-coded ball, from
-    prefix to word (:func:`~fgz.words._ball_layers`), gives each
+    prefix to word (:func:`~fgz.words._ball_images`), gives each
     element's image (the prefix's times the letter's): the value
     ``Homomorphism.apply`` gives.  Tables send letters to letters, so the
     walks keep the ball's letters once per table, and more than
@@ -168,13 +169,7 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
             f"{len(coords)} distinct coordinate maps of a ball of {letters:,} letters keep "
             f"{len(coords) * letters:,} image letters, over the limit of {MAX_BALL_LETTERS:,}"
         )
-    columns = []
-    for table in coords:
-        column, prev = [()], [()]
-        for start, size, fan in _ball_layers(rank, radius):
-            prev = [_concat_data(prev[j // fan], table[gd[-1]]) for j, gd in enumerate(ball[start:start + size])]
-            column += prev
-        columns.append(column)
+    columns = [list(chain.from_iterable(_ball_images(rank, radius, table, _concat_data, ()))) for table in coords]
     images = list(zip(*columns))
     # later entries overwrite earlier ones, so each image keeps its first index
     first = dict(zip(reversed(images), range(len(ball) - 1, -1, -1)))

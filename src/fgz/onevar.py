@@ -16,15 +16,17 @@ the image of the equation in the finite quotient PSL(2, 7).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Union
 
 from .errors import AlphabetError, EvaluationLimitError, RootError
+from .residual import _compose, _fold, _inverse, _perm_table
 from .words import (
-    BALL_CACHE_SIZE, MAX_PARSE_LETTERS, Alphabet, Word, _ball_data, _ball_layers, _invert_data, _reduce_data,
-    _signed_code_table, parse_word,
+    BALL_CACHE_SIZE, MAX_PARSE_LETTERS, Alphabet, Word, _ball_data, _ball_images, _invert_data, _reduce_data,
+    parse_word,
 )
 
 DEFAULT_VARIABLE = "x"
@@ -162,12 +164,12 @@ def _ball_buckets(rank: int, radius: int) -> dict[tuple[int, ...], tuple[tuple[i
 #: Order of the finite quotient G = PSL(2, 7) used to filter sigma = 0 words.
 QUOTIENT_ORDER = 168
 
-#: Images in SL(2, 7) of the first letters.  The first two generate
+#: Matrices in SL(2, 7) of the first letters.  The first two generate
 #: Sanov's free subgroup of SL(2, Z) (reduced mod 7 they generate all of
 #: G); the other two are elements of order 7 chosen so that ranks 3 and 4
 #: have no kernel word shorter than 5 letters.  Letter k > 4 reuses the
-#: image of letter k - 4.  Any images are sound; none is the identity.
-_QUOTIENT_LETTERS = (((1, 2), (0, 1)), ((1, 0), (2, 1)), ((2, 3), (4, 3)), ((0, 2), (3, 2)))
+#: matrix of letter k - 4.  Any images are sound; none is the identity.
+_QUOTIENT_MATRICES = (((1, 2), (0, 1)), ((1, 0), (2, 1)), ((2, 3), (4, 3)), ((0, 2), (3, 2)))
 
 
 def _mobius(m: tuple[tuple[int, int], tuple[int, int]]) -> tuple[int, ...]:
@@ -180,92 +182,55 @@ def _mobius(m: tuple[tuple[int, int], tuple[int, int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _quotient() -> tuple[bytes, bytes, tuple[int, ...]]:
-    """Multiplication table, inverse table and letter images of G = PSL(2, 7).
-
-    The elements are the permutations of the projective line that the
-    letter images generate, numbered 0..167 in lexicographic order, so the
-    identity is 0.  ``mul[168 * g + h]`` is the product g h (h acts
-    first), which makes a word's image the left-to-right product of its
-    letters' images.  Built on first use, not at import.
-    """
-    gens = [_mobius(m) for m in _QUOTIENT_LETTERS]
-    elements = {tuple(range(8))}
-    frontier = list(elements)
-    while frontier:
-        grown = []
-        for p in frontier:
-            for g in gens:
-                q = tuple([p[k] for k in g])
-                if q not in elements:
-                    elements.add(q)
-                    grown.append(q)
-        frontier = grown
-    perms = sorted(elements)
-    index = {p: i for i, p in enumerate(perms)}
-    mul = bytes([index[tuple([p[k] for k in q])] for p in perms for q in perms])
-    n = len(perms)
-    inv = bytes([mul[n * g : n * g + n].index(0) for g in range(n)])
-    return mul, inv, tuple(index[g] for g in gens)
+#: G as the permutations of the projective line that these generate.  Words
+#: fold in reading order (:func:`~fgz.residual._fold`), first letter first,
+#: while in a matrix product the last factor acts first; so each letter takes
+#: the inverse of its matrix's permutation, and a word's image is the inverse
+#: of its matrix product's, with the same kernel and the same buckets.
+_QUOTIENT_LETTERS = tuple([_inverse(_mobius(m)) for m in _QUOTIENT_MATRICES])
 
 
-def _letter_images(rank: int) -> list[int]:
-    """Images in G of the signed letter codes, a :func:`~fgz.words._signed_code_table`."""
-    _, inv, gens = _quotient()
-    return _signed_code_table(0, [gens[i % len(gens)] for i in range(rank)], inv.__getitem__)
+def _quotient_table(rank: int) -> list[tuple[int, ...]]:
+    """Images in G of the signed letter codes, a :func:`~fgz.residual._perm_table`; entry 0 is the identity."""
+    return _perm_table(8, [_QUOTIENT_LETTERS[i % len(_QUOTIENT_LETTERS)] for i in range(rank)])
 
 
 @lru_cache(maxsize=BALL_CACHE_SIZE)
-def _quotient_buckets(rank: int, radius: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """The radius ball split by image in G, each bucket in shortlex order.
+def _quotient_buckets(rank: int, radius: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple], ...]:
+    """The radius ball split by image h in G: ``(h, h^-1, bucket)``, each bucket in shortlex order.
 
-    One pass over :func:`_ball_data`, layer by layer as :func:`_ball_layers`
-    gives them: a word's image is its prefix's image times its last
-    letter's, so only one layer of images is kept.  Buckets hold the
-    tuples of :func:`_ball_data` itself, not copies.
+    One walk, :func:`~fgz.words._ball_images`, composes each word's image
+    from its prefix's and its last letter's; G has 168 elements, so the
+    walk memoizes the compositions.  Buckets hold the tuples of
+    :func:`_ball_data` itself, not copies.
     """
-    mul = _quotient()[0]
-    letters = _letter_images(rank)
-    ball = _ball_data(rank, radius)
-    members: list[list[tuple[int, ...]]] = [[] for _ in range(QUOTIENT_ORDER)]
-    members[0].append(ball[0])
-    prev = bytes(1)
-    for start, size, fan in _ball_layers(rank, radius):
-        layer = bytearray(size)
-        for j in range(size):
-            gd = ball[start + j]
-            h = layer[j] = mul[QUOTIENT_ORDER * prev[j // fan] + letters[gd[-1]]]
-            members[h].append(gd)
-        prev = layer
-    return {h: tuple(bucket) for h, bucket in enumerate(members) if bucket}
+    table = _quotient_table(rank)
+    walk = _ball_images(rank, radius, table, lru_cache(maxsize=None)(_compose), table[0])
+    members: defaultdict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
+    for gd, h in zip(_ball_data(rank, radius), chain.from_iterable(walk)):
+        members[h].append(gd)
+    return tuple([(h, _inverse(h), tuple(bucket)) for h, bucket in members.items()])
 
 
 def _quotient_survivors(segments: tuple, rank: int, radius: int) -> list[tuple[tuple[int, ...], ...]]:
     """The buckets of :func:`_quotient_buckets` whose image h has w(h) = 1 in G.
 
     ``segments`` is ``w._segments`` for a word w over ``rank`` letters.
+    Each point is traced through the segments' images and h or h^-1 in
+    turn, and a bucket is dropped at the first point that w(h) moves.
     """
-    mul, inv, _ = _quotient()
-    n = QUOTIENT_ORDER
-    letters = _letter_images(rank)
-
-    def fold(run: tuple[int, ...]) -> int:
-        image = 0
-        for v in run:
-            image = mul[n * image + letters[v]]
-        return image
-
+    table = _quotient_table(rank)
     head, steps = segments
-    start = fold(head)
-    folded = [(positive, fold(run)) for positive, run in steps]
+    start = _fold(table, head, list(table[0]))
+    folded = [(positive, _fold(table, run, list(table[0]))) for positive, run in steps]
     survivors = []
-    for h, bucket in _quotient_buckets(rank, radius).items():
-        hi = inv[h]
-        image = start
-        for positive, segment in folded:
-            image = mul[n * mul[n * image + (h if positive else hi)] + segment]
-        if image == 0:
+    for h, hi, bucket in _quotient_buckets(rank, radius):
+        for point, i in enumerate(start):
+            for positive, segment in folded:
+                i = segment[(h if positive else hi)[i]]
+            if i != point:
+                break
+        else:
             survivors.append(bucket)
     return survivors
 

@@ -11,11 +11,17 @@ The representation has degree L + 1, so the image of the word itself,
 which the CLI prints, composes L permutations of degree L + 1: the work
 grows as L^2.  :func:`separate` refuses words over
 :data:`MAX_SEPARATE_LETTERS` letters before it builds anything.
+
+Every finite image in the package goes through the tuple kernels here:
+:func:`_perm_table` gives each signed letter code its image tuple, and
+:func:`_fold` sends points through a word's letters in reading order.
+The PSL(2, 7) filter of :mod:`fgz.onevar` uses them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import AlphabetError, IdentityWordError, SeparationLimitError
 from .words import Alphabet, Word, _signed_code_table
@@ -47,10 +53,7 @@ class Permutation:
         return self.images[i]
 
     def inverse(self) -> "Permutation":
-        out = [0] * self.degree
-        for i, v in enumerate(self.images):
-            out[v] = i
-        return Permutation(tuple(out))
+        return Permutation(_inverse(self.images))
 
     def cycle_notation(self) -> str:
         seen = set()
@@ -85,22 +88,41 @@ class PermRep:
         return self.letter_images[self.alphabet.index(name)]
 
 
-def _code_images(rep: PermRep) -> list[tuple[int, ...]]:
-    """Image tuples of the signed letter codes, a :func:`~fgz.words._signed_code_table`."""
-    return [p.images for p in _signed_code_table(Permutation(()), rep.letter_images, Permutation.inverse)]
+def _inverse(images: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of the permutation with these images."""
+    out = [0] * len(images)
+    for i, v in enumerate(images):
+        out[v] = i
+    return tuple(out)
+
+
+def _perm_table(degree: int, perms: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Image tuples of the signed letter codes, a :func:`~fgz.words._signed_code_table`;
+    ``perms[i]`` is the image tuple of letter i + 1."""
+    return _signed_code_table(tuple(range(degree)), perms, _inverse)
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """``p`` then ``q``: the image of a word whose prefix maps to p and whose rest maps to q."""
+    return tuple([q[i] for i in p])
+
+
+def _fold(table: Sequence[tuple[int, ...]], data: Sequence[int], images: list[int]) -> list[int]:
+    """The points ``images`` sent through the letters of ``data`` in reading
+    order, each letter's image tuple ``table[v]`` of :func:`_perm_table`, so
+    that ``a b`` sends i to ``b(a(i))``; composed on one list."""
+    for v in data:
+        p = table[v]
+        images = [p[i] for i in images]
+    return images
 
 
 def apply_perm_rep(rep: PermRep, w: Word) -> Permutation:
-    """Image of a word: its letters' images applied in reading order, so that
-    the image of ``a b`` sends i to ``b(a(i))``, composed on one list."""
+    """Image of a word: its letters' images applied in reading order (:func:`_fold`)."""
     if w.alphabet != rep.alphabet:
         raise AlphabetError("word is not over the representation's alphabet")
-    table = _code_images(rep)
-    images = list(range(rep.degree))
-    for v in w.data:
-        p = table[v]
-        images = [p[i] for i in images]
-    return Permutation(tuple(images))
+    table = _perm_table(rep.degree, [p.images for p in rep.letter_images])
+    return Permutation(tuple(_fold(table, w.data, list(range(rep.degree)))))
 
 
 def separate(g: Word) -> PermRep:
@@ -138,12 +160,7 @@ def separate(g: Word) -> PermRep:
         free_sources = [i for i in range(degree) if i not in m]
         free_targets = [i for i in range(degree) if i not in targets]
         m.update(zip(free_sources, free_targets))
-        perms.append(Permutation(tuple([m[i] for i in range(degree)])))
-    rep = PermRep(g.alphabet, degree, tuple(perms))
-    table = _code_images(rep)
-    state = 0
-    for v in g.data:
-        state = table[v][state]
-    if state != len(g):
+        perms.append(tuple([m[i] for i in range(degree)]))
+    if _fold(_perm_table(degree, perms), g.data, [0]) != [len(g)]:
         raise AssertionError("prefix path must lead from state 0 to state L")
-    return rep
+    return PermRep(g.alphabet, degree, tuple([Permutation(p) for p in perms]))

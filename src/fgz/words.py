@@ -377,22 +377,26 @@ def _ball_data(rank: int, radius: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _ball_layers(rank: int, radius: int) -> Iterator[tuple[int, int, int]]:
-    """``(start, size, fan)`` for each layer of :func:`_ball_data` past the empty word.
+def _ball_images(rank: int, radius: int, table: Sequence, op: Callable, identity) -> Iterator[list]:
+    """The images of the words of :func:`_ball_data`, one list per layer, in ball order.
 
-    Layer i is ``ball[start:start + size]``, the words of length i.  The
-    ball lists the children of each word of one layer together and in that
-    layer's order (2 * rank children of the empty word, 2 * rank - 1 of any
-    other), so ``ball[start + j]`` is the (j // fan)-th word of the layer
-    before with one letter appended.  A walk that extends a value from
-    prefix to word therefore keeps only one layer of values.
+    A word's image is ``op(image of its prefix, table[its last letter])``,
+    and the empty word's is ``identity``.  The ball lists the children of
+    each word of one layer together and in that layer's order (2 * rank
+    children of the empty word, 2 * rank - 1 of any other), so word j of a
+    layer extends word j // fan of the layer before, and the walk keeps
+    only one layer of images.
     """
-    start, size, fan = 1, 2 * rank, 2 * rank
-    for _ in range(radius):
-        yield start, size, fan
+    ball = _ball_data(rank, radius)
+    layer = [identity]
+    yield layer
+    start, fan = 1, 2 * rank
+    while start < len(ball):
+        size = len(layer) * fan
+        layer = [op(layer[j // fan], table[gd[-1]]) for j, gd in enumerate(ball[start:start + size])]
+        yield layer
         start += size
         fan = 2 * rank - 1
-        size *= fan
 
 
 def enumerate_ball(alphabet: Alphabet, radius: int) -> list[Word]:

@@ -13,16 +13,18 @@ from fgz.onevar import (
     PowerBlock,
     QUOTIENT_ORDER,
     _ball_buckets,
-    _letter_images,
     _merge,
     _normalize_blocks,
-    _quotient,
+    _QUOTIENT_MATRICES,
+    _mobius,
     _quotient_buckets,
     _quotient_survivors,
+    _quotient_table,
     brute_solutions,
     reduce_parametric,
     substitute_line,
 )
+from fgz.residual import Permutation, PermRep, _compose, _fold, _inverse, _perm_table, apply_perm_rep
 from fgz.words import (
     BALL_CACHE_SIZE,
     Alphabet,
@@ -220,29 +222,29 @@ class TestBruteSolutions:
             assert info.currsize <= BALL_CACHE_SIZE
 
 
-N = QUOTIENT_ORDER
+IDENTITY = tuple(range(8))
 
 
 def image(data, rank):
-    """Image in PSL(2, 7) of an int-coded word, one letter at a time."""
-    mul = _quotient()[0]
-    letters = _letter_images(rank)
-    h = 0
-    for v in data:
-        h = mul[N * h + letters[v]]
-    return h
+    """Image in PSL(2, 7) of an int-coded word, folded one letter at a time."""
+    return tuple(_fold(_quotient_table(rank), data, list(IDENTITY)))
 
 
-def quotient_value(word: OneVarWord, h: int) -> int:
+def quotient_value(word: OneVarWord, h: tuple[int, ...]) -> tuple[int, ...]:
     """w(h) in PSL(2, 7): the image of the body with the variable sent to h."""
-    mul, inv, _ = _quotient()
-    letters = _letter_images(len(word.alphabet))
-    vc = word._var_code
-    out = 0
-    for v in word.body.data:
-        step = h if v == vc else inv[h] if v == -vc else letters[v]
-        out = mul[N * out + step]
-    return out
+    rank = len(word.alphabet)
+    letters = _quotient_table(rank)[1:rank + 1]
+    return tuple(_fold(_perm_table(8, [*letters, h]), word.body.data, list(IDENTITY)))
+
+
+def buckets_by_image(rank, radius):
+    return {h: bucket for h, _, bucket in _quotient_buckets(rank, radius)}
+
+
+@st.composite
+def words_with_ranks(draw):
+    rank = draw(st.sampled_from((2, 3, 4)))
+    return rank, draw(reduced_data(rank, 4))
 
 
 @st.composite
@@ -272,51 +274,81 @@ def balanced_words(draw, rank: int) -> OneVarWord:
 
 
 class TestQuotientFilter:
-    def test_table_is_a_group(self):
-        mul, inv, _ = _quotient()
-        assert len(mul) == N * N and len(inv) == N
-        for g in range(N):
-            row = mul[N * g : N * g + N]
-            assert sorted(row) == list(range(N))  # a Latin square: closed, cancellative
-            assert mul[g] == g and row[0] == g  # 0 is the identity
-            assert row[inv[g]] == 0 and mul[N * inv[g] + g] == 0
-        rng = random.Random(31)
-        for _ in range(5000):
-            f, g, h = rng.randrange(N), rng.randrange(N), rng.randrange(N)
-            assert mul[N * mul[N * f + g] + h] == mul[N * f + mul[N * g + h]]
+    def test_letters_generate_a_group_of_order_168(self):
+        letters = _quotient_table(4)[1:5]
+        elements, frontier = {IDENTITY}, [IDENTITY]
+        while frontier:
+            frontier = [q for p in frontier for t in letters if (q := _compose(p, t)) not in elements]
+            elements.update(frontier)
+        assert len(elements) == QUOTIENT_ORDER
+        # closed under inverses, with the inverse on both sides
+        assert all(_inverse(p) in elements and _compose(p, _inverse(p)) == IDENTITY for p in elements)
+        assert all(_compose(_inverse(p), p) == IDENTITY for p in elements)
 
     def test_no_letter_maps_to_identity(self):
-        letters = _letter_images(9)
-        assert all(letters[v] and letters[-v] for v in range(1, 10))
+        letters = _quotient_table(9)
+        assert letters[0] == IDENTITY
+        assert all(letters[v] != IDENTITY and letters[-v] != IDENTITY for v in range(1, 10))
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_image_is_a_homomorphism(self, rank):
-        mul = _quotient()[0]
         rng = random.Random(32 + rank)
         for _ in range(300):
             u = random_reduced_data(rng, rank, rng.randint(0, 10))
             v = random_reduced_data(rng, rank, rng.randint(0, 10))
-            assert image(_concat_data(u, v), rank) == mul[N * image(u, rank) + image(v, rank)]
+            assert image(_concat_data(u, v), rank) == _compose(image(u, rank), image(v, rank))
+
+    @pytest.mark.parametrize("rank", [2, 5])
+    def test_image_is_the_inverse_of_the_matrix_product(self, rank):
+        # a word's buckets are those of its matrices' product: the image is
+        # the inverse of that product's Mobius permutation
+        def mat_mul(m, n):
+            return tuple([tuple([sum(m[i][k] * n[k][j] for k in range(2)) % 7 for j in range(2)]) for i in range(2)])
+
+        def matrix(v):
+            (p, q), (r, s) = _QUOTIENT_MATRICES[(abs(v) - 1) % 4]
+            return ((p, q), (r, s)) if v > 0 else ((s, -q % 7), (-r % 7, p))
+
+        rng = random.Random(35 + rank)
+        for _ in range(200):
+            gd = random_reduced_data(rng, rank, rng.randint(0, 10))
+            product = ((1, 0), (0, 1))
+            for v in gd:
+                product = mat_mul(product, matrix(v))
+            assert image(gd, rank) == _inverse(_mobius(product))
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(case=words_with_ranks())
+    def test_one_composition_convention(self, case):
+        # the witness layer and the filter's ball walk give a word one image
+        rank, gd = case
+        alphabet = Alphabet("abcd"[:rank])
+        letters = _quotient_table(rank)[1:rank + 1]
+        rep = PermRep(alphabet, 8, tuple([Permutation(p) for p in letters]))
+        (h,) = [h for h, bucket in buckets_by_image(rank, 4).items() if gd in bucket]
+        assert apply_perm_rep(rep, Word(alphabet, gd)).images == h == image(gd, rank)
 
     def test_buckets_partition_the_ball_by_image(self):
         for rank, radius in ((2, 5), (3, 3), (4, 2)):
             buckets = _quotient_buckets(rank, radius)
-            assert sum(map(len, buckets.values())) == len(_ball_data(rank, radius))
-            for h, bucket in buckets.items():
+            assert sum(len(bucket) for _, _, bucket in buckets) == len(_ball_data(rank, radius))
+            assert len({h for h, _, _ in buckets}) == len(buckets)
+            for h, hi, bucket in buckets:
+                assert hi == _inverse(h)
                 assert all(image(gd, rank) == h for gd in bucket)
                 keys = [Word(Alphabet("abcd"[:rank]), gd).sort_key() for gd in bucket]
                 assert keys == sorted(keys)
 
     def test_rank_two_kernel_has_no_short_words(self):
-        assert _quotient_buckets(2, 5)[0] == ((),)
-        kernel = _quotient_buckets(2, 6)[0]
+        assert buckets_by_image(2, 5)[IDENTITY] == ((),)
+        kernel = buckets_by_image(2, 6)[IDENTITY]
         ab3 = parse_word("a b a b a b", AB).data
         assert len(kernel) > 1 and ab3 in kernel
 
     @pytest.mark.parametrize("rank", [3, 4])
     def test_higher_rank_kernel_has_no_words_shorter_than_five(self, rank):
-        assert _quotient_buckets(rank, 4)[0] == ((),)
-        assert len(_quotient_buckets(rank, 5)[0]) > 1
+        assert buckets_by_image(rank, 4)[IDENTITY] == ((),)
+        assert len(buckets_by_image(rank, 5)[IDENTITY]) > 1
 
     @settings(deadline=None, derandomize=True, max_examples=120)
     @given(
@@ -336,8 +368,8 @@ class TestQuotientFilter:
     )
     def test_few_ball_elements_reach_evaluation(self, text, solution):
         word = ov(text)
-        buckets = _quotient_buckets(2, 8)
-        evaluated = sum(len(b) for h, b in buckets.items() if quotient_value(word, h) == 0)
+        buckets = buckets_by_image(2, 8)
+        evaluated = sum(len(b) for h, b in buckets.items() if quotient_value(word, h) == IDENTITY)
         assert evaluated == sum(map(len, _quotient_survivors(word._segments, 2, 8)))
         assert evaluated < 0.1 * len(_ball_data(2, 8))
         assert w(solution) in brute_solutions(word, 8)

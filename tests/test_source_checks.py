@@ -3,7 +3,7 @@
 ``-O`` strips ``assert`` statements, so a construction check written as
 one would silently stop checking.  The package raises AssertionError
 explicitly instead; a test parses every module and fails on any
-``assert`` statement.  Others keep the export list ``fgz.__all__``
+``assert`` statement, and another on any ``tuple`` of a generator.  Others keep the export list ``fgz.__all__``
 honest: each name once, each one there, and no name beyond those README's
 quickstart imports from the package root.
 """
@@ -29,6 +29,20 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements, which python -O strips: {found}"
+
+
+def test_no_tuple_of_a_generator_in_the_package():
+    # tuple() of a generator allocates ten slots and resizes, which drains
+    # CPython's size-10 tuple free list into larger ones that hold memory
+    # until a full collection; the package builds its tuples from lists
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "tuple"
+        and len(node.args) == 1 and isinstance(node.args[0], ast.GeneratorExp)
+    ]
+    assert not found, f"tuple() of a generator expression: {found}"
 
 
 def test_every_exported_name_resolves_once():

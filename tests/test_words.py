@@ -19,9 +19,12 @@ from fgz.words import (
     Alphabet,
     Word,
     _ball_data,
-    _ball_layers,
+    _ball_images,
     _ball_letters,
+    _concat_data,
+    _invert_data,
     _reduce_data,
+    _signed_code_table,
     ball_size,
     centralizer,
     enumerate_ball,
@@ -424,19 +427,16 @@ class TestEnumerateBall:
             for radius in range(0, 5):
                 assert _ball_letters(rank, radius) == sum(len(d) for d in _ball_data(rank, radius))
 
-    def test_layers_extend_their_prefixes(self):
-        # each word of a layer is the (j // fan)-th word of the layer
-        # before plus one letter, and the layers tile the ball in order
+    def test_ball_images_of_the_letters_are_the_ball(self):
+        # each letter's image is the letter itself, so each word's image is
+        # the word, and the walk gives the ball back layer by layer
         for rank in range(0, 4):
             for radius in range(0, 5):
                 ball = _ball_data(rank, radius)
-                prev, end = [()], 1
-                for length, (start, size, fan) in enumerate(_ball_layers(rank, radius), 1):
-                    layer = ball[start:start + size]
-                    assert start == end and all(len(d) == length for d in layer)
-                    assert [d[:-1] for d in layer] == [prev[j // fan] for j in range(size)]
-                    prev, end = layer, start + size
-                assert end == len(ball)
+                letters = _signed_code_table((), [(v,) for v in range(1, rank + 1)], _invert_data)
+                layers = list(_ball_images(rank, radius, letters, _concat_data, ()))
+                assert [d for layer in layers for d in layer] == list(ball)
+                assert all(len(d) == n for n, layer in enumerate(layers) for d in layer)
 
     def test_huge_radius_fails_at_once(self):
         start = time.perf_counter()
