@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import AlphabetError, BallLimitError, ParseError, RootError
@@ -76,34 +75,59 @@ class CyclicCoset:
         With ``root = u core u^-1``, core cyclically reduced, and m != 0,
         ``|rep root^m| >= |root^m| - |rep| = 2|u| + |m| |core| - |rep|``,
         so they lie in the window ``|m| <= (length + |rep| - 2|u|) // |core|``,
-        which always holds m = 0.  One running product walks it.  The rep is
-        the shortest element, so a shorter ``length`` gives none.  Before the
-        walk, a window of ``2 window + 1 <= 4 length + 1`` elements that may
-        keep over :data:`~fgz.words.MAX_BALL_LETTERS` letters is refused.
+        which always holds m = 0.  One running product of data walks it, and
+        only the elements kept become words.  The rep is the shortest element,
+        so a shorter ``length`` gives none.  Before the walk, a window of
+        ``2 window + 1 <= 4 length + 1`` elements that may keep over
+        :data:`~fgz.words.MAX_BALL_LETTERS` letters is refused.
         """
         if len(self.rep) > length:
             return []
-        cyc = self.root.cyclic_decomposition()
-        window = max(0, (length + len(self.rep) - 2 * len(cyc.conjugator)) // len(cyc.core))
+        _, u, ui, k, ki = self._split
+        window = max(0, (length + len(self.rep) - 2 * len(u)) // len(k))
         if (letters := (2 * window + 1) * length) > MAX_BALL_LETTERS:
             raise BallLimitError(
                 f"coset {self} within length {length:,} has a window of {2 * window + 1:,} elements "
                 f"that may keep {letters:,} letters, over the limit of {MAX_BALL_LETTERS:,}"
             )
-        walk = accumulate(repeat(self.root, 2 * window), mul, initial=self.rep * self.root ** -window)
-        return [g for g in walk if len(g) <= length]
+        start = _reduce_data((self.rep.data, u, ki * window, ui))
+        walk = accumulate(repeat(self.root.data, 2 * window), _concat_data, initial=start)
+        return [Word(self.alphabet, d) for d in walk if len(d) <= length]
 
     @property
     def alphabet(self) -> Alphabet:
         return self.root.alphabet
 
+    @cached_property
+    def _split(self) -> tuple[tuple[int, ...], ...]:
+        """The data of ``rep^-1``, u, ``u^-1``, k and ``k^-1`` for ``root = u k u^-1``, k cyclically reduced.
+
+        Computed on first use and kept; not a dataclass field, so equality,
+        hashing and repr ignore it.
+        """
+        cyc = self.root.cyclic_decomposition()
+        u, k = cyc.conjugator.data, cyc.core.data
+        return _invert_data(self.rep.data), u, _invert_data(u), k, _invert_data(k)
+
     def member(self, g: Word) -> bool:
-        """True iff ``rep^-1 * g`` is a power of the root (zeroth included)."""
-        h = ~self.rep * g
-        if h.is_identity:
+        """True iff ``h = rep^-1 * g`` is a power ``root^m`` of the root (m = 0 included).
+
+        With ``root = u k u^-1``, k cyclically reduced, ``root^m`` is
+        ``u k^m u^-1`` for m > 0 and ``u (k^-1)^|m| u^-1`` for m < 0, and
+        both are reduced as written: k^m and (k^-1)^|m| are, as k is
+        cyclically reduced, and their seams with u and u^-1 are those of the
+        reduced words ``u k u^-1`` and ``u k^-1 u^-1``, the root and its
+        inverse.  So a nontrivial power has exactly ``2|u| + |m| |k|``
+        letters, and h, reduced, is one exactly when ``|h| - 2|u| = |m| |k|``
+        for some |m| > 0 and h equals one of those two tuples.  No primitive
+        root of h is needed.
+        """
+        rep_inv, u, ui, k, ki = self._split
+        h = _concat_data(rep_inv, g.data)
+        if not h:
             return True
-        dec = h.primitive_root()
-        return dec.root == self.root or dec.root == ~self.root
+        m, rem = divmod(len(h) - 2 * len(u), len(k))
+        return not rem and m > 0 and (h == u + k * m + ui or h == u + ki * m + ui)
 
     def element(self, m: int) -> Word:
         return self.rep * self.root ** m

@@ -17,7 +17,7 @@ the image of the equation in the finite quotient PSL(2, 7).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Union
@@ -39,10 +39,14 @@ class OneVarWord:
     alphabet: Alphabet
     variable: str
     body: Word
+    #: whether the body holds the variable, found once on construction
+    contains_variable: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.body.alphabet.names != self.alphabet.names + (self.variable,):
             raise AlphabetError("body must be over the alphabet extended by the variable")
+        vc, data = self._var_code, self.body.data
+        object.__setattr__(self, "contains_variable", vc in data or -vc in data)
 
     @classmethod
     def parse(cls, text: str, alphabet: Alphabet, variable: str = DEFAULT_VARIABLE) -> "OneVarWord":
@@ -61,11 +65,6 @@ class OneVarWord:
     @property
     def _var_code(self) -> int:
         return len(self.alphabet) + 1
-
-    @property
-    def contains_variable(self) -> bool:
-        vc, data = self._var_code, self.body.data
-        return vc in data or -vc in data
 
     @cached_property
     def _segments(self) -> tuple[tuple[int, ...], tuple[tuple[bool, tuple[int, ...]], ...]]:
@@ -300,9 +299,18 @@ Block = Union[Word, PowerBlock]
 
 
 def _exact_power_exponent(word: Word, root: Word) -> int | None:
-    """k with ``root ** k == word``, or None; ``root`` is cyclically reduced, so ``|k| |root| = |word|``."""
-    k = len(word) // len(root)
-    return next((e for e in (k, -k) if root ** e == word), None)
+    """k with ``root ** k == word``, or None.
+
+    ``root`` is cyclically reduced, so ``root^k`` is ``root.data * k`` or, for
+    k < 0, the inverse's data times |k|, reduced as written, and
+    ``|k| |root| = |word|``.
+    """
+    k, rem = divmod(len(word), len(root))
+    if rem:
+        return None
+    if word.data == root.data * k:
+        return k
+    return -k if word.data == _invert_data(root.data) * k else None
 
 
 def _normalize_blocks(root: Word, blocks: Iterable[Block]) -> tuple[Word, tuple[Block, ...]]:
@@ -382,11 +390,25 @@ class ParametricWord:
 
     def at(self, n: int) -> Word:
         """Concrete value at integer n."""
-        pieces = [
-            b.data if isinstance(b, Word) else (self.root ** b.exponent_at(n)).data
-            for b in self.blocks
-        ]
-        return Word(self.alphabet, _reduce_data(pieces))
+        return Word(self.alphabet, self._data_at(n))
+
+    def _data_at(self, n: int) -> tuple[int, ...]:
+        """Reduced data of the value at n.
+
+        The root is the cyclic core after normalization, so a power block
+        ``root^e`` is ``root.data * e``, or the inverse's data times -e for
+        e < 0, each reduced as written.
+        """
+        k = self.root.data
+        ki = _invert_data(k)
+        pieces = []
+        for b in self.blocks:
+            if isinstance(b, Word):
+                pieces.append(b.data)
+            else:
+                e = b.exponent_at(n)
+                pieces.append(k * e if e >= 0 else ki * -e)
+        return _reduce_data(pieces)
 
     def __repr__(self) -> str:
         parts = []
@@ -477,4 +499,4 @@ def reduce_parametric(pw: ParametricWord) -> LineSolutionSet:
         else:
             n0, n1 = _ceil_div(hi, p.alpha), lo // p.alpha
         candidates.update(range(n0, n1 + 1))
-    return LineSolutionSet.finite(n for n in candidates if pw.at(n).is_identity)
+    return LineSolutionSet.finite(n for n in candidates if not pw._data_at(n))

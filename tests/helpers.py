@@ -7,7 +7,7 @@ from functools import reduce
 
 from hypothesis import strategies as st
 
-from fgz.onevar import OneVarWord
+from fgz.onevar import OneVarWord, ParametricWord, substitute_line
 from fgz.residual import Permutation
 from fgz.words import Alphabet, Word, _reduce_data, enumerate_ball
 
@@ -47,6 +47,25 @@ def signed_letters(word: Word) -> tuple[tuple[str, int], ...]:
     """The (name, sign) pairs of a word, in reading order."""
     names = word.alphabet.names
     return tuple((names[abs(v) - 1], 1 if v > 0 else -1) for v in word.data)
+
+
+def random_lines(rng: random.Random, count: int) -> list[ParametricWord]:
+    """Built lines: random one-variable words over a, b of up to 8 letters,
+    with ``base * root^n`` substituted for a random base and primitive root."""
+    lines = []
+    for _ in range(count):
+        word = OneVarWord.from_body(Word(AB.extend("x"), random_reduced_data(rng, 3, rng.randint(0, 8))))
+        base = random_word(rng, AB, 3)
+        root = random_word(rng, AB, 3, min_len=1).primitive_root().root
+        lines.append(substitute_line(word, base, root))
+    return lines
+
+
+def reference_member(coset, g: Word) -> bool:
+    """Coset membership by its definition: ``rep^-1 g`` is the identity or
+    has the root or its inverse as primitive root."""
+    h = ~coset.rep * g
+    return h.is_identity or h.primitive_root().root in (coset.root, ~coset.root)
 
 
 def commutator(s: Word, t: Word) -> Word:

@@ -19,10 +19,10 @@ from fgz.algset import (
     union,
 )
 from fgz.errors import AlphabetError, BallLimitError, RootError
-from fgz.onevar import LineSolutionSet
+from fgz.onevar import LineSolutionSet, reduce_parametric
 from fgz.words import MAX_BALL_LETTERS, Alphabet, Word, enumerate_ball, parse_word
 
-from helpers import AB, ABC, random_word, reduced_data
+from helpers import AB, ABC, random_lines, random_word, reduced_data, reference_member
 from test_reference_outputs import _load_workloads
 
 WHOLE = AlgebraicSet(AB, whole_group=True)
@@ -118,6 +118,17 @@ def coset_pairs(draw):
     return CyclicCoset.make(rep1, root1), CyclicCoset.make(rep2, root2)
 
 
+@st.composite
+def member_cases(draw):
+    """A canonical coset over an alphabet of rank 2 or 3, an exponent m,
+    |m| <= 12, and a short tail, often empty, for the word
+    ``g = rep root^m tail``."""
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    c = CyclicCoset.make(*draw(raw_cosets(alphabet)))
+    tail = draw(st.one_of(st.just(()), reduced_data(len(alphabet), 3)))
+    return c, draw(st.integers(-12, 12)), Word(alphabet, tail)
+
+
 class TestCyclicCoset:
     def test_member_subgroup(self):
         assert coset("1", "a").member(w("a^5"))
@@ -130,6 +141,42 @@ class TestCyclicCoset:
         assert not c.member(w("b a"))
         for k in range(-3, 4):
             assert w("a b") ** k != w("b a")
+
+    @settings(deadline=None, derandomize=True, max_examples=600)
+    @given(member_cases())
+    @example((coset("1", "b^2 a b^-2"), 1, w("1")))  # nonempty conjugator u = b^2, m = 1
+    @example((coset("1", "b^2 a b^-2"), -1, w("1")))  # m = -1: the inverse core
+    @example((coset("a", "b^2 a b^-2"), 9, w("1")))  # |m| >= 8 under a conjugator
+    @example((coset("b", "b^2 a b^-2"), -8, w("1")))
+    @example((coset("1", "a b"), -11, w("1")))  # core of two letters, no conjugator
+    @example((coset("a b", "b a b^-1 a"), 0, w("1")))  # h is the identity
+    @example((coset("1", "b^2 a b^-2"), 0, w("b^2 a^3 b^2")))  # near miss: 2|u| + 3|k| letters, no power
+    @example((coset("1", "a b"), 0, w("b a b a")))  # near miss: a rotation of root^2
+    @example((CyclicCoset.make(Word(ABC, (3,)), Word(ABC, (3, 1, 2, -3))), 0, Word(ABC, (3, 1, 2, 2, 1, -3))))
+    def test_member_matches_primitive_root_reference(self, case):
+        # the last example is a near miss c a b b a c^-1 under u = c: its
+        # middle a b b a has 2 |k| letters and begins with k = a b
+        c, m, tail = case
+        g = c.element(m) * tail
+        assert c.member(g) == reference_member(c, g)
+
+    def test_member_and_line_reduction_stay_on_data(self, monkeypatch):
+        # once a coset or a line is built, membership and line reduction
+        # take no primitive root and no Word power: they compare int tuples
+        rng = random.Random(47)
+        cosets = [c for _ in range(60) for c in random_algset(rng).cosets]
+        ball = enumerate_ball(AB, 4)
+        expected = [[reference_member(c, g) for g in ball] for c in cosets]
+        lines = random_lines(random.Random(45), 80)
+        solved = [reduce_parametric(pw) for pw in lines]
+
+        def refuse(*args):
+            raise AssertionError("a hot kernel left the int data")
+
+        monkeypatch.setattr(Word, "primitive_root", refuse)
+        monkeypatch.setattr(Word, "__pow__", refuse)
+        assert [[c.member(g) for g in ball] for c in cosets] == expected
+        assert [reduce_parametric(pw) for pw in lines] == solved
 
     def test_rejects_trivial_root(self):
         with pytest.raises(RootError):

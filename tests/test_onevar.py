@@ -13,6 +13,7 @@ from fgz.onevar import (
     PowerBlock,
     QUOTIENT_ORDER,
     _ball_buckets,
+    _exact_power_exponent,
     _merge,
     _normalize_blocks,
     _QUOTIENT_MATRICES,
@@ -41,6 +42,7 @@ from helpers import (
     commutator,
     one_var_words,
     plain_solutions,
+    random_lines,
     random_reduced_data,
     random_word,
     reduced_data,
@@ -515,6 +517,27 @@ def raw_value(root, blocks, n):
     return value
 
 
+class TestExactPowerExponent:
+    @pytest.mark.parametrize("root", ["a", "a b", "a b^-1 a^2", "b a^-1 b^-1 a^2 b"])
+    def test_powers_of_either_sign(self, root):
+        r = w(root)
+        for k in range(1, 9):
+            assert _exact_power_exponent(r ** k, r) == k
+            assert _exact_power_exponent(r ** -k, r) == -k
+
+    @pytest.mark.parametrize("root", ["a b", "a b^-1 a^2", "b a^-1 b^-1 a^2 b"])
+    def test_rotations_and_other_lengths_are_not_powers(self, root):
+        # a primitive root of two or more letters: its powers have no
+        # rotation by one letter that equals them, and a prefix one letter
+        # short has a length that |root| does not divide
+        r = w(root)
+        for k in range(1, 9):
+            data = (r ** k).data
+            assert _exact_power_exponent(Word(AB, data[1:] + data[:1]), r) is None
+            assert _exact_power_exponent(Word(AB, data[:-1]), r) is None
+            assert _exact_power_exponent(~Word(AB, data[1:] + data[:1]), r) is None
+
+
 class TestSeamMerge:
     @settings(deadline=None, derandomize=True, max_examples=400)
     @given(raw=raw_blocks())
@@ -750,14 +773,7 @@ class TestReduceParametric:
         assert [n for n in range(n_star - 12, n_star + 13) if pw.at(n).is_identity] == [n_star]
 
     def test_does_not_normalize_again(self, monkeypatch):
-        rng = random.Random(45)
-        cases = []
-        for _ in range(80):
-            word = OneVarWord.from_body(Word(X, random_reduced_data(rng, 3, rng.randint(0, 8))))
-            base = random_word(rng, AB, 3)
-            root = random_word(rng, AB, 3, min_len=1).primitive_root().root
-            pw = substitute_line(word, base, root)
-            cases.append((pw, reduce_parametric(pw)))
+        cases = [(pw, reduce_parametric(pw)) for pw in random_lines(random.Random(45), 80)]
 
         def normalize(*args):
             raise AssertionError("reduce_parametric normalized its input again")
