@@ -21,15 +21,15 @@ rank-1 set with a coset becomes F, which then has one form too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from .errors import AlphabetError, BallLimitError, ParseError, RootError
 from .onevar import ParametricWord, PowerBlock, reduce_parametric
 from .words import (
-    MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _reduce_data, enumerate_ball, parse_word
+    MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _RootSplit, _split_root, enumerate_ball, parse_word
 )
 
 
@@ -45,6 +45,8 @@ class CyclicCoset:
 
     rep: Word
     root: Word
+    #: the root's :class:`~fgz.words._RootSplit`, found once on construction
+    _split: _RootSplit = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rep, root = self.rep, self.root
@@ -52,17 +54,19 @@ class CyclicCoset:
             raise AlphabetError("rep and root must share an alphabet")
         if root.is_identity:
             raise RootError("coset root must be nontrivial")
-        dec = root.primitive_root()
-        if dec.exponent != 1:
+        split = _split_root(root.data)
+        if split.period() != len(split.k):
+            dec = root.primitive_root()
             raise RootError(
                 f"root {root} is a proper power ({dec.root})^{dec.exponent}; "
                 "only cosets of maximal cyclic subgroups (full centralizers) "
                 "are representable - use the primitive root"
             )
         if ~root < root:
-            root = ~root
-            object.__setattr__(self, "root", root)
-        object.__setattr__(self, "rep", _least_element(rep, root))
+            split = split.inverse()
+            object.__setattr__(self, "root", ~root)
+        object.__setattr__(self, "_split", split)
+        object.__setattr__(self, "rep", _least_element(rep, split))
 
     @classmethod
     def make(cls, rep: Word, root: Word) -> "CyclicCoset":
@@ -83,14 +87,14 @@ class CyclicCoset:
         """
         if len(self.rep) > length:
             return []
-        _, u, ui, k, ki = self._split
-        window = max(0, (length + len(self.rep) - 2 * len(u)) // len(k))
+        split = self._split
+        window = max(0, (length + len(self.rep) - 2 * len(split.u)) // len(split.k))
         if (letters := (2 * window + 1) * length) > MAX_BALL_LETTERS:
             raise BallLimitError(
                 f"coset {self} within length {length:,} has a window of {2 * window + 1:,} elements "
                 f"that may keep {letters:,} letters, over the limit of {MAX_BALL_LETTERS:,}"
             )
-        start = _reduce_data((self.rep.data, u, ki * window, ui))
+        start = _concat_data(self.rep.data, split.power(-window))
         walk = accumulate(repeat(self.root.data, 2 * window), _concat_data, initial=start)
         return [Word(self.alphabet, d) for d in walk if len(d) <= length]
 
@@ -98,39 +102,14 @@ class CyclicCoset:
     def alphabet(self) -> Alphabet:
         return self.root.alphabet
 
-    @cached_property
-    def _split(self) -> tuple[tuple[int, ...], ...]:
-        """The data of ``rep^-1``, u, ``u^-1``, k and ``k^-1`` for ``root = u k u^-1``, k cyclically reduced.
-
-        Computed on first use and kept; not a dataclass field, so equality,
-        hashing and repr ignore it.
-        """
-        cyc = self.root.cyclic_decomposition()
-        u, k = cyc.conjugator.data, cyc.core.data
-        return _invert_data(self.rep.data), u, _invert_data(u), k, _invert_data(k)
-
     def member(self, g: Word) -> bool:
-        """True iff ``h = rep^-1 * g`` is a power ``root^m`` of the root (m = 0 included).
-
-        With ``root = u k u^-1``, k cyclically reduced, ``root^m`` is
-        ``u k^m u^-1`` for m > 0 and ``u (k^-1)^|m| u^-1`` for m < 0, and
-        both are reduced as written: k^m and (k^-1)^|m| are, as k is
-        cyclically reduced, and their seams with u and u^-1 are those of the
-        reduced words ``u k u^-1`` and ``u k^-1 u^-1``, the root and its
-        inverse.  So a nontrivial power has exactly ``2|u| + |m| |k|``
-        letters, and h, reduced, is one exactly when ``|h| - 2|u| = |m| |k|``
-        for some |m| > 0 and h equals one of those two tuples.  No primitive
-        root of h is needed.
-        """
-        rep_inv, u, ui, k, ki = self._split
-        h = _concat_data(rep_inv, g.data)
-        if not h:
-            return True
-        m, rem = divmod(len(h) - 2 * len(u), len(k))
-        return not rem and m > 0 and (h == u + k * m + ui or h == u + ki * m + ui)
+        """True iff ``rep^-1 * g`` is a power ``root^m`` of the root (m = 0
+        included), found by :meth:`~fgz.words._RootSplit.exponent`."""
+        return self._split.exponent(_concat_data(_invert_data(self.rep.data), g.data)) is not None
 
     def element(self, m: int) -> Word:
-        return self.rep * self.root ** m
+        """``rep * root^m``."""
+        return Word(self.alphabet, _concat_data(self.rep.data, self._split.power(m)))
 
     def sort_key(self) -> tuple:
         return (self.rep.sort_key(), self.root.sort_key())
@@ -139,8 +118,8 @@ class CyclicCoset:
         return f"({self.rep})<{self.root}>"
 
 
-def _least_element(rep: Word, root: Word) -> Word:
-    """The shortlex least element ``rep * root^m`` of ``rep<root>``.
+def _least_element(rep: Word, split: _RootSplit) -> Word:
+    """The shortlex least element ``rep * root^m`` of ``rep<root>``, for the root's split.
 
     Write ``root = u k u^-1`` with k cyclically reduced and ``p = rep u``,
     so ``rep root^m = p k^m u^-1``.  Let t be the length of the longest
@@ -157,19 +136,17 @@ def _least_element(rep: Word, root: Word) -> Word:
     letter ends at most one of the two infinite words, so at most one t is
     nonzero.  The least element is the shortlex least of rep and these.
     """
-    cyc = root.cyclic_decomposition()
-    u, k = cyc.conjugator.data, cyc.core.data
-    p, u_inv = _concat_data(rep.data, u), _invert_data(u)
+    u, _, k, ki = split
+    p = _concat_data(rep.data, u)
     n, size = len(p), len(k)
-    k_inv = _invert_data(k)
     candidates = [rep]
-    for core, tail in ((k, k_inv), (k_inv, k)):
+    for sign, tail in ((1, ki), (-1, k)):
         t = 0
         while t < n and p[n - 1 - t] == tail[size - 1 - t % size]:
             t += 1
         if t:
             q = t // size
-            candidates += [Word(rep.alphabet, _reduce_data((p, core * m, u_inv))) for m in (q, q + 1)]
+            candidates += [Word(rep.alphabet, _concat_data(rep.data, split.power(sign * m))) for m in (q, q + 1)]
     return min(candidates, key=Word.sort_key)
 
 

@@ -30,7 +30,7 @@ class BallLimitError(FreeGroupError, ValueError):
 
 
 class EvaluationLimitError(FreeGroupError, ValueError):
-    """An evaluation ``w(g)`` is over ``words.MAX_PARSE_LETTERS`` letters before reduction."""
+    """An evaluation ``w(g)`` before reduction, or a word power, is over ``words.MAX_PARSE_LETTERS`` letters."""
 
 
 class SeparationLimitError(FreeGroupError, ValueError):

@@ -26,7 +26,7 @@ from .errors import AlphabetError, EvaluationLimitError, RootError
 from .residual import _compose, _fold, _inverse, _perm_table
 from .words import (
     BALL_CACHE_SIZE, MAX_PARSE_LETTERS, Alphabet, Word, _ball_data, _ball_images, _invert_data, _reduce_data,
-    parse_word,
+    _RootSplit, _split_root, parse_word,
 )
 
 DEFAULT_VARIABLE = "x"
@@ -298,23 +298,8 @@ class PowerBlock:
 Block = Union[Word, PowerBlock]
 
 
-def _exact_power_exponent(word: Word, root: Word) -> int | None:
-    """k with ``root ** k == word``, or None.
-
-    ``root`` is cyclically reduced, so ``root^k`` is ``root.data * k`` or, for
-    k < 0, the inverse's data times |k|, reduced as written, and
-    ``|k| |root| = |word|``.
-    """
-    k, rem = divmod(len(word), len(root))
-    if rem:
-        return None
-    if word.data == root.data * k:
-        return k
-    return -k if word.data == _invert_data(root.data) * k else None
-
-
-def _normalize_blocks(root: Word, blocks: Iterable[Block]) -> tuple[Word, tuple[Block, ...]]:
-    """The cyclic core c of ``root = u c u^-1`` and the blocks as powers of c.
+def _normalize_blocks(alphabet: Alphabet, split: _RootSplit, blocks: Iterable[Block]) -> tuple[_RootSplit, tuple]:
+    """For the ``split`` of ``root = u c u^-1``: the split of c and the blocks as powers of c.
 
     Each power is spliced into ``u . power . u^-1``.  Then one left-to-right
     stack pass merges only at the seam with the top of the output, as
@@ -325,14 +310,14 @@ def _normalize_blocks(root: Word, blocks: Iterable[Block]) -> tuple[Word, tuple[
     split of concrete material is one normal form of the merge rules, not
     the only one; neither ``at`` nor ``reduce_parametric`` depends on it.
     """
-    cyc = root.cyclic_decomposition()
-    core, u, ui = cyc.core, cyc.conjugator, ~cyc.conjugator
+    core = _RootSplit((), (), split.k, split.ki)
+    u, ui = Word(alphabet, split.u), Word(alphabet, split.ui)
     spliced = chain.from_iterable((u, b, ui) if isinstance(b, PowerBlock) else (b,) for b in blocks)
     out: list[Block] = []
     for item in spliced:
         while True:
             if isinstance(item, PowerBlock) and item.alpha == 0:
-                item = core ** item.beta
+                item = Word(alphabet, core.power(item.beta))
             if isinstance(item, Word) and not item.data:
                 break
             merged = _merge(out[-1], item, core) if out else None
@@ -344,19 +329,19 @@ def _normalize_blocks(root: Word, blocks: Iterable[Block]) -> tuple[Word, tuple[
     return core, tuple(out)
 
 
-def _merge(left: Block, right: Block, root: Word) -> Block | None:
+def _merge(left: Block, right: Block, core: _RootSplit) -> Block | None:
     """One block equal to ``left`` times ``right`` for every n, or None.
 
-    Words multiply, powers add exponents, and a word that is an
-    exact power of ``root`` joins the power next to it (on either side, as
-    powers of one root commute).
+    Words multiply, powers add exponents, and a word that is an exact
+    power of the root, split as ``core``, joins the power next to it (on
+    either side, as powers of one root commute).
     """
     if isinstance(left, Word) and isinstance(right, Word):
         return left * right
     if isinstance(left, PowerBlock) and isinstance(right, PowerBlock):
         return PowerBlock(left.alpha + right.alpha, left.beta + right.beta)
     power, concrete = (left, right) if isinstance(left, PowerBlock) else (right, left)
-    k = _exact_power_exponent(concrete, root)
+    k = core.exponent(concrete.data)
     return None if k is None else PowerBlock(power.alpha, power.beta + k)
 
 
@@ -365,50 +350,42 @@ class ParametricWord:
     """Block sequence denoting a word-valued function of n, normalized on construction.
 
     Every power block is a power of the one ``root``, which must be
-    nontrivial and primitive.  Construction replaces ``root = u c u^-1``
-    by its cyclic core c, splices ``u . power . u^-1`` for each power and
-    merges the blocks (:func:`_normalize_blocks`).  The normalized blocks
-    are one normal form of the merge rules: two block sequences for the
-    same function may split their concrete material differently.  ``at``
-    and ``reduce_parametric`` depend only on the function, not on the
-    split.
+    nontrivial and primitive.  Construction splits ``root = u c u^-1``
+    once, replaces it by its cyclic core c, splices ``u . power . u^-1``
+    for each power and merges the blocks (:func:`_normalize_blocks`).  The
+    normalized blocks are one normal form of the merge rules: two block
+    sequences for the same function may split their concrete material
+    differently.  ``at`` and ``reduce_parametric`` depend only on the
+    function, not on the split.
     """
 
     alphabet: Alphabet
     root: Word
     blocks: tuple[Block, ...]
+    #: the split of the normalized root, the cyclic core, found once on construction
+    _split: _RootSplit = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.root.is_identity:
+        root = self.root
+        if root.is_identity:
             raise RootError("root of a parametric word must be nontrivial")
-        dec = self.root.primitive_root()
-        if dec.exponent != 1:
-            raise RootError(f"root {self.root} is a proper power ({dec.root})^{dec.exponent}")
-        core, blocks = _normalize_blocks(self.root, self.blocks)
-        object.__setattr__(self, "root", core)
+        split = _split_root(root.data)
+        if split.period() != len(split.k):
+            dec = root.primitive_root()
+            raise RootError(f"root {root} is a proper power ({dec.root})^{dec.exponent}")
+        core, blocks = _normalize_blocks(self.alphabet, split, self.blocks)
+        object.__setattr__(self, "root", Word(root.alphabet, core.k))
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_split", core)
 
     def at(self, n: int) -> Word:
         """Concrete value at integer n."""
         return Word(self.alphabet, self._data_at(n))
 
     def _data_at(self, n: int) -> tuple[int, ...]:
-        """Reduced data of the value at n.
-
-        The root is the cyclic core after normalization, so a power block
-        ``root^e`` is ``root.data * e``, or the inverse's data times -e for
-        e < 0, each reduced as written.
-        """
-        k = self.root.data
-        ki = _invert_data(k)
-        pieces = []
-        for b in self.blocks:
-            if isinstance(b, Word):
-                pieces.append(b.data)
-            else:
-                e = b.exponent_at(n)
-                pieces.append(k * e if e >= 0 else ki * -e)
-        return _reduce_data(pieces)
+        """Reduced data of the value at n."""
+        power = self._split.power
+        return _reduce_data([b.data if isinstance(b, Word) else power(b.exponent_at(n)) for b in self.blocks])
 
     def __repr__(self) -> str:
         parts = []

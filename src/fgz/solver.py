@@ -47,7 +47,7 @@ from itertools import combinations, takewhile
 from .algset import AlgebraicSet, CyclicCoset, to_json_dict
 from .errors import SolverError
 from .onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
-from .words import Word, _invert_data, _letters_text
+from .words import Word, _invert_data, _letters_text, _reduce_data, _split_root
 
 DEFAULT_DISCOVERY_RADIUS = 6
 #: Escalations of the discovery radius, by 2 each, before a persistent oracle mismatch is an error.
@@ -154,7 +154,7 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     vc, alphabet = w._var_code, w.alphabet
     if abelian_constraint(w) is None:
         return AlgebraicSet.empty(alphabet)
-    core = w.body.cyclic_decomposition().core.data
+    core = _split_root(w.body.data).k
     if vc not in core:
         core = _invert_data(core)
     i = next((i for i, v in enumerate(core) if v == vc and core[i - 1] != vc), 0)
@@ -177,12 +177,12 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     if rest[j] == vc:
         y = _root(~c2 * c1, 2)
         return AlgebraicSet(alphabet, () if y is None else (y * ~c1,))
-    c1_cyc, d_cyc = c1.cyclic_decomposition(), (~c2).cyclic_decomposition()
-    k1, kd = c1_cyc.core.data, d_cyc.core.data
+    s1, sd = _split_root(c1.data), _split_root(_invert_data(c2.data))
+    k1, kd = s1.k, sd.k
     shift = (_letters_text(k1) * 2).find(_letters_text(kd)) if len(k1) == len(kd) else -1
     if shift < 0:
         return AlgebraicSet.empty(alphabet)
-    x0 = d_cyc.conjugator * ~Word(alphabet, k1[:shift]) * ~c1_cyc.conjugator
+    x0 = Word(alphabet, _reduce_data((sd.u, _invert_data(k1[:shift]), s1.ui)))
     return AlgebraicSet(alphabet, (), (CyclicCoset.make(x0, c1.primitive_root().root),))
 
 

@@ -9,6 +9,8 @@ per group element, which makes equality, hashing and ordering structural.
 Two primitives reduce products: :func:`_reduce_data` for the product of
 any number of reduced pieces, which every n-ary product in the package
 goes through, and :func:`_concat_data` for the binary ``Word.__mul__``.
+Powers of a root ``r = u k u^-1``, k cyclically reduced, are written once,
+in its split :class:`_RootSplit`.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     AlphabetError,
     BallLimitError,
+    EvaluationLimitError,
     IdentityWordError,
     ParseError,
     WholeGroupError,
@@ -35,7 +38,7 @@ RESERVED_NAMES = ("1", "e")
 #: Entries kept by each per-ball cache: distinct (rank, radius) pairs.
 BALL_CACHE_SIZE = 8
 
-#: Most letters a word may expand to before reduction, in parsing or in evaluation.
+#: Most letters a word may expand to before reduction, in parsing or in evaluation, or have as a power.
 MAX_PARSE_LETTERS = 10**6
 
 #: Most elements a ball may have; a larger one is refused before it is built.
@@ -183,15 +186,14 @@ class Word:
     def __invert__(self) -> "Word":
         return Word(self.alphabet, _invert_data(self.data))
 
-    def __pow__(self, k: int) -> "Word":
-        if k == 0 or not self.data:
+    def __pow__(self, m: int) -> "Word":
+        """``self^m``; over :data:`MAX_PARSE_LETTERS` letters it is refused before it is built."""
+        if m == 0 or not self.data:
             return Word(self.alphabet, ())
-        dec = self.cyclic_decomposition()
-        core = dec.core.data if k > 0 else _invert_data(dec.core.data)
-        u = dec.conjugator.data
-        # u . core^|k| . u^-1 is reduced as written (core cyclically reduced,
-        # seams inherited from the reduced original).
-        return Word(self.alphabet, u + core * abs(k) + _invert_data(u))
+        split = _split_root(self.data)
+        if (size := 2 * len(split.u) + abs(m) * len(split.k)) > MAX_PARSE_LETTERS:
+            raise EvaluationLimitError(f"a power has {size:,} letters, over the limit of {MAX_PARSE_LETTERS:,}")
+        return Word(self.alphabet, split.power(m))
 
     def support(self) -> frozenset[str]:
         """Letters occurring in the reduced form."""
@@ -199,8 +201,8 @@ class Word:
         return frozenset(names[abs(v) - 1] for v in self.data)
 
     def sort_key(self) -> tuple:
-        """Canonical order: length first, then letter index, then sign (+ before -)."""
-        return (len(self.data), tuple([(abs(v) - 1, 0 if v > 0 else 1) for v in self.data]))
+        """Canonical order: length first, then letter index, then sign (+ before -): code v as ``2|v| + (v < 0)``."""
+        return (len(self.data), tuple([2 * abs(v) + (v < 0) for v in self.data]))
 
     def __lt__(self, other: "Word") -> bool:
         self._check_same_alphabet(other)
@@ -209,29 +211,18 @@ class Word:
     def __le__(self, other: "Word") -> bool:
         return self == other or self < other
 
-    def cyclic_decomposition(self) -> "CyclicDecomposition":
-        """Split into ``u * core * u^-1`` with the core cyclically reduced."""
-        data = self.data
-        i, j = 0, len(data)
-        while j - i >= 2 and data[i] == -data[j - 1]:
-            i += 1
-            j -= 1
-        return CyclicDecomposition(Word(self.alphabet, data[:i]), Word(self.alphabet, data[i:j]))
-
     def primitive_root(self) -> "RootDecomposition":
         """The unique primitive r and k >= 1 with ``r**k == self``.
 
-        Cyclically reduce, find the least p > 0 where the core recurs in the
-        core twice over (a rotation by p, so p is a period), conjugate back.
+        Split off the cyclic core, take its least period p (a rotation by
+        p, :meth:`_RootSplit.period`), conjugate back.
         """
         if not self.data:
             raise IdentityWordError("the identity has no primitive root")
-        dec = self.cyclic_decomposition()
-        c, u = dec.core.data, dec.conjugator.data
-        text = _letters_text(c)
-        p = (text + text).find(text, 1)
-        root = self if p == len(c) else Word(self.alphabet, u + c[:p] + _invert_data(u))
-        return RootDecomposition(root, len(c) // p)
+        u, ui, k, _ = split = _split_root(self.data)
+        p = split.period()
+        root = self if p == len(k) else Word(self.alphabet, u + k[:p] + ui)
+        return RootDecomposition(root, len(k) // p)
 
     def __str__(self) -> str:
         if not self.data:
@@ -256,19 +247,66 @@ class Word:
 
 
 @dataclass(frozen=True, slots=True)
-class CyclicDecomposition:
-    """``word == conjugator * core * conjugator^-1`` with core cyclically reduced."""
-
-    conjugator: Word
-    core: Word
-
-
-@dataclass(frozen=True, slots=True)
 class RootDecomposition:
     """``root ** exponent == word`` with root primitive (not a proper power)."""
 
     root: Word
     exponent: int
+
+
+class _RootSplit(NamedTuple):
+    """The data of u, ``u^-1``, k and ``k^-1`` for a root ``r = u k u^-1``, k cyclically reduced.
+
+    For m > 0, ``r^m`` is ``u k^m u^-1`` and ``r^-m`` is ``u (k^-1)^m u^-1``,
+    both reduced as written: k^m and (k^-1)^m are, as k is cyclically
+    reduced, and their seams with u and u^-1 are those of the reduced words
+    ``u k u^-1`` and ``u k^-1 u^-1``, the root and its inverse.  So a
+    nontrivial power has exactly ``2|u| + |m| |k|`` letters.
+    """
+
+    u: tuple[int, ...]
+    ui: tuple[int, ...]
+    k: tuple[int, ...]
+    ki: tuple[int, ...]
+
+    def power(self, m: int) -> tuple[int, ...]:
+        """The data of ``r^m``."""
+        if m == 0:
+            return ()
+        return self.u + (self.k * m if m > 0 else self.ki * -m) + self.ui
+
+    def exponent(self, h: tuple[int, ...]) -> int | None:
+        """The m with ``r^m == h`` for reduced data h, or None: h is a nontrivial
+        power exactly when ``|h| - 2|u| = |m| |k|`` for some |m| > 0 and h is
+        the power of that |m| or of -|m|.  No primitive root of h is needed."""
+        if not h:
+            return 0
+        m, rem = divmod(len(h) - 2 * len(self.u), len(self.k))
+        if rem or m <= 0:
+            return None
+        if h == self.power(m):
+            return m
+        return -m if h == self.power(-m) else None
+
+    def inverse(self) -> "_RootSplit":
+        """The split of ``r^-1 = u k^-1 u^-1``."""
+        return _RootSplit(self.u, self.ui, self.ki, self.k)
+
+    def period(self) -> int:
+        """The least p > 0 with k a rotation of itself by p; r is primitive
+        exactly when p = |k|.  The first recurrence of k in k twice over."""
+        text = _letters_text(self.k)
+        return (text + text).find(text, 1)
+
+
+def _split_root(data: tuple[int, ...]) -> _RootSplit:
+    """Split reduced data into ``u k u^-1`` with k cyclically reduced."""
+    i, j = 0, len(data)
+    while j - i >= 2 and data[i] == -data[j - 1]:
+        i += 1
+        j -= 1
+    u, k = data[:i], data[i:j]
+    return _RootSplit(u, _invert_data(u), k, _invert_data(k))
 
 
 def _letters_text(data: tuple[int, ...]) -> str:

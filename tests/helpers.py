@@ -68,6 +68,11 @@ def reference_member(coset, g: Word) -> bool:
     return h.is_identity or h.primitive_root().root in (coset.root, ~coset.root)
 
 
+def reference_sort_key(word: Word) -> tuple:
+    """Shortlex by its definition: length, then per letter its alphabet index and sign, + before -."""
+    return (len(word), [(abs(v) - 1, 0 if v > 0 else 1) for v in word.data])
+
+
 def commutator(s: Word, t: Word) -> Word:
     return s * t * ~s * ~t
 

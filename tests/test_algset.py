@@ -20,7 +20,7 @@ from fgz.algset import (
 )
 from fgz.errors import AlphabetError, BallLimitError, RootError
 from fgz.onevar import LineSolutionSet, reduce_parametric
-from fgz.words import MAX_BALL_LETTERS, Alphabet, Word, enumerate_ball, parse_word
+from fgz.words import MAX_BALL_LETTERS, Alphabet, Word, _split_root, enumerate_ball, parse_word
 
 from helpers import AB, ABC, random_lines, random_word, reduced_data, reference_member
 from test_reference_outputs import _load_workloads
@@ -208,6 +208,20 @@ class TestCyclicCoset:
         rep, root = raw
         c = CyclicCoset.make(rep, root)
         assert (c.rep, c.root) == span_make(rep, root)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(st.sampled_from((AB, ABC)).flatmap(raw_cosets), st.integers(0, 6))
+    def test_inverse_root_gives_the_same_coset(self, raw, length):
+        # one of the two is built from the inverse of its kept root, which
+        # swaps the core and its inverse in the root's split
+        rep, root = raw
+        c, flipped = CyclicCoset.make(rep, root), CyclicCoset.make(rep, ~root)
+        assert c == flipped and str(c) == str(flipped)
+        assert c._split == flipped._split == _split_root(c.root.data)
+        assert [flipped.element(m) for m in range(-6, 7)] == [c.element(m) for m in range(-6, 7)]
+        assert flipped.elements_within(length) == c.elements_within(length)
+        for g in enumerate_ball(c.alphabet, 3) + [c.element(m) for m in range(-6, 7)]:
+            assert flipped.member(g) == c.member(g) == reference_member(c, g)
 
     def test_least_element_edges(self):
         # the length falls to m = t / |k| = 2, where u^-1 cancels as well

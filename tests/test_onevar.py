@@ -13,7 +13,6 @@ from fgz.onevar import (
     PowerBlock,
     QUOTIENT_ORDER,
     _ball_buckets,
-    _exact_power_exponent,
     _merge,
     _normalize_blocks,
     _QUOTIENT_MATRICES,
@@ -33,6 +32,8 @@ from fgz.words import (
     _ball_data,
     _concat_data,
     _reduce_data,
+    _RootSplit,
+    _split_root,
     parse_word,
 )
 
@@ -422,21 +423,21 @@ def fixpoint_normalized(alphabet, root, blocks):
     spliced for each power, then merge passes over the whole list until
     one changes nothing, as a ``ParametricWord`` that skips constructor
     normalization."""
-    cyc = root.cyclic_decomposition()
-    core, u = cyc.core, cyc.conjugator
+    u, ui, c, ci = _split_root(root.data)
+    core = _RootSplit((), (), c, ci)
     items = []
     for block in blocks:
         if isinstance(block, Word):
             items.append(block)
         else:
-            items += [u, block, ~u]
+            items += [Word(alphabet, u), block, Word(alphabet, ui)]
     changed = True
     while changed:
         changed = False
         out = []
         for item in items:
             if isinstance(item, PowerBlock) and item.alpha == 0:
-                item = core ** item.beta
+                item = Word(alphabet, core.power(item.beta))
                 changed = True
             if isinstance(item, Word) and not item.data:
                 changed = True
@@ -456,13 +457,13 @@ def fixpoint_normalized(alphabet, root, blocks):
                     changed = True
                     continue
                 if isinstance(last, PowerBlock) and isinstance(item, Word):
-                    k = onevar._exact_power_exponent(item, core)
+                    k = core.exponent(item.data)
                     if k is not None:
                         out[-1] = PowerBlock(last.alpha, last.beta + k)
                         changed = True
                         continue
                 if isinstance(last, Word) and isinstance(item, PowerBlock):
-                    k = onevar._exact_power_exponent(last, core)
+                    k = core.exponent(last.data)
                     if k is not None:
                         out[-1] = PowerBlock(item.alpha, item.beta + k)
                         changed = True
@@ -471,8 +472,9 @@ def fixpoint_normalized(alphabet, root, blocks):
         items = out
     pw = object.__new__(ParametricWord)
     object.__setattr__(pw, "alphabet", alphabet)
-    object.__setattr__(pw, "root", core)
+    object.__setattr__(pw, "root", Word(alphabet, c))
     object.__setattr__(pw, "blocks", tuple(items))
+    object.__setattr__(pw, "_split", core)
     return pw
 
 
@@ -518,24 +520,27 @@ def raw_value(root, blocks, n):
 
 
 class TestExactPowerExponent:
+    """``_RootSplit.exponent`` on the cyclically reduced roots that normalized lines have."""
+
     @pytest.mark.parametrize("root", ["a", "a b", "a b^-1 a^2", "b a^-1 b^-1 a^2 b"])
     def test_powers_of_either_sign(self, root):
         r = w(root)
+        split = _split_root(r.data)
         for k in range(1, 9):
-            assert _exact_power_exponent(r ** k, r) == k
-            assert _exact_power_exponent(r ** -k, r) == -k
+            assert split.exponent((r ** k).data) == k
+            assert split.exponent((r ** -k).data) == -k
 
     @pytest.mark.parametrize("root", ["a b", "a b^-1 a^2", "b a^-1 b^-1 a^2 b"])
     def test_rotations_and_other_lengths_are_not_powers(self, root):
         # a primitive root of two or more letters: its powers have no
         # rotation by one letter that equals them, and a prefix one letter
         # short has a length that |root| does not divide
-        r = w(root)
+        split = _split_root(w(root).data)
         for k in range(1, 9):
-            data = (r ** k).data
-            assert _exact_power_exponent(Word(AB, data[1:] + data[:1]), r) is None
-            assert _exact_power_exponent(Word(AB, data[:-1]), r) is None
-            assert _exact_power_exponent(~Word(AB, data[1:] + data[:1]), r) is None
+            data = split.power(k)
+            assert split.exponent(data[1:] + data[:1]) is None
+            assert split.exponent(data[:-1]) is None
+            assert split.exponent((~Word(AB, data[1:] + data[:1])).data) is None
 
 
 class TestSeamMerge:
@@ -553,8 +558,8 @@ class TestSeamMerge:
     def test_no_adjacent_blocks_merge(self, raw):
         pw = ParametricWord(AB, *raw)
         blocks = pw.blocks
-        assert all(_merge(left, right, pw.root) is None for left, right in zip(blocks, blocks[1:]))
-        assert _normalize_blocks(pw.root, blocks) == (pw.root, blocks)
+        assert all(_merge(left, right, pw._split) is None for left, right in zip(blocks, blocks[1:]))
+        assert _normalize_blocks(AB, pw._split, blocks) == (pw._split, blocks)
         assert fixpoint_normalized(AB, pw.root, blocks).blocks == blocks
 
 
@@ -567,7 +572,7 @@ class TestNormalization:
             base = random_word(rng, AB, 3)
             root = random_word(rng, AB, 3, min_len=1).primitive_root().root
             pw = substitute_line(word, base, root)
-            assert pw.root == root.cyclic_decomposition().core
+            assert pw.root.data == _split_root(root.data).k
             kinds = [isinstance(block, Word) for block in pw.blocks]
             assert all(left != right for left, right in zip(kinds, kinds[1:]))
             for block in pw.blocks:
@@ -616,7 +621,7 @@ class TestNormalization:
                 else:
                     raw.append(PowerBlock(rng.randint(-2, 2), rng.randint(-2, 2)))
             pw = ParametricWord(AB, root, tuple(raw))
-            assert (pw.root, pw.blocks) == _normalize_blocks(root, raw)
+            assert (pw._split, pw.blocks) == _normalize_blocks(AB, _split_root(root.data), raw)
             assert ParametricWord(AB, pw.root, pw.blocks) == pw
             for n in range(-3, 4):
                 assert pw.at(n) == raw_value(root, raw, n)
@@ -672,7 +677,7 @@ class TestReduceParametric:
         # prefixes of r and r^-1; one concrete in five is loose instead
         alphabet = data.draw(st.sampled_from((AB, ABC)))
         root = Word(alphabet, data.draw(reduced_data(len(alphabet), 4, min_len=1))).primitive_root().root
-        r = root.cyclic_decomposition().core
+        r = Word(alphabet, _split_root(root.data).k)
         blocks = []
         for _ in range(data.draw(st.integers(1, 5))):
             side = r if data.draw(st.booleans()) else ~r
@@ -697,7 +702,7 @@ class TestReduceParametric:
         # solution e = k eats both concretes whole, |e| |r| = room exactly.
         alphabet = data.draw(st.sampled_from((AB, ABC)))
         root = Word(alphabet, data.draw(reduced_data(len(alphabet), 5, min_len=2))).primitive_root().root
-        core = root.cyclic_decomposition().core
+        core = Word(alphabet, _split_root(root.data).k)
         assume(len(core) >= 2)
         k = data.draw(st.integers(1, 8))
         cut = len(core) * data.draw(st.integers(0, k - 1)) + data.draw(st.integers(1, len(core) - 1))

@@ -5,7 +5,9 @@ one would silently stop checking.  The package raises AssertionError
 explicitly instead; a test parses every module and fails on any
 ``assert`` statement, and another on any ``tuple`` of a generator.  Others keep the export list ``fgz.__all__``
 honest: each name once, each one there, and no name beyond those README's
-quickstart imports from the package root.
+quickstart imports from the package root.  One more holds every name a
+dataclass sets with ``object.__setattr__`` to its declared fields, so that
+state kept beside them is declared, and out of equality and repr.
 """
 
 import ast
@@ -43,6 +45,26 @@ def test_no_tuple_of_a_generator_in_the_package():
         and len(node.args) == 1 and isinstance(node.args[0], ast.GeneratorExp)
     ]
     assert not found, f"tuple() of a generator expression: {found}"
+
+
+def test_dataclasses_set_only_declared_fields():
+    # state kept beside the fields is declared field(init=False, repr=False,
+    # compare=False), like the coset's root split
+    checked, found = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                ast.unparse(d).startswith("dataclass") for d in cls.decorator_list
+            ):
+                continue
+            fields = {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                    checked += 1
+                    name = node.args[1]
+                    if not (isinstance(name, ast.Constant) and name.value in fields):
+                        found.append(f"{path.name}:{node.lineno} {cls.name} sets {ast.unparse(name)}")
+    assert checked and not found, f"undeclared dataclass state: {found}"
 
 
 def test_every_exported_name_resolves_once():

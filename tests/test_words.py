@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fgz.errors import (
     AlphabetError,
     BallLimitError,
+    EvaluationLimitError,
     IdentityWordError,
     ParseError,
     WholeGroupError,
@@ -25,6 +26,7 @@ from fgz.words import (
     _invert_data,
     _reduce_data,
     _signed_code_table,
+    _split_root,
     ball_size,
     centralizer,
     enumerate_ball,
@@ -37,6 +39,7 @@ from helpers import (
     random_unreduced_letters,
     random_word,
     reduced_data,
+    reference_sort_key,
     signed_letters,
     word_from_letters,
 )
@@ -222,6 +225,24 @@ class TestGroupOps:
                 expected = expected * step
             assert word ** k == expected
 
+    def test_power_limit(self):
+        # (b a^2 b^-1)^m has 2 + 2 |m| letters: the limit at |m| = (MAX - 2) / 2
+        g = w("b a^2 b^-1")
+        edge = (MAX_PARSE_LETTERS - 2) // 2
+        assert len(g ** edge) == len(g ** -edge) == MAX_PARSE_LETTERS
+        for m in (edge + 1, -edge - 1, 10**9):
+            with pytest.raises(EvaluationLimitError, match=f"over the limit of {MAX_PARSE_LETTERS:,}"):
+                g ** m
+        with pytest.raises(EvaluationLimitError, match="1,000,002 letters"):
+            g ** (edge + 1)
+
+    def test_sort_key_orders_as_index_sign_pairs(self):
+        rng = random.Random(12)
+        for rank in (1, 2, 3):
+            alphabet = Alphabet("abc"[:rank])
+            words = [random_word(rng, alphabet, 5) for _ in range(300)]
+            assert sorted(words, key=Word.sort_key) == sorted(words, key=reference_sort_key)
+
 
 class TestCyclicReduce:
     @pytest.mark.parametrize(
@@ -229,19 +250,57 @@ class TestCyclicReduce:
         [("b a b^-1", "b", "a"), ("a b a b", "1", "a b a b"), ("a^-1 b a", "a^-1", "b")],
     )
     def test_examples(self, text, conj, core):
-        dec = w(text).cyclic_decomposition()
-        assert dec.conjugator == w(conj)
-        assert dec.core == w(core)
+        split = _split_root(w(text).data)
+        assert split.u == w(conj).data and split.ui == (~w(conj)).data
+        assert split.k == w(core).data and split.ki == (~w(core)).data
 
     def test_properties(self):
         rng = random.Random(10)
         for _ in range(300):
             word = random_word(rng, AB, 8)
-            dec = word.cyclic_decomposition()
-            assert dec.conjugator * dec.core * ~dec.conjugator == word
-            core = dec.core.data
-            if len(core) >= 2:
-                assert core[0] != -core[-1]
+            u, ui, k, _ = _split_root(word.data)
+            assert _reduce_data((u, k, ui)) == u + k + ui == word.data
+            if len(k) >= 2:
+                assert k[0] != -k[-1]
+
+
+#: roots with and without a conjugator, with cores of one to four letters
+SPLIT_ROOTS = ("a", "b^-1", "a b", "b a b^-1", "b^2 a^-1 b^-2", "a b a^-1 b^-1 a^-1", "b^-1 a b^2 a b")
+
+
+class TestRootSplit:
+    @pytest.mark.parametrize("root", SPLIT_ROOTS)
+    def test_power_is_the_product_of_copies(self, root):
+        r = w(root)
+        split = _split_root(r.data)
+        for m in range(-6, 7):
+            copies = [(r if m > 0 else ~r).data] * abs(m)
+            assert split.power(m) == _reduce_data(copies)
+            assert split.exponent(split.power(m)) == m
+            assert split.inverse().power(m) == split.power(-m)
+
+    @pytest.mark.parametrize("root", SPLIT_ROOTS)
+    def test_rotations_and_truncations_are_not_powers(self, root):
+        # a power of a letter less one letter is the next lower power
+        split = _split_root(w(root).data)
+        letter = not split.u and len(split.k) == 1
+        for m in range(1, 7):
+            for sign in (1, -1):
+                data = split.power(sign * m)
+                assert split.exponent(data[:-1]) == split.exponent(data[1:]) == (sign * (m - 1) if letter else None)
+                if len(split.k) > 1:
+                    # a rotation of the core's power, conjugated back by u
+                    core = data[len(split.u) : len(data) - len(split.u)]
+                    rotated = split.u + core[1:] + core[:1] + split.ui
+                    assert split.exponent(rotated) is None
+
+    def test_period_tests_primitivity(self):
+        assert _split_root(w("b a b^-1 a b^-2").data).period() == 2
+        assert _split_root(w("b a b^-1 a b a b^-1 a").data).period() == 4
+        assert _split_root(w("a b^-1 a^2").data).period() == 4
+        for word in enumerate_ball(AB, 5)[1:]:
+            split = _split_root(word.data)
+            assert (split.period() == len(split.k)) == (word.primitive_root().exponent == 1)
 
 
 def primitive_root_oracle(word):
@@ -307,8 +366,8 @@ class TestPrimitiveRoot:
         rng = random.Random(13)
         for _ in range(200):
             word = random_word(rng, AB, 8, min_len=1)
-            core = word.cyclic_decomposition().core
-            root_core = word.primitive_root().root.cyclic_decomposition().core
+            core = _split_root(word.data).k
+            root_core = _split_root(word.primitive_root().root.data).k
             assert len(core) % len(root_core) == 0
 
 
