@@ -9,8 +9,9 @@ are :meth:`CyclicCoset.make` for a (rep, root) pair and
 :meth:`AlgebraicSet.of` for points and such pairs.  Intersections are
 exact, by the cyclic centralizers of a free group.  Canonical forms are
 unique, which turns equality and inclusion into structural checks and
-makes serialized output reproducible.  The lengths of a
-coset's elements are bounded once, in :meth:`CyclicCoset.elements_within`.
+makes serialized output reproducible.  The lengths of a coset's elements
+are bounded, and the walk over them stopped, in one place:
+:meth:`CyclicCoset.elements_within`.
 
 The whole group F, the solution set of the trivial equation and the top of
 the lattice of closed sets, is an :class:`AlgebraicSet` with ``whole_group``
@@ -23,13 +24,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from .errors import AlphabetError, BallLimitError, ParseError, RootError
 from .onevar import ParametricWord, PowerBlock, reduce_parametric
 from .words import (
-    MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _RootSplit, _split_root, enumerate_ball, parse_word
+    MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _RootSplit, _shortlex_key, _split_root,
+    enumerate_ball, parse_word,
 )
 
 
@@ -62,9 +63,10 @@ class CyclicCoset:
                 "only cosets of maximal cyclic subgroups (full centralizers) "
                 "are representable - use the primitive root"
             )
-        if ~root < root:
+        if _shortlex_key(split.ki) < _shortlex_key(split.k):
+            # ``root^-1 = u k^-1 u^-1`` shares u and the length, so its core decides
             split = split.inverse()
-            object.__setattr__(self, "root", ~root)
+            object.__setattr__(self, "root", Word(root.alphabet, split.power(1)))
         object.__setattr__(self, "_split", split)
         object.__setattr__(self, "rep", _least_element(rep, split))
 
@@ -76,14 +78,22 @@ class CyclicCoset:
     def elements_within(self, length: int) -> list[Word]:
         """The elements ``rep * root^m`` of length at most ``length``, in order of m.
 
-        With ``root = u core u^-1``, core cyclically reduced, and m != 0,
-        ``|rep root^m| >= |root^m| - |rep| = 2|u| + |m| |core| - |rep|``,
-        so they lie in the window ``|m| <= (length + |rep| - 2|u|) // |core|``,
-        which always holds m = 0.  One running product of data walks it, and
-        only the elements kept become words.  The rep is the shortest element,
-        so a shorter ``length`` gives none.  Before the walk, a window of
-        ``2 window + 1 <= 4 length + 1`` elements that may keep over
-        :data:`~fgz.words.MAX_BALL_LETTERS` letters is refused.
+        With ``root = u k u^-1``, k cyclically reduced, and m != 0,
+        ``|rep root^m| >= |root^m| - |rep| = 2|u| + |m| |k| - |rep|``, so
+        they lie in the window ``|m| <= (length + |rep| - 2|u|) // |k|``;
+        a window of ``2 window + 1 <= 4 length + 1`` elements that may keep
+        over :data:`~fgz.words.MAX_BALL_LETTERS` letters is refused first.
+
+        The walk goes out from the rep, m = 1, 2, ... and m = -1, -2, ...,
+        and stops each side at the first element longer than ``length``.
+        This is exact because the rep is the shortlex least element.  Take
+        ``p = rep u`` and t as in the lemma of :func:`_least_element`.  If
+        t >= |k|, then ``p = p' k^-1`` is reduced, so ``rep = p' k^-1 u^-1``
+        is reduced as written and ``rep root = p' u^-1`` is shorter; with k
+        for ``root^-1`` likewise.  So t < |k| on both sides, q = 0, and by the
+        lemma ``|rep root^m|`` rises strictly for m >= 1 and for m <= -1.
+        The rep is also the shortest element, so a shorter ``length`` gives
+        none.  Only the elements kept become words.
         """
         if len(self.rep) > length:
             return []
@@ -94,9 +104,16 @@ class CyclicCoset:
                 f"coset {self} within length {length:,} has a window of {2 * window + 1:,} elements "
                 f"that may keep {letters:,} letters, over the limit of {MAX_BALL_LETTERS:,}"
             )
-        start = _concat_data(self.rep.data, split.power(-window))
-        walk = accumulate(repeat(self.root.data, 2 * window), _concat_data, initial=start)
-        return [Word(self.alphabet, d) for d in walk if len(d) <= length]
+        sides = []
+        for step in (split.power(-1), self.root.data):
+            side = []
+            d = _concat_data(self.rep.data, step)
+            while len(d) <= length:
+                side.append(Word(self.alphabet, d))
+                d = _concat_data(d, step)
+            sides.append(side)
+        below, above = sides
+        return [*reversed(below), self.rep, *above]
 
     @property
     def alphabet(self) -> Alphabet:
@@ -108,8 +125,8 @@ class CyclicCoset:
         return self._split.exponent(_concat_data(_invert_data(self.rep.data), g.data)) is not None
 
     def element(self, m: int) -> Word:
-        """``rep * root^m``."""
-        return Word(self.alphabet, _concat_data(self.rep.data, self._split.power(m)))
+        """``rep * root^m``; a ``root^m`` over :data:`~fgz.words.MAX_PARSE_LETTERS` letters is refused."""
+        return Word(self.alphabet, _concat_data(self.rep.data, self._split.checked_power(m)))
 
     def sort_key(self) -> tuple:
         return (self.rep.sort_key(), self.root.sort_key())
@@ -139,15 +156,19 @@ def _least_element(rep: Word, split: _RootSplit) -> Word:
     u, _, k, ki = split
     p = _concat_data(rep.data, u)
     n, size = len(p), len(k)
-    candidates = [rep]
+    candidates = []
     for sign, tail in ((1, ki), (-1, k)):
         t = 0
         while t < n and p[n - 1 - t] == tail[size - 1 - t % size]:
             t += 1
         if t:
             q = t // size
-            candidates += [Word(rep.alphabet, _concat_data(rep.data, split.power(sign * m))) for m in (q, q + 1)]
-    return min(candidates, key=Word.sort_key)
+            candidates += [_concat_data(rep.data, split.power(sign * m)) for m in (q, q + 1)]
+    if candidates:
+        least = min(candidates, key=_shortlex_key)
+        if _shortlex_key(least) < rep.sort_key():
+            return Word(rep.alphabet, least)
+    return rep
 
 
 @dataclass(frozen=True)

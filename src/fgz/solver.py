@@ -17,10 +17,13 @@ parametric reduction; lines that vanish identically become cosets, the
 rest contribute isolated solutions; only pairing has a pair limit.  The
 assembled set's members in the ball are then compared, as a finite set,
 with the round's solutions, escalating the discovery radius on mismatch.
-An exact set is itself the answer once two of its members lie in the
-discovery ball, as pairing would prove exactly its coset and the
-comparison could only match; with fewer, its discovered points are
-compared.  Both paths give the same output.
+A round on an exact set decides from counts alone, as its members in the
+ball are the solutions.  Two or more in the discovery ball make the exact
+set the answer: pairing would prove exactly its coset, and the comparison
+could only match.  With fewer, the discovered points are the answer when
+they are all the members; otherwise the undiscovered members are the
+mismatch the comparison would report, and the radius escalates.  Both
+paths give the same output.
 
 Soundness is unconditional: every emitted component is proved, by
 parametric reduction or by the closed forms.  Completeness is certified
@@ -142,8 +145,8 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
       (k1, kd cyclically reduced), ``x c1 x^-1 = d`` is solvable exactly when
       kd is a rotation ``s t = t^-1 k1 t`` of ``k1 = t s``, which one string
       search finds in linear time.  The solutions are then ``x0<r>``, with
-      ``x0 = ud t^-1 u1^-1`` and r the primitive root of c1, as ``x0^-1 x``
-      must centralize c1.
+      ``x0 = ud t^-1 u1^-1`` and ``r = u1 k1[:p] u1^-1`` the primitive root
+      of c1, p the least period of k1, as ``x0^-1 x`` must centralize c1.
 
     A core of no such shape that is a proper power ``v^k`` is split again as
     v, its primitive root, which keeps the start at ``x^m``: F is torsion-free,
@@ -183,7 +186,8 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     if shift < 0:
         return AlgebraicSet.empty(alphabet)
     x0 = Word(alphabet, _reduce_data((sd.u, _invert_data(k1[:shift]), s1.ui)))
-    return AlgebraicSet(alphabet, (), (CyclicCoset.make(x0, c1.primitive_root().root),))
+    root = Word(alphabet, s1.u + k1[: s1.period()] + s1.ui)
+    return AlgebraicSet(alphabet, (), (CyclicCoset.make(x0, root),))
 
 
 def _candidate_components(w: OneVarWord, discovered: list[Word]) -> tuple[list[CyclicCoset], list[Word]]:
@@ -226,16 +230,19 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     Words without the variable are degenerate: the solution set is the
     whole group when the coefficient word is trivial and empty otherwise.
 
-    Each round takes the solutions in the verification ball in shortlex
-    order, so the discovery solutions are the prefix of those with length
-    at most the discovery radius; the whole list then feeds verification.
-    When :func:`exact_solution_set` knows the whole set, the solutions
-    are its members in the ball, and the set is returned once two lie in
-    the discovery ball; otherwise an oracle walk at the verification
-    radius finds them and pairing, alone under :data:`MAX_PAIRS`, proposes
-    the lines.  Both give the same output, as the oracle's solutions are
-    the exact set's members and pairing proves exactly the exact set's
-    coset.  Only the walk builds a ball, so only it refuses one.
+    When :func:`exact_solution_set` knows the whole set, each round takes
+    its members in the verification ball, the round's solutions, and keeps
+    those in the discovery ball.  Two or more kept: the set is the answer.
+    All kept: they are, as points.  Otherwise the discovery radius
+    escalates, and the last round's unkept members, in shortlex order,
+    are the mismatch an exhausted escalation reports.  Without a closed
+    form, an oracle walk at the verification radius finds the solutions
+    in shortlex order, so the discovery solutions are the prefix of those
+    with length at most the discovery radius; pairing, alone under
+    :data:`MAX_PAIRS`, proposes the lines, and the whole list verifies
+    the assembled set.  Both give the same output, as the oracle's
+    solutions are the exact set's members and pairing proves exactly the
+    exact set's coset.  Only the walk builds a ball, so only it refuses one.
     """
     cfg = cfg or SolveConfig()
     if not w.contains_variable:
@@ -249,20 +256,22 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
         radius = discovery + gap
         if exact is None:
             solutions = brute_solutions(w, radius)
-        else:
-            solutions = sorted(exact.members_within(radius), key=Word.sort_key)
-        discovered = list(takewhile(lambda g: len(g) <= discovery, solutions))
-        if exact is None:
+            discovered = list(takewhile(lambda g: len(g) <= discovery, solutions))
             cosets, extra_points = _candidate_components(w, discovered)
             result = AlgebraicSet(w.alphabet, discovered + extra_points, cosets)
-        elif len(discovered) > 1:
-            # pairing would prove exactly this set, so the oracle check could only match
-            return SolveReport(exact, radius, escalation)
+            last_report = verify_against_oracle(w, result, radius, solutions)
+            if last_report.match:
+                return SolveReport(result, last_report.radius, escalation)
         else:
-            result = AlgebraicSet(w.alphabet, discovered)
-        last_report = verify_against_oracle(w, result, radius, solutions)
-        if last_report.match:
-            return SolveReport(result, last_report.radius, escalation)
+            members = exact.members_within(radius)
+            discovered = [g for g in members if len(g) <= discovery]
+            if len(discovered) > 1:
+                # pairing would prove exactly this set, so the oracle check could only match
+                return SolveReport(exact, radius, escalation)
+            if len(discovered) == len(members):
+                return SolveReport(AlgebraicSet(w.alphabet, discovered), radius, escalation)
+            missing = sorted([g for g in members if len(g) > discovery], key=Word.sort_key)
+            last_report = OracleReport(False, tuple(missing), (), radius)
         discovery += 2
     raise SolverError(
         "escalation exhausted with persistent oracle mismatch at radius "

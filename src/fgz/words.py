@@ -190,10 +190,7 @@ class Word:
         """``self^m``; over :data:`MAX_PARSE_LETTERS` letters it is refused before it is built."""
         if m == 0 or not self.data:
             return Word(self.alphabet, ())
-        split = _split_root(self.data)
-        if (size := 2 * len(split.u) + abs(m) * len(split.k)) > MAX_PARSE_LETTERS:
-            raise EvaluationLimitError(f"a power has {size:,} letters, over the limit of {MAX_PARSE_LETTERS:,}")
-        return Word(self.alphabet, split.power(m))
+        return Word(self.alphabet, _split_root(self.data).checked_power(m))
 
     def support(self) -> frozenset[str]:
         """Letters occurring in the reduced form."""
@@ -201,8 +198,8 @@ class Word:
         return frozenset(names[abs(v) - 1] for v in self.data)
 
     def sort_key(self) -> tuple:
-        """Canonical order: length first, then letter index, then sign (+ before -): code v as ``2|v| + (v < 0)``."""
-        return (len(self.data), tuple([2 * abs(v) + (v < 0) for v in self.data]))
+        """Canonical order: length first, then letter index, then sign (+ before -): :func:`_shortlex_key`."""
+        return _shortlex_key(self.data)
 
     def __lt__(self, other: "Word") -> bool:
         self._check_same_alphabet(other)
@@ -275,6 +272,12 @@ class _RootSplit(NamedTuple):
             return ()
         return self.u + (self.k * m if m > 0 else self.ki * -m) + self.ui
 
+    def checked_power(self, m: int) -> tuple[int, ...]:
+        """The data of ``r^m``, refused over :data:`MAX_PARSE_LETTERS` letters before it is built."""
+        if m and (size := 2 * len(self.u) + abs(m) * len(self.k)) > MAX_PARSE_LETTERS:
+            raise EvaluationLimitError(f"a power has {size:,} letters, over the limit of {MAX_PARSE_LETTERS:,}")
+        return self.power(m)
+
     def exponent(self, h: tuple[int, ...]) -> int | None:
         """The m with ``r^m == h`` for reduced data h, or None: h is a nontrivial
         power exactly when ``|h| - 2|u| = |m| |k|`` for some |m| > 0 and h is
@@ -307,6 +310,12 @@ def _split_root(data: tuple[int, ...]) -> _RootSplit:
         j -= 1
     u, k = data[:i], data[i:j]
     return _RootSplit(u, _invert_data(u), k, _invert_data(k))
+
+
+def _shortlex_key(data: tuple[int, ...]) -> tuple:
+    """The shortlex sort key of reduced data: its length, then per letter
+    its rank, code v as ``2|v| + (v < 0)``."""
+    return (len(data), tuple([2 * abs(v) + (v < 0) for v in data]))
 
 
 def _letters_text(data: tuple[int, ...]) -> str:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import accumulate, repeat
 
 from hypothesis import strategies as st
 
 from fgz.onevar import OneVarWord, ParametricWord, substitute_line
 from fgz.residual import Permutation
-from fgz.words import Alphabet, Word, _reduce_data, enumerate_ball
+from fgz.words import Alphabet, Word, _concat_data, _reduce_data, enumerate_ball
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -66,6 +67,20 @@ def reference_member(coset, g: Word) -> bool:
     has the root or its inverse as primitive root."""
     h = ~coset.rep * g
     return h.is_identity or h.primitive_root().root in (coset.root, ~coset.root)
+
+
+def reference_elements_within(coset, length: int) -> list[Word]:
+    """The elements of a canonical coset of length at most ``length``, in
+    order of m, by a walk over the whole window ``|m| <= window`` with
+    ``window = (length + |rep| - 2|u|) // |k|`` for the root ``u k u^-1``:
+    every ``rep root^m`` outside it is longer than ``length``."""
+    if len(coset.rep) > length:
+        return []
+    split = coset._split
+    window = max(0, (length + len(coset.rep) - 2 * len(split.u)) // len(split.k))
+    start = _concat_data(coset.rep.data, split.power(-window))
+    walk = accumulate(repeat(coset.root.data, 2 * window), _concat_data, initial=start)
+    return [Word(coset.alphabet, d) for d in walk if len(d) <= length]
 
 
 def reference_sort_key(word: Word) -> tuple:

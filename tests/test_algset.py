@@ -18,11 +18,11 @@ from fgz.algset import (
     to_json_dict,
     union,
 )
-from fgz.errors import AlphabetError, BallLimitError, RootError
+from fgz.errors import AlphabetError, BallLimitError, EvaluationLimitError, RootError
 from fgz.onevar import LineSolutionSet, reduce_parametric
-from fgz.words import MAX_BALL_LETTERS, Alphabet, Word, _split_root, enumerate_ball, parse_word
+from fgz.words import MAX_BALL_LETTERS, MAX_PARSE_LETTERS, Alphabet, Word, _split_root, enumerate_ball, parse_word
 
-from helpers import AB, ABC, random_lines, random_word, reduced_data, reference_member
+from helpers import AB, ABC, random_lines, random_word, reduced_data, reference_elements_within, reference_member
 from test_reference_outputs import _load_workloads
 
 WHOLE = AlgebraicSet(AB, whole_group=True)
@@ -101,6 +101,17 @@ def raw_cosets(draw, alphabet, root=None):
         root = draw(primitive_roots(alphabet))
     rep = Word(alphabet, draw(reduced_data(len(alphabet), 4))) * root ** draw(st.integers(-9, 9))
     return rep, root
+
+
+@st.composite
+def cosets_with_lengths(draw):
+    """A canonical coset over an alphabet of rank 2 or 3, its root
+    conjugated by a word of length 0-3, and a length from ``|rep| - 1`` to
+    ``|rep| + 3 |root|``."""
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    v = Word(alphabet, draw(reduced_data(len(alphabet), 3)))
+    c = CyclicCoset.make(*draw(raw_cosets(alphabet, v * draw(primitive_roots(alphabet)) * ~v)))
+    return c, len(c.rep) + draw(st.integers(-1, 3 * len(c.root)))
 
 
 @st.composite
@@ -266,6 +277,29 @@ class TestCyclicCoset:
         span = 2 * (length + len(rep)) + 2
         brute = [c.element(m) for m in range(-span, span + 1) if len(c.element(m)) <= length]
         assert c.elements_within(length) == brute
+
+    @settings(deadline=None, derandomize=True, max_examples=500)
+    @given(cosets_with_lengths())
+    @example((coset("b^-1", "b a b^-1"), 10))  # a core of one letter: a^m b^-1 for |m| <= 9
+    @example((coset("b a^-1", "a b"), 2))  # the rep ends in k^-1's last letter: b^2 at m = 1 ties its length
+    @example((coset("b a^-1", "a b"), 1))  # shorter than the rep: nothing
+    @example((coset("1", "a"), 0))  # the identity rep alone
+    @example((coset("1", "b a b a b^-1"), 7))  # the identity rep under a conjugated, longer root
+    def test_outward_walk_matches_the_window_walk(self, case):
+        c, length = case
+        assert c.elements_within(length) == reference_elements_within(c, length)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_element_refuses_a_power_over_the_letter_limit(self, sign):
+        # root^m of b a b^-1 has 2 + |m| letters, as Word.__pow__ counts them
+        c = coset("1", "b a b^-1")
+        edge = sign * (MAX_PARSE_LETTERS - 2)
+        assert c.element(edge) == c.root ** edge and len(c.element(edge)) == MAX_PARSE_LETTERS
+        message = f"a power has {MAX_PARSE_LETTERS + 1:,} letters, over the limit of {MAX_PARSE_LETTERS:,}"
+        for power in (c.element, c.root.__pow__):
+            with pytest.raises(EvaluationLimitError) as info:
+                power(edge + sign)
+            assert str(info.value) == message
 
     def test_elements_within_refuses_a_window_over_the_letter_limit(self):
         # (1)<a> within length L has the window |m| <= L: 2L + 1 elements

@@ -210,6 +210,34 @@ class TestSolvePipeline:
         assert report.result == exact_solution_set(word)
         assert (report.complete_on_radius, report.escalations) == (5, 0)
 
+    def test_the_exact_round_proves_no_root_and_checks_no_oracle(self, monkeypatch):
+        # every 10th coset-solve entry, answered alike with both calls refused
+        wl = _load_workloads().WORKLOADS["coset-solve"]
+        entries = wl.universe()[::10]
+        expected = [wl.op(wl.make_input(entry)) for entry in entries]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called on the exact path")
+
+        monkeypatch.setattr(Word, "primitive_root", refuse)
+        monkeypatch.setattr(solver_module, "verify_against_oracle", refuse)
+        assert [wl.op(wl.make_input(entry)) for entry in entries] == expected
+
+    # the members of (b^2)<a^3 b^3> by length: b^2, b^-1 a^-3, then 8 letters and more
+    @pytest.mark.parametrize(
+        "discovery, verify, answer, radius, escalations",
+        [
+            (1, 1, "empty", 1, 0),  # no member in either ball: the empty set
+            (1, 3, "(b^2)<a^3 b^3>", 7, 2),  # none, then one, discovered with more to verify
+            (2, 3, "{b^2}", 3, 0),  # one member in all: the point
+            (2, 4, "(b^2)<a^3 b^3>", 6, 1),  # one discovered and b^-1 a^-3 to verify: escalate
+            (4, 4, "(b^2)<a^3 b^3>", 4, 0),  # two discovered: the coset
+        ],
+    )
+    def test_the_exact_round_decides_by_member_counts(self, discovery, verify, answer, radius, escalations):
+        report = solve(ov("x a^3 b^3 x^-1 b^-1 a^-3 b^-2"), SolveConfig(discovery, verify))
+        assert (str(report.result), report.complete_on_radius, report.escalations) == (answer, radius, escalations)
+
     def test_only_the_radius_path_refuses_its_ball(self):
         # a closed form builds no ball: only the members it lists are bounded
         commutator = ov("x a x^-1 a^-1")
