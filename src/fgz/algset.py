@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import AlphabetError, BallLimitError, ParseError, RootError
-from .onevar import ParametricWord, PowerBlock, reduce_parametric
+from .onevar import LineSolutionSet, ParametricWord, PowerBlock, _line_candidates
 from .words import (
     MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _RootSplit, _shortlex_key, _split_root,
     enumerate_ball, parse_word,
@@ -48,6 +48,8 @@ class CyclicCoset:
     root: Word
     #: the root's :class:`~fgz.words._RootSplit`, found once on construction
     _split: _RootSplit = field(init=False, repr=False, compare=False)
+    #: :meth:`sort_key`, found once on construction
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rep, root = self.rep, self.root
@@ -69,6 +71,7 @@ class CyclicCoset:
             object.__setattr__(self, "root", Word(root.alphabet, split.power(1)))
         object.__setattr__(self, "_split", split)
         object.__setattr__(self, "rep", _least_element(rep, split))
+        object.__setattr__(self, "_key", (self.rep.sort_key(), self.root.sort_key()))
 
     @classmethod
     def make(cls, rep: Word, root: Word) -> "CyclicCoset":
@@ -129,7 +132,8 @@ class CyclicCoset:
         return Word(self.alphabet, _concat_data(self.rep.data, self._split.checked_power(m)))
 
     def sort_key(self) -> tuple:
-        return (self.rep.sort_key(), self.root.sort_key())
+        """The shortlex keys of the rep and the root."""
+        return self._key
 
     def __str__(self) -> str:
         return f"({self.rep})<{self.root}>"
@@ -259,22 +263,39 @@ def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
     """Intersection of two cosets: a coset, a singleton, or empty.
 
     Equal cosets meet in themselves; distinct cosets of one subgroup are
-    disjoint.  Otherwise ``c1.rep c1.root^n`` is in ``c2`` exactly when
-    ``h c1.root^n``, ``h = c2.rep^-1 c1.rep``, commutes with ``c2.root``, as
-    its centralizer is ``<c2.root>``.  :func:`reduce_parametric` gives the n
-    exactly; two would put a power of ``c1.root`` in ``<c2.root>``.
+    disjoint.  Otherwise :func:`_common_exponents` gives the n with
+    ``c1.rep c1.root^n`` in ``c2`` exactly; two would put a power of
+    ``c1.root`` in ``<c2.root>``.
     """
     alphabet = c1.alphabet
     if c1 == c2:
         return AlgebraicSet(alphabet, (), (c1,))
     if c1.root == c2.root:
         return AlgebraicSet.empty(alphabet)
-    h, r1, r2 = ~c2.rep * c1.rep, c1.root, c2.root
-    blocks = (h, PowerBlock(1, 0), r2, PowerBlock(-1, 0), ~h * ~r2)
-    found = reduce_parametric(ParametricWord(alphabet, r1, blocks))
+    found = _common_exponents(c1, c2)
     if found.all_integers or len(found.values) > 1:
         raise AssertionError(f"{c1} and {c2} share {found}, but centralizers in a free group are cyclic")
     return AlgebraicSet(alphabet, tuple([c1.element(n) for n in found.values]))
+
+
+def _common_exponents(c1: CyclicCoset, c2: CyclicCoset) -> LineSolutionSet:
+    """The n with ``c1.rep c1.root^n`` in ``c2``, for cosets of distinct roots.
+
+    With ``h = c2.rep^-1 c1.rep`` that element is in ``c2`` exactly when
+    ``h c1.root^n`` is in ``<c2.root>``.  As ``c2.root`` is primitive, its
+    centralizer is ``<c2.root>``, so this holds exactly when the commutator
+    line ``[h c1.root^n, c2.root]`` vanishes at n.  Every zero of the line
+    is one of its :func:`~fgz.onevar._line_candidates`, and each candidate
+    is tested for membership on int data, by the split of ``c2.root``
+    (:meth:`~fgz.words._RootSplit.exponent`); a line whose block form is
+    empty vanishes for every n.
+    """
+    h, r1, r2 = ~c2.rep * c1.rep, c1.root, c2.root
+    line = ParametricWord(c1.alphabet, r1, (h, PowerBlock(1, 0), r2, PowerBlock(-1, 0), ~h * ~r2))
+    if not line.blocks:
+        return LineSolutionSet.everything()
+    hd, power, exponent = h.data, c1._split.power, c2._split.exponent
+    return LineSolutionSet.finite(n for n in _line_candidates(line) if exponent(_concat_data(hd, power(n))) is not None)
 
 
 def union(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:

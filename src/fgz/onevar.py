@@ -440,26 +440,23 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def reduce_parametric(pw: ParametricWord) -> LineSolutionSet:
-    """Exactly the set of integers n at which ``pw`` reduces to the identity.
+def _line_candidates(pw: ParametricWord) -> set[int]:
+    """The integers n that may be zeros of ``pw``, whose block form is not empty.
 
-    An empty block form vanishes for every n.  Otherwise the n checked are
-    those where some power block ``r^e`` has ``|e| |r| <= room``: on each
-    side, the concrete next to it, plus ``|r| - 1`` if a power lies beyond
-    that concrete (normalized blocks alternate concrete and power), and
-    every solution is among them.  Reduced on its own, a junction
-    ``r^e c r^f`` eats from each power at most ``|c|`` letters through c
-    and, once c is gone, the factor t where the two r-periodic ends
-    cancel.  If ``|t| >= |r|``, a rotation of ``r^(sign e)`` is the
-    inverse of a rotation of ``r^(sign f)``: with equal signs r is
-    conjugate to ``r^-1``, which no nontrivial element of a free group
-    is; with opposite signs the rotations agree, at one phase as r is
-    primitive, so c is a power of r and normalization merged it.  So if
-    every power exceeds its room, a nonempty middle of every power
-    survives the reduction of its junctions.
+    They are the n where some power block ``r^e`` has ``|e| |r| <= room``:
+    on each side, the concrete next to it, plus ``|r| - 1`` if a power lies
+    beyond that concrete (normalized blocks alternate concrete and power).
+    Every zero is among them.  Reduced on its own, a junction ``r^e c r^f``
+    eats from each power at most ``|c|`` letters through c and, once c is
+    gone, the factor t where the two r-periodic ends cancel.  If
+    ``|t| >= |r|``, a rotation of ``r^(sign e)`` is the inverse of a
+    rotation of ``r^(sign f)``: with equal signs r is conjugate to
+    ``r^-1``, which no nontrivial element of a free group is; with
+    opposite signs the rotations agree, at one phase as r is primitive, so
+    c is a power of r and normalization merged it.  So if every power
+    exceeds its room, a nonempty middle of every power survives the
+    reduction of its junctions.
     """
-    if not pw.blocks:
-        return LineSolutionSet.everything()
     r = len(pw.root)
     candidates: set[int] = set()
     for i, p in enumerate(pw.blocks):
@@ -476,4 +473,15 @@ def reduce_parametric(pw: ParametricWord) -> LineSolutionSet:
         else:
             n0, n1 = _ceil_div(hi, p.alpha), lo // p.alpha
         candidates.update(range(n0, n1 + 1))
-    return LineSolutionSet.finite(n for n in candidates if not pw._data_at(n))
+    return candidates
+
+
+def reduce_parametric(pw: ParametricWord) -> LineSolutionSet:
+    """Exactly the set of integers n at which ``pw`` reduces to the identity.
+
+    An empty block form vanishes for every n.  Otherwise every zero is one
+    of :func:`_line_candidates`, and those where the value is empty are kept.
+    """
+    if not pw.blocks:
+        return LineSolutionSet.everything()
+    return LineSolutionSet.finite(n for n in _line_candidates(pw) if not pw._data_at(n))

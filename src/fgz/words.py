@@ -8,7 +8,8 @@ per group element, which makes equality, hashing and ordering structural.
 
 Two primitives reduce products: :func:`_reduce_data` for the product of
 any number of reduced pieces, which every n-ary product in the package
-goes through, and :func:`_concat_data` for the binary ``Word.__mul__``.
+goes through, and :func:`_concat_data` for the binary ``Word.__mul__``;
+:func:`parse_word` cancels each term against its output as it reads.
 Powers of a root ``r = u k u^-1``, k cyclically reduced, are written once,
 in its split :class:`_RootSplit`.
 """
@@ -56,20 +57,22 @@ class Alphabet:
     enumeration and every tie-break downstream.
     """
 
-    __slots__ = ("names",)
+    __slots__ = ("names", "_codes")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
-        seen = set()
+        codes: dict[str, int] = {}
         for name in names:
             if name in RESERVED_NAMES:
                 raise AlphabetError(f"letter name {name!r} is reserved for the identity")
             if not _IDENT_RE.match(name):
                 raise AlphabetError(f"invalid letter name {name!r}")
-            if name in seen:
+            if name in codes:
                 raise AlphabetError(f"duplicate letter {name!r}")
-            seen.add(name)
+            codes[name] = len(codes) + 1
         object.__setattr__(self, "names", names)
+        #: name -> int code of the letter, the one lookup table of parsing
+        object.__setattr__(self, "_codes", codes)
 
     def __setattr__(self, name, value):
         raise AttributeError("Alphabet is immutable")
@@ -94,8 +97,8 @@ class Alphabet:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._codes[name] - 1
+        except KeyError:
             raise ParseError(f"unknown identifier {name!r} (alphabet: {', '.join(self.names)})") from None
 
     def value(self, name: str, sign: int = 1) -> int:
@@ -336,9 +339,17 @@ def _signed_code_table(identity, images: Sequence, invert: Callable) -> list:
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse word text: whitespace-separated IDENT or IDENT^INT terms.
 
-    ``"1"`` or ``"e"`` alone denote the identity.  Exponents must be
-    nonzero integers, and their absolute values may sum to at most
-    :data:`MAX_PARSE_LETTERS`.  The result is reduced.
+    ``"1"`` or ``"e"`` alone denote the identity.  INT is an optional ``-``
+    and decimal digits, leading zeros allowed; it must be nonzero, and the
+    absolute values may sum to at most :data:`MAX_PARSE_LETTERS`.  The
+    result is reduced.
+
+    One pass reads each term as its name, one lookup in the alphabet's
+    table, and its digits, and cancels it against the reduced output so
+    far.  A term it does not take, with an unknown name, a malformed or
+    zero exponent or one over the limit, goes to :func:`_checked_term`,
+    whose checks and messages are those of the grammar, and fails one of
+    them.
 
     >>> al = Alphabet(("a", "b"))
     >>> str(parse_word("a b^-1 a", al))
@@ -351,23 +362,47 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         return alphabet.identity()
     if not stripped:
         raise ParseError("empty word text (use '1' or 'e' for the identity)")
-    pieces: list[tuple[int, ...]] = []
+    codes = alphabet._codes
+    out: list[int] = []
     total = 0
     for term in stripped.split():
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ParseError(f"malformed term {term!r}")
-        name, exp_text = m.group(1), m.group(2)
-        try:
-            exp = 1 if exp_text is None else int(exp_text)
-        except ValueError:  # more digits than int() converts: far over the limit
-            raise ParseError(f"exponent of {name!r} is over the limit of {MAX_PARSE_LETTERS}") from None
-        if exp == 0:
-            raise ParseError(f"malformed exponent in {term!r}: must be nonzero")
-        if (total := total + abs(exp)) > MAX_PARSE_LETTERS:
-            raise ParseError(f"exponents sum to at least {total}, over the limit of {MAX_PARSE_LETTERS}")
-        pieces.append((alphabet.value(name, 1 if exp > 0 else -1),) * abs(exp))
-    return Word(alphabet, _reduce_data(pieces))
+        name, caret, digits = term.partition("^")
+        code = codes.get(name)
+        exp = 1
+        if caret:
+            try:
+                exp = int(digits) if digits.removeprefix("-").isdecimal() else 0
+            except ValueError:  # more digits than int() converts
+                exp = 0
+        if code is None or not exp or total + abs(exp) > MAX_PARSE_LETTERS:
+            code, exp = _checked_term(term, total, alphabet)
+        count = abs(exp)
+        total += count
+        v = code if exp > 0 else -code
+        while count and out and out[-1] == -v:
+            out.pop()
+            count -= 1
+        out += (v,) * count
+    return Word(alphabet, tuple(out))
+
+
+def _checked_term(term: str, total: int, alphabet: Alphabet) -> tuple[int, int]:
+    """The letter code and exponent of one term after terms whose exponents
+    sum to ``total``, checked in order: its form, the size of its exponent,
+    a zero exponent, the running sum, then its name."""
+    m = _TERM_RE.match(term)
+    if not m:
+        raise ParseError(f"malformed term {term!r}")
+    name, exp_text = m.group(1), m.group(2)
+    try:
+        exp = 1 if exp_text is None else int(exp_text)
+    except ValueError:  # more digits than int() converts: far over the limit
+        raise ParseError(f"exponent of {name!r} is over the limit of {MAX_PARSE_LETTERS}") from None
+    if exp == 0:
+        raise ParseError(f"malformed exponent in {term!r}: must be nonzero")
+    if (total := total + abs(exp)) > MAX_PARSE_LETTERS:
+        raise ParseError(f"exponents sum to at least {total}, over the limit of {MAX_PARSE_LETTERS}")
+    return alphabet.index(name) + 1, exp
 
 
 def centralizer(b: Word) -> Word:

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
+import re
 from functools import reduce
 from itertools import accumulate, repeat
 
 from hypothesis import strategies as st
 
+from fgz.errors import ParseError
 from fgz.onevar import OneVarWord, ParametricWord, substitute_line
 from fgz.residual import Permutation
-from fgz.words import Alphabet, Word, _concat_data, _reduce_data, enumerate_ball
+from fgz.words import MAX_PARSE_LETTERS, RESERVED_NAMES, Alphabet, Word, _concat_data, _reduce_data, enumerate_ball
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -81,6 +83,37 @@ def reference_elements_within(coset, length: int) -> list[Word]:
     start = _concat_data(coset.rep.data, split.power(-window))
     walk = accumulate(repeat(coset.root.data, 2 * window), _concat_data, initial=start)
     return [Word(coset.alphabet, d) for d in walk if len(d) <= length]
+
+
+_TERM_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+
+
+def reference_parse_word(text: str, alphabet: Alphabet) -> Word:
+    """Word text parsed by the grammar's regex, one term at a time: each term
+    is matched, checked and expanded, and the pieces are reduced at the end.
+    ``\\d`` and ``int()`` take every Unicode decimal digit."""
+    stripped = text.strip()
+    if stripped in RESERVED_NAMES:
+        return alphabet.identity()
+    if not stripped:
+        raise ParseError("empty word text (use '1' or 'e' for the identity)")
+    pieces: list[tuple[int, ...]] = []
+    total = 0
+    for term in stripped.split():
+        m = _TERM_RE.match(term)
+        if not m:
+            raise ParseError(f"malformed term {term!r}")
+        name, exp_text = m.group(1), m.group(2)
+        try:
+            exp = 1 if exp_text is None else int(exp_text)
+        except ValueError:
+            raise ParseError(f"exponent of {name!r} is over the limit of {MAX_PARSE_LETTERS}") from None
+        if exp == 0:
+            raise ParseError(f"malformed exponent in {term!r}: must be nonzero")
+        if (total := total + abs(exp)) > MAX_PARSE_LETTERS:
+            raise ParseError(f"exponents sum to at least {total}, over the limit of {MAX_PARSE_LETTERS}")
+        pieces.append((alphabet.value(name, 1 if exp > 0 else -1),) * abs(exp))
+    return Word(alphabet, _reduce_data(pieces))
 
 
 def reference_sort_key(word: Word) -> tuple:

@@ -19,7 +19,7 @@ from fgz.algset import (
     union,
 )
 from fgz.errors import AlphabetError, BallLimitError, EvaluationLimitError, RootError
-from fgz.onevar import LineSolutionSet, reduce_parametric
+from fgz.onevar import LineSolutionSet, ParametricWord, PowerBlock, _line_candidates, reduce_parametric
 from fgz.words import MAX_BALL_LETTERS, MAX_PARSE_LETTERS, Alphabet, Word, _split_root, enumerate_ball, parse_word
 
 from helpers import AB, ABC, random_lines, random_word, reduced_data, reference_elements_within, reference_member
@@ -413,9 +413,44 @@ class TestIntersectCosets:
             out = intersect_cosets(first, second)
             assert (out.points, out.cosets) == span_intersect(first, second)
 
+    @pytest.mark.parametrize("m", (1, 2, 5, 8))
+    def test_common_element_at_either_end_of_the_window(self, m):
+        # (1)<a b^2> meets (a b^2)^m <b> at n = m, the last candidate of the
+        # commutator line's window, and (1)<a^2 b^-1> meets (a^2 b^-1)^-m <a>
+        # at n = -m, the first; a window narrower by one misses either point
+        for root1, root2, n, end in (("a b^2", "b", m, max), ("a^2 b^-1", "a", -m, min)):
+            c1 = coset("1", root1)
+            c2 = CyclicCoset.make(w(root1) ** n, w(root2))
+            h = ~c2.rep * c1.rep
+            line = ParametricWord(AB, c1.root, (h, PowerBlock(1, 0), c2.root, PowerBlock(-1, 0), ~h * ~c2.root))
+            assert end(_line_candidates(line)) == n
+            point = AlgebraicSet(AB, (w(root1) ** n,))
+            assert intersect_cosets(c1, c2) == point == intersect_cosets(c2, c1)
+
+    @pytest.mark.parametrize(
+        "rep1, root1, t, sign, m, tail, meet",
+        [
+            ("1", "a", "b", 1, 11, "1", True),
+            ("b", "a b^-1", "b a", -1, 4, "1", True),
+            ("a", "a^2 b", "a^-1 b", 1, -3, "1", True),
+            ("1", "a^2 b", "b^2", -1, -5, "1", True),
+            ("1", "a b", "b", -1, 2, "b^2", False),
+            ("b", "a b^-1", "a", 1, 0, "a b", False),
+        ],
+    )
+    def test_conjugate_roots(self, rep1, root1, t, sign, m, tail, meet):
+        # c2's root is t root1^sign t^-1 and its rep is rep1 root1^m tail:
+        # the cosets meet in rep1 root1^m when the tail is trivial, else not at all
+        r1 = w(root1)
+        c1 = CyclicCoset.make(w(rep1), r1)
+        c2 = CyclicCoset.make(w(rep1) * r1 ** m * w(tail), w(t) * r1 ** sign * ~w(t))
+        expected = AlgebraicSet(AB, (w(rep1) * r1 ** m,) if meet else ())
+        assert intersect_cosets(c1, c2) == expected == intersect_cosets(c2, c1)
+        assert (expected.points, ()) == span_intersect(c1, c2)
+
     @pytest.mark.parametrize("found", [LineSolutionSet.finite([0, 1]), LineSolutionSet.everything()])
     def test_more_than_one_common_element_is_refused(self, monkeypatch, found):
-        monkeypatch.setattr(algset, "reduce_parametric", lambda pw: found)
+        monkeypatch.setattr(algset, "_common_exponents", lambda c1, c2: found)
         with pytest.raises(AssertionError, match="centralizers in a free group are cyclic"):
             intersect_cosets(coset("1", "a"), coset("1", "b"))
 

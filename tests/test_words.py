@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fgz.errors import (
@@ -39,6 +39,7 @@ from helpers import (
     random_unreduced_letters,
     random_word,
     reduced_data,
+    reference_parse_word,
     reference_sort_key,
     signed_letters,
     word_from_letters,
@@ -53,6 +54,47 @@ def in_centralizer(g, h):
     """g lies in ``<centralizer(h)>``: it is trivial or shares h's primitive root up to inversion."""
     root = centralizer(h)
     return g.is_identity or g.primitive_root().root in (root, ~root)
+
+
+def parse_outcome(parse, text):
+    """The data that ``parse`` gives for ``text`` over AB, or its ParseError text."""
+    try:
+        return parse(text, AB).data
+    except ParseError as exc:
+        return str(exc)
+
+
+#: exponent suffixes at the edges of the grammar's INT: bad forms, zeros,
+#: leading zeros, non-ASCII decimal digits (which \d and int() take) and a
+#: superscript (which they do not), and exponents past int()'s digit limit
+EXPONENT_EDGES = (
+    "", "^", "^-", "^+1", "^1^2", "^1_0", "^--1", "^007", "^-007", "^0", "^-0", "^00",
+    "^\u0661", "^-\u0661\u0662", "^\u0660", "^\u00b2", "^1\u00b2",
+    "^" + "9" * 5000, "^-" + "0" * 4999 + "1",
+)
+#: exponents whose sums land on either side of MAX_PARSE_LETTERS
+LIMIT_EXPONENTS = (MAX_PARSE_LETTERS // 2, MAX_PARSE_LETTERS // 2 + 1, MAX_PARSE_LETTERS, MAX_PARSE_LETTERS + 1)
+
+
+@st.composite
+def term_texts(draw):
+    """Word text: 0-5 terms joined by spaces, tabs or no-break spaces.  A
+    term is a known name with no exponent or a small one, or, one time in
+    three, a name that may be unknown or malformed with an edge exponent."""
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 2)):
+            terms.append(draw(st.sampled_from(("a", "b"))) + draw(st.sampled_from(("", "^-2", "^-1", "^2", "^3"))))
+            continue
+        name = draw(st.sampled_from(("a", "b", "q", "e", "1", "ab", "a_1", "A", "\u00e9", "")))
+        exponent = draw(st.one_of(
+            st.sampled_from(EXPONENT_EDGES),
+            st.sampled_from(LIMIT_EXPONENTS).flatmap(lambda e: st.sampled_from((f"^{e}", f"^-{e}"))),
+        ))
+        terms.append(name + exponent)
+    separator = draw(st.sampled_from((" ", "\t", "\u00a0", " \u00a0 ")))
+    pad = draw(st.sampled_from(("", " ", "\t")))
+    return pad + separator.join(terms) + pad
 
 
 def as_letters(data):
@@ -123,6 +165,17 @@ class TestParse:
             with pytest.raises(ParseError, match="over the limit of"):
                 w(text)
         assert time.perf_counter() - start < 5
+
+    @settings(deadline=None, derandomize=True, max_examples=500)
+    @given(term_texts())
+    @example("a^\u0661 b^-\u0660\u0662")
+    @example(f"a^{MAX_PARSE_LETTERS // 2} q^{MAX_PARSE_LETTERS // 2 + 1}")
+    @example(f"q^{MAX_PARSE_LETTERS + 1}")
+    @example("q^" + "9" * 5000)
+    @example("a\u00a0b^-2\tb^2 a^-1")
+    @example(f"a^{MAX_PARSE_LETTERS // 2} a^-{MAX_PARSE_LETTERS // 2}")
+    def test_matches_the_reference_parser(self, text):
+        assert parse_outcome(parse_word, text) == parse_outcome(reference_parse_word, text)
 
     def test_round_trip_and_collapse(self):
         assert str(w("a a a")) == "a^3"
