@@ -144,23 +144,21 @@ def separate(g: Word) -> PermRep:
             f"word has {len(g):,} letters, over the separation limit of {MAX_SEPARATE_LETTERS:,}"
         )
     degree = len(g) + 1
-    partial: list[dict[int, int]] = [{} for _ in g.alphabet.names]
-    used: list[set[int]] = [set() for _ in g.alphabet.names]
+    # each letter's partial map and its inverse, -1 where unset
+    images = [[-1] * degree for _ in g.alphabet.names]
+    sources = [[-1] * degree for _ in g.alphabet.names]
     for pos, v in enumerate(g.data):
         src, dst = (pos, pos + 1) if v > 0 else (pos + 1, pos)
-        m, targets = partial[abs(v) - 1], used[abs(v) - 1]
-        if src in m:
+        m, inv = images[abs(v) - 1], sources[abs(v) - 1]
+        if m[src] >= 0:
             raise AssertionError("prefix-path map got two images for one state")
-        if dst in targets:
+        if inv[dst] >= 0:
             raise AssertionError("prefix-path map got two sources for one state")
-        m[src] = dst
-        targets.add(dst)
+        m[src], inv[dst] = dst, src
     perms = []
-    for m, targets in zip(partial, used):
-        free_sources = [i for i in range(degree) if i not in m]
-        free_targets = [i for i in range(degree) if i not in targets]
-        m.update(zip(free_sources, free_targets))
-        perms.append(tuple([m[i] for i in range(degree)]))
+    for m, inv in zip(images, sources):
+        free_targets = iter([i for i, s in enumerate(inv) if s < 0])
+        perms.append(tuple([d if d >= 0 else next(free_targets) for d in m]))
     if _fold(_perm_table(degree, perms), g.data, [0]) != [len(g)]:
         raise AssertionError("prefix path must lead from state 0 to state L")
     return PermRep(g.alphabet, degree, tuple([Permutation(p) for p in perms]))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -459,26 +460,33 @@ def _ball_data(rank: int, radius: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=BALL_CACHE_SIZE)
+def _ball_steps(rank: int, radius: int) -> list[tuple[int, int]]:
+    """Step i is ``(p, v)``: word i + 1 of :func:`_ball_data` is word p of
+    the layer before it times the letter v.  Each layer is extended as the
+    ball's is, so the steps list the words in ball order."""
+    check_ball_limit(rank, radius)
+    signed = [v for i in range(1, rank + 1) for v in (i, -i)]
+    steps, lasts = [], [0]
+    for _ in range(radius):
+        layer = [(p, v) for p, last in enumerate(lasts) for v in signed if v != -last]
+        steps += layer
+        lasts = [v for _, v in layer]
+    return steps
+
+
 def _ball_images(rank: int, radius: int, table: Sequence, op: Callable, identity) -> Iterator[list]:
     """The images of the words of :func:`_ball_data`, one list per layer, in ball order.
 
     A word's image is ``op(image of its prefix, table[its last letter])``,
-    and the empty word's is ``identity``.  The ball lists the children of
-    each word of one layer together and in that layer's order (2 * rank
-    children of the empty word, 2 * rank - 1 of any other), so word j of a
-    layer extends word j // fan of the layer before, and the walk keeps
-    only one layer of images.
+    read off :func:`_ball_steps`, and the empty word's is ``identity``.
     """
-    ball = _ball_data(rank, radius)
-    layer = [identity]
-    yield layer
-    start, fan = 1, 2 * rank
-    while start < len(ball):
-        size = len(layer) * fan
-        layer = [op(layer[j // fan], table[gd[-1]]) for j, gd in enumerate(ball[start:start + size])]
+    steps = iter(_ball_steps(rank, radius))
+    layer, size = [identity], 2 * rank
+    while layer:
         yield layer
-        start += size
-        fan = 2 * rank - 1
+        layer = [op(layer[p], table[v]) for p, v in islice(steps, size)]
+        size *= 2 * rank - 1
 
 
 def enumerate_ball(alphabet: Alphabet, radius: int) -> list[Word]:

@@ -1,15 +1,15 @@
 import random
-import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fgz.embed import EmbedCheckReport, Homomorphism, build_phi_g, check_mono_on_ball
+from fgz import embed
+from fgz.embed import EmbedCheckReport, Homomorphism, _seam, build_phi_g, check_mono_on_ball
 from fgz.errors import AlphabetError, BallLimitError, IdentityWordError
 from fgz.words import MAX_BALL_LETTERS, Alphabet, Word, _ball_letters, _concat_data, enumerate_ball, parse_word
 
-from helpers import AB, ABC, random_word, signed_letters
+from helpers import AB, ABC, random_word, reduced_data, signed_letters
 
 Y4 = Alphabet(("b", "c", "d", "f"))
 CD = Alphabet(("c", "d"))
@@ -240,17 +240,25 @@ class TestBallWalk:
     @pytest.mark.parametrize("source, target, radius", [(AB, AB, 3), (ABC, Y4, 2), (Alphabet(("a",)), CD, 3)])
     def test_failures_match_for_a_careless_map(self, monkeypatch, source, target, radius):
         # a coordinate map that kills the first support letter and sends
-        # the others to the target's first letter breaks every check
-        def careless_phi_g(g, target):
-            first = min(g.support(), key=g.alphabet.index)
-            images = {x: target.identity() if x == first else target.letter(target.names[0]) for x in g.alphabet}
-            return Homomorphism(g.alphabet, target, images)
+        # the others to the target's first letter breaks every check; the
+        # check and the per-index reference (through build_phi_g) both read it
+        def careless_phi_images(source, target, support_codes):
+            return [() if v == support_codes[0] else (1,) for v in range(1, len(source) + 1)]
 
-        monkeypatch.setattr("fgz.embed.build_phi_g", careless_phi_g)
-        monkeypatch.setattr(sys.modules[__name__], "build_phi_g", careless_phi_g)
+        monkeypatch.setattr(embed, "_phi_images", careless_phi_images)
         report = same_report_or_error(source, target, radius)
         kinds = {failure.split()[0] for failure in report.failures}
         assert kinds == ({"not", "witness", "coordinate"} if set(source) & set(target) else {"not", "witness"})
+
+    def test_two_letter_images_are_refused(self, monkeypatch):
+        # the walk's product, _seam, is exact only for images of at most one letter
+        def two_letter_phi_images(source, target, support_codes):
+            return [(1, 1)] * len(source)
+
+        monkeypatch.setattr(embed, "_phi_images", two_letter_phi_images)
+        monkeypatch.setattr(embed, "_seam", None)  # a walk would call it
+        with pytest.raises(AssertionError, match="more than one letter"):
+            check_mono_on_ball(AB, CD, 2)
 
 
 class TestWalkCost:
@@ -272,11 +280,11 @@ class TestWalkCost:
     def test_one_product_per_element_and_distinct_map(self, monkeypatch, source, target, radius, calls):
         counted = []
 
-        def counting_concat(a, b):
+        def counting_seam(image, letter):
             counted.append(None)
-            return _concat_data(a, b)
+            return _seam(image, letter)
 
-        monkeypatch.setattr("fgz.embed._concat_data", counting_concat)
+        monkeypatch.setattr(embed, "_seam", counting_seam)
         check_mono_on_ball(source, target, radius)
         assert len(counted) == calls
 
@@ -293,12 +301,22 @@ class TestWalkCost:
     def test_too_many_image_letters_fail_before_the_walk(self, monkeypatch):
         # rank 12 into a disjoint target at radius 3: 296 distinct maps of
         # 39,216 ball letters; rank 11 keeps 229 x 30,052 = 6,881,908
-        monkeypatch.setattr("fgz.embed._concat_data", None)  # a walk would call it
+        monkeypatch.setattr(embed, "_seam", None)  # a walk would call it
         source = Alphabet([f"s{i}" for i in range(12)])
         target = Alphabet([f"t{i}" for i in range(12)])
         assert _ball_letters(11, 3) * 229 <= MAX_BALL_LETTERS < _ball_letters(12, 3) * 296
         with pytest.raises(BallLimitError, match="296 distinct coordinate maps of a ball of 39,216 letters keep 11,607,936"):
             check_mono_on_ball(source, target, 3)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.integers(1, 3).flatmap(lambda rank: st.tuples(reduced_data(rank, 8), reduced_data(rank, 1))))
+@example(((), ()))
+@example(((1, -2), (2,)))
+@example(((-1,), (1,)))
+def test_seam_is_the_product_for_one_letter(pair):
+    image, letter = pair
+    assert _seam(image, letter) == _concat_data(image, letter)
 
 
 class TestCheckMonoOnBall:

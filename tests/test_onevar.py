@@ -30,6 +30,7 @@ from fgz.words import (
     Alphabet,
     Word,
     _ball_data,
+    _ball_steps,
     _concat_data,
     _reduce_data,
     _RootSplit,
@@ -219,7 +220,7 @@ class TestBruteSolutions:
         for radius in range(3 * BALL_CACHE_SIZE):
             assert [str(g) for g in brute_solutions(word, radius)] == (["a"] if radius else [])
             assert len(brute_solutions(commutator, radius)) == 2 * radius + 1
-        for cache in (_ball_data, _ball_buckets, _quotient_buckets):
+        for cache in (_ball_data, _ball_steps, _ball_buckets, _quotient_buckets):
             info = cache.cache_info()
             assert info.maxsize == BALL_CACHE_SIZE
             assert info.currsize <= BALL_CACHE_SIZE

@@ -6,13 +6,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgz import residual
+from fgz.embed import check_mono_on_ball
 from fgz.errors import AlphabetError, IdentityWordError, SeparationLimitError
 from fgz.residual import MAX_SEPARATE_LETTERS, Permutation, PermRep, apply_perm_rep, separate
 from fgz.words import Alphabet, Word, parse_word
 
-from helpers import AB, ABC, compose, random_reduced_data, random_word
+from helpers import AB, ABC, compose, random_reduced_data, random_word, reduced_data
+from test_reference_outputs import _load_workloads
 
 
 def w(text):
@@ -94,6 +98,33 @@ class TestSeparate:
             image = apply_perm_rep(rep, g)
             assert image(0) == len(g)
             assert not image.is_identity
+
+
+def reference_letter_perms(g: Word) -> list[tuple[int, ...]]:
+    """The letter permutations of ``separate(g)``, from per-letter dicts of
+    the partial maps and sets of their targets."""
+    degree = len(g) + 1
+    partial: list[dict[int, int]] = [{} for _ in g.alphabet.names]
+    used: list[set[int]] = [set() for _ in g.alphabet.names]
+    for pos, v in enumerate(g.data):
+        src, dst = (pos, pos + 1) if v > 0 else (pos + 1, pos)
+        partial[abs(v) - 1][src] = dst
+        used[abs(v) - 1].add(dst)
+    perms = []
+    for m, targets in zip(partial, used):
+        free_sources = [i for i in range(degree) if i not in m]
+        free_targets = [i for i in range(degree) if i not in targets]
+        m.update(zip(free_sources, free_targets))
+        perms.append(tuple([m[i] for i in range(degree)]))
+    return perms
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.integers(1, 3).flatmap(lambda rank: st.tuples(st.just(rank), reduced_data(rank, 24, min_len=1))))
+def test_separate_matches_the_dict_reference(case):
+    rank, data = case
+    g = Word(Alphabet(("a", "b", "c")[:rank]), data)
+    assert [p.images for p in separate(g).letter_images] == reference_letter_perms(g)
 
 
 class TestSeparationLimit:
@@ -182,6 +213,29 @@ def test_witness_kernels_leave_free_lists_alone():
         before = sys.getallocatedblocks()
         for g in words:
             apply_perm_rep(separate(g), g)
+        held = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert held < 1500
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython's allocator blocks")
+def test_embed_check_leaves_free_lists_alone():
+    """The sibling of the test above for the embed check, over the
+    witnesses workload's 1,000 (source, target) draws at radius 3.  With
+    GC off they held 734 blocks; a generator-built tuple for each
+    support's letter images gives 4,179, and one for each walk product
+    6,163."""
+    workloads = _load_workloads()
+    cases = [workloads.witness_input(i)[:2] for i in range(workloads.WITNESS_UNIVERSE)]
+    for source, target in cases[:3]:  # fills both balls' caches
+        check_mono_on_ball(source, target, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for source, target in cases:
+            check_mono_on_ball(source, target, 3)
         held = sys.getallocatedblocks() - before
     finally:
         gc.enable()

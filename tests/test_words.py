@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from fgz.words import (
     _ball_data,
     _ball_images,
     _ball_letters,
+    _ball_steps,
     _concat_data,
     _invert_data,
     _reduce_data,
@@ -549,6 +551,19 @@ class TestEnumerateBall:
                 layers = list(_ball_images(rank, radius, letters, _concat_data, ()))
                 assert [d for layer in layers for d in layer] == list(ball)
                 assert all(len(d) == n for n, layer in enumerate(layers) for d in layer)
+
+    def test_ball_steps_rebuild_the_ball(self):
+        # step i extends word p of the layer before word i + 1 by letter v
+        for rank in range(0, 4):
+            for radius in range(0, 5):
+                steps = iter(_ball_steps(rank, radius))
+                layer = rebuilt = [()]
+                for n in range(1, radius + 1):
+                    size = ball_size(rank, n) - ball_size(rank, n - 1)
+                    layer = [layer[p] + (v,) for p, v in islice(steps, size)]
+                    rebuilt = rebuilt + layer
+                assert rebuilt == list(_ball_data(rank, radius))
+                assert next(steps, None) is None
 
     def test_huge_radius_fails_at_once(self):
         start = time.perf_counter()
