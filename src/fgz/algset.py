@@ -6,8 +6,8 @@ value is canonical on construction, however it is built: a coset orients
 its root and minimizes its representative, and a set merges its cosets,
 drops points inside them and sorts both.  The named ways in from raw data
 are :meth:`CyclicCoset.make` for a (rep, root) pair and
-:meth:`AlgebraicSet.of` for points and such pairs.  Intersections are
-exact, by the cyclic centralizers of a free group.  Canonical forms are
+:meth:`AlgebraicSet.of` for points and such pairs.  Two cosets meet in
+the labels shared by their folded graphs, at most one.  Canonical forms are
 unique, which turns equality and inclusion into structural checks and
 makes serialized output reproducible.  The lengths of a coset's elements
 are bounded, and the walk over them stopped, in one place:
@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import AlphabetError, BallLimitError, ParseError, RootError
-from .onevar import LineSolutionSet, ParametricWord, PowerBlock, _line_candidates
 from .words import (
     MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _RootSplit, _shortlex_key, _split_root,
     enumerate_ball, parse_word,
@@ -259,43 +258,60 @@ class AlgebraicSet:
         return " u ".join(parts)
 
 
+def _coset_graph(c: CyclicCoset) -> tuple[dict[tuple[int, int], int], int]:
+    """The folded graph of ``c``, edges ``(vertex, letter) -> vertex`` kept with their inverses, and its start.
+
+    For the split ``root = u k u^-1``, a stem reading u leaves the base 0 and
+    a cycle reading k closes at |u|: folded, as ``u k u^-1`` is reduced and k
+    cyclically reduced.  The rep is read back from 0 on the edges there, then
+    on fresh vertices, to the start.  A reduced word labels at most one path
+    from a vertex, so the reduced paths from the start to 0 read each element once.
+    """
+    u, _, k, _ = c._split
+    n = len(u) + len(k)
+    edges: dict[tuple[int, int], int] = {}
+    for v, x, w in zip(range(n), u + k, [*range(1, n), len(u)]):
+        edges[v, x], edges[w, -x] = w, v
+    v = 0
+    for x in reversed(c.rep.data):
+        if (v, -x) not in edges:
+            edges[v, -x], edges[n, x] = n, v
+            n += 1
+        v = edges[v, -x]
+    return edges, v
+
+
 def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
     """Intersection of two cosets: a coset, a singleton, or empty.
 
-    Equal cosets meet in themselves; distinct cosets of one subgroup are
-    disjoint.  Otherwise :func:`_common_exponents` gives the n with
-    ``c1.rep c1.root^n`` in ``c2`` exactly; two would put a power of
-    ``c1.root`` in ``<c2.root>``.
+    Distinct cosets of one subgroup are disjoint.  Distinct canonical roots
+    give distinct maximal cyclic subgroups, which meet in 1, so their cosets
+    share at most one element: the label of a path from the starts to (0, 0)
+    in the product of their :func:`_coset_graph`.  A path of the search tree,
+    one predecessor per state, visits no state twice, so it does not turn
+    back and reads a reduced word; with no path the cosets are disjoint.
     """
     alphabet = c1.alphabet
     if c1 == c2:
         return AlgebraicSet(alphabet, (), (c1,))
     if c1.root == c2.root:
         return AlgebraicSet.empty(alphabet)
-    found = _common_exponents(c1, c2)
-    if found.all_integers or len(found.values) > 1:
-        raise AssertionError(f"{c1} and {c2} share {found}, but centralizers in a free group are cyclic")
-    return AlgebraicSet(alphabet, tuple([c1.element(n) for n in found.values]))
-
-
-def _common_exponents(c1: CyclicCoset, c2: CyclicCoset) -> LineSolutionSet:
-    """The n with ``c1.rep c1.root^n`` in ``c2``, for cosets of distinct roots.
-
-    With ``h = c2.rep^-1 c1.rep`` that element is in ``c2`` exactly when
-    ``h c1.root^n`` is in ``<c2.root>``.  As ``c2.root`` is primitive, its
-    centralizer is ``<c2.root>``, so this holds exactly when the commutator
-    line ``[h c1.root^n, c2.root]`` vanishes at n.  Every zero of the line
-    is one of its :func:`~fgz.onevar._line_candidates`, and each candidate
-    is tested for membership on int data, by the split of ``c2.root``
-    (:meth:`~fgz.words._RootSplit.exponent`); a line whose block form is
-    empty vanishes for every n.
-    """
-    h, r1, r2 = ~c2.rep * c1.rep, c1.root, c2.root
-    line = ParametricWord(c1.alphabet, r1, (h, PowerBlock(1, 0), r2, PowerBlock(-1, 0), ~h * ~r2))
-    if not line.blocks:
-        return LineSolutionSet.everything()
-    hd, power, exponent = h.data, c1._split.power, c2._split.exponent
-    return LineSolutionSet.finite(n for n in _line_candidates(line) if exponent(_concat_data(hd, power(n))) is not None)
+    (g1, s1), (g2, s2) = _coset_graph(c1), _coset_graph(c2)
+    came: dict[tuple[int, int], tuple] = {(s1, s2): ()}
+    todo = [(s1, s2)]
+    while todo and (0, 0) not in came:
+        state = v1, v2 = todo.pop()
+        for x in range(-len(alphabet), len(alphabet) + 1):
+            if (w1 := g1.get((v1, x))) is not None and (w2 := g2.get((v2, x))) is not None and (w1, w2) not in came:
+                came[w1, w2] = (state, x)
+                todo.append((w1, w2))
+    if (step := came.get((0, 0))) is None:
+        return AlgebraicSet.empty(alphabet)
+    data = []
+    while step:
+        data.append(step[1])
+        step = came[step[0]]
+    return AlgebraicSet(alphabet, (Word(alphabet, tuple(data[::-1])),))
 
 
 def union(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:

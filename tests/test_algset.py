@@ -19,10 +19,10 @@ from fgz.algset import (
     union,
 )
 from fgz.errors import AlphabetError, BallLimitError, EvaluationLimitError, RootError
-from fgz.onevar import LineSolutionSet, ParametricWord, PowerBlock, _line_candidates, reduce_parametric
+from fgz.onevar import ParametricWord, PowerBlock, _line_candidates, reduce_parametric
 from fgz.words import MAX_BALL_LETTERS, MAX_PARSE_LETTERS, Alphabet, Word, _split_root, enumerate_ball, parse_word
 
-from helpers import AB, ABC, random_lines, random_word, reduced_data, reference_elements_within, reference_member
+from helpers import AB, ABC, random_lines, random_reduced_data, random_word, reduced_data, reference_elements_within, reference_member
 from test_reference_outputs import _load_workloads
 
 WHOLE = AlgebraicSet(AB, whole_group=True)
@@ -448,11 +448,42 @@ class TestIntersectCosets:
         assert intersect_cosets(c1, c2) == expected == intersect_cosets(c2, c1)
         assert (expected.points, ()) == span_intersect(c1, c2)
 
-    @pytest.mark.parametrize("found", [LineSolutionSet.finite([0, 1]), LineSolutionSet.everything()])
-    def test_more_than_one_common_element_is_refused(self, monkeypatch, found):
-        monkeypatch.setattr(algset, "_common_exponents", lambda c1, c2: found)
-        with pytest.raises(AssertionError, match="centralizers in a free group are cyclic"):
-            intersect_cosets(coset("1", "a"), coset("1", "b"))
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(cosets_with_lengths())
+    @example((coset("b^-1", "b a b^-1"), 6))  # the rep runs back along the stem: the start is on the cycle
+    @example((coset("b a^-1", "a b"), 4))  # the rep's last letter runs back along the cycle
+    @example((coset("a", "b"), 0))  # shorter than the rep: nothing
+    def test_coset_graph_reads_the_coset(self, case):
+        # the non-backtracking paths from the start to the base, up to the
+        # length, read the coset's elements within it, each once
+        c, length = case
+        edges, start = algset._coset_graph(c)
+        letters = [x for i in range(1, len(c.alphabet) + 1) for x in (i, -i)]
+        read, paths = [], [(start, ())]
+        while paths:
+            v, label = paths.pop()
+            if v == 0 and len(label) <= length:
+                read.append(label)
+            if len(label) < length:
+                paths += [(edges[v, x], label + (x,)) for x in letters if (v, x) in edges and (not label or x != -label[-1])]
+        assert sorted(read) == sorted(g.data for g in c.elements_within(length))
+
+    def test_long_reps_in_linear_time(self):
+        # the product search visits each state once, and with one cycle in
+        # each graph the states reachable from the starts grow linearly
+        rng = random.Random(27)
+        x = Word(AB, random_reduced_data(rng, 2, 20_000))
+        point = x * w("a b") ** 3000
+        cases = [
+            (CyclicCoset.make(x, w("a b")), CyclicCoset.make(point, w("b")), AlgebraicSet(AB, (point,))),
+            (CyclicCoset.make(x, w("a b")), CyclicCoset.make(Word(AB, random_reduced_data(rng, 2, 20_000)), w("b")),
+             AlgebraicSet.empty(AB)),
+        ]
+        assert all(len(c1.rep) >= 19_990 and len(c2.rep) >= 19_990 for c1, c2, _ in cases)
+        start = time.perf_counter()
+        for c1, c2, expected in cases:
+            assert intersect_cosets(c1, c2) == expected == intersect_cosets(c2, c1)
+        assert time.perf_counter() - start < 1
 
 
 class TestSetOps:
