@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import AlphabetError, BallLimitError, ParseError, RootError
+from .errors import AlphabetError, BallLimitError, ParseError
 from .words import (
-    MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _RootSplit, _shortlex_key, _split_root,
+    MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _primitive_split, _RootSplit, _shortlex_key,
     enumerate_ball, parse_word,
 )
 
@@ -54,16 +54,8 @@ class CyclicCoset:
         rep, root = self.rep, self.root
         if rep.alphabet != root.alphabet:
             raise AlphabetError("rep and root must share an alphabet")
-        if root.is_identity:
-            raise RootError("coset root must be nontrivial")
-        split = _split_root(root.data)
-        if split.period() != len(split.k):
-            dec = root.primitive_root()
-            raise RootError(
-                f"root {root} is a proper power ({dec.root})^{dec.exponent}; "
-                "only cosets of maximal cyclic subgroups (full centralizers) "
-                "are representable - use the primitive root"
-            )
+        split = _primitive_split(root, "coset root must be nontrivial", "; only cosets of maximal cyclic subgroups"
+                                 " (full centralizers) are representable - use the primitive root")
         if _shortlex_key(split.ki) < _shortlex_key(split.k):
             # ``root^-1 = u k^-1 u^-1`` shares u and the length, so its core decides
             split = split.inverse()
@@ -258,31 +250,40 @@ class AlgebraicSet:
         return " u ".join(parts)
 
 
-def _coset_graph(c: CyclicCoset) -> tuple[dict[tuple[int, int], int], int]:
-    """The folded graph of ``c``, edges ``(vertex, letter) -> vertex`` kept with their inverses, and its start.
+def _read(edges: list[list[int]], data: Sequence[int], v: int, n: int) -> tuple[int, int]:
+    """Read ``data`` from vertex v of a folded graph; return the end vertex and the next fresh vertex.
+
+    ``edges[x][w]`` ends the edge labelled x from w, -1 where there is none: one list per signed
+    letter code, negative codes from the end.  Each letter follows the edge there or opens the
+    fresh vertex n, n + 1, ... with the edge and its inverse, so the graph stays folded.
+    """
+    for x in data:
+        w = edges[x][v]
+        if w < 0:
+            w, n = n, n + 1
+            edges[x][v], edges[-x][w] = w, v
+        v = w
+    return v, n
+
+
+def _coset_graph(c: CyclicCoset) -> tuple[list[list[int]], int]:
+    """The folded graph of ``c``, edges as in :func:`_read`, and its start.
 
     For the split ``root = u k u^-1``, a stem reading u leaves the base 0 and
     a cycle reading k closes at |u|: folded, as ``u k u^-1`` is reduced and k
-    cyclically reduced.  The rep is read back from 0 on the edges there, then
-    on fresh vertices, to the start.  A reduced word labels at most one path
-    from a vertex, so the reduced paths from the start to 0 read each element once.
+    cyclically reduced.  Reading ``rep^-1`` from 0 ends at the start.  A reduced word
+    labels at most one path from a vertex, so the reduced paths from the start to 0
+    read each element once.
     """
     u, _, k, _ = c._split
-    n = len(u) + len(k)
-    edges: dict[tuple[int, int], int] = {}
-    for v, x, w in zip(range(n), u + k, [*range(1, n), len(u)]):
-        edges[v, x], edges[w, -x] = w, v
-    v = 0
-    for x in reversed(c.rep.data):
-        if (v, -x) not in edges:
-            edges[v, -x], edges[n, x] = n, v
-            n += 1
-        v = edges[v, -x]
-    return edges, v
+    edges = [*map(list.copy, [[-1] * (len(u) + len(k) + len(c.rep))] * (2 * len(c.alphabet) + 1))]
+    v, n = _read(edges, u + k[:-1], 0, 1)
+    edges[k[-1]][v], edges[-k[-1]][len(u)] = len(u), v
+    return edges, _read(edges, _invert_data(c.rep.data), 0, n)[0]
 
 
 def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
-    """Intersection of two cosets: a coset, a singleton, or empty.
+    """Intersection of two cosets over one alphabet, else AlphabetError: a coset, a singleton, or empty.
 
     Distinct cosets of one subgroup are disjoint.  Distinct canonical roots
     give distinct maximal cyclic subgroups, which meet in 1, so their cosets
@@ -292,17 +293,20 @@ def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
     back and reads a reduced word; with no path the cosets are disjoint.
     """
     alphabet = c1.alphabet
+    if c2.alphabet != alphabet:
+        raise AlphabetError("operands over different alphabets")
     if c1 == c2:
         return AlgebraicSet(alphabet, (), (c1,))
     if c1.root == c2.root:
         return AlgebraicSet.empty(alphabet)
     (g1, s1), (g2, s2) = _coset_graph(c1), _coset_graph(c2)
+    letters = [*range(-len(alphabet), 0), *range(1, len(alphabet) + 1)]
     came: dict[tuple[int, int], tuple] = {(s1, s2): ()}
     todo = [(s1, s2)]
     while todo and (0, 0) not in came:
         state = v1, v2 = todo.pop()
-        for x in range(-len(alphabet), len(alphabet) + 1):
-            if (w1 := g1.get((v1, x))) is not None and (w2 := g2.get((v2, x))) is not None and (w1, w2) not in came:
+        for x in letters:
+            if (w1 := g1[x][v1]) >= 0 and (w2 := g2[x][v2]) >= 0 and (w1, w2) not in came:
                 came[w1, w2] = (state, x)
                 todo.append((w1, w2))
     if (step := came.get((0, 0))) is None:

@@ -22,11 +22,11 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Union
 
-from .errors import AlphabetError, EvaluationLimitError, RootError
+from .errors import AlphabetError, EvaluationLimitError
 from .residual import _compose, _fold, _inverse, _perm_table
 from .words import (
     BALL_CACHE_SIZE, MAX_PARSE_LETTERS, Alphabet, Word, _ball_data, _ball_images, _invert_data, _reduce_data,
-    _RootSplit, _split_root, parse_word,
+    _primitive_split, _RootSplit, parse_word,
 )
 
 DEFAULT_VARIABLE = "x"
@@ -366,15 +366,9 @@ class ParametricWord:
     _split: _RootSplit = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        root = self.root
-        if root.is_identity:
-            raise RootError("root of a parametric word must be nontrivial")
-        split = _split_root(root.data)
-        if split.period() != len(split.k):
-            dec = root.primitive_root()
-            raise RootError(f"root {root} is a proper power ({dec.root})^{dec.exponent}")
+        split = _primitive_split(self.root, "root of a parametric word must be nontrivial")
         core, blocks = _normalize_blocks(self.alphabet, split, self.blocks)
-        object.__setattr__(self, "root", Word(root.alphabet, core.k))
+        object.__setattr__(self, "root", Word(self.root.alphabet, core.k))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_split", core)
 

@@ -1,11 +1,10 @@
 """Finite separation witnesses: map a nontrivial word to a symmetric group.
 
-The word's prefixes become states 0..L; each letter contributes the
-partial injection that advances the state along its occurrences, and the
-partial maps complete to permutations.  The resulting homomorphism moves
-state 0 to L on the input word, so the image of the word is not the
-identity: every nontrivial element is separated from the identity in a
-finite quotient.
+The states 0..L are the vertices of the trivial subgroup's folded graph with
+the word read in from the base 0 (:func:`fgz.algset._read`).  Each letter's
+edges are a partial injection, completed to a permutation.  The homomorphism
+moves state 0 to L on the word, so its image is not the identity: every
+nontrivial element is separated from the identity in a finite quotient.
 
 The representation has degree L + 1, so the image of the word itself,
 which the CLI prints, composes L permutations of degree L + 1: the work
@@ -23,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .algset import _read
 from .errors import AlphabetError, IdentityWordError, SeparationLimitError
 from .words import Alphabet, Word, _signed_code_table
 
@@ -128,14 +128,13 @@ def apply_perm_rep(rep: PermRep, w: Word) -> Permutation:
 def separate(g: Word) -> PermRep:
     """A permutation representation of degree |g| + 1 not killing g.
 
-    States are the prefixes of g.  Letter maps send state i to i + 1 when
-    the (i+1)-th signed letter is the letter itself, and i + 1 to i when
-    it is the inverse; unmatched states pair up in increasing order.
-    Because g is reduced the partial maps are injections, which is
-    checked at runtime, as is the path from state 0 to state |g|; a failed
-    check raises AssertionError, also under ``python -O``.
-    Words over :data:`MAX_SEPARATE_LETTERS` letters raise
-    :class:`~fgz.errors.SeparationLimitError` before anything is built.
+    States are the vertices of the trivial subgroup's folded graph with g
+    read in from the base 0 by :func:`~fgz.algset._read`; free sources of a
+    letter's edges pair with its free targets in increasing order.  Each
+    letter of the reduced g opens a fresh state, and the permutations lead
+    from state 0 to |g|; a failed check of either raises AssertionError,
+    also under ``python -O``.  Words over :data:`MAX_SEPARATE_LETTERS`
+    letters raise :class:`~fgz.errors.SeparationLimitError` before anything is built.
     """
     if g.is_identity:
         raise IdentityWordError("cannot separate the identity from itself")
@@ -144,21 +143,13 @@ def separate(g: Word) -> PermRep:
             f"word has {len(g):,} letters, over the separation limit of {MAX_SEPARATE_LETTERS:,}"
         )
     degree = len(g) + 1
-    # each letter's partial map and its inverse, -1 where unset
-    images = [[-1] * degree for _ in g.alphabet.names]
-    sources = [[-1] * degree for _ in g.alphabet.names]
-    for pos, v in enumerate(g.data):
-        src, dst = (pos, pos + 1) if v > 0 else (pos + 1, pos)
-        m, inv = images[abs(v) - 1], sources[abs(v) - 1]
-        if m[src] >= 0:
-            raise AssertionError("prefix-path map got two images for one state")
-        if inv[dst] >= 0:
-            raise AssertionError("prefix-path map got two sources for one state")
-        m[src], inv[dst] = dst, src
+    edges = [*map(list.copy, [[-1] * degree] * (2 * len(g.alphabet) + 1))]
+    if _read(edges, g.data, 0, 1) != (len(g), degree):
+        raise AssertionError("reading g must open a fresh state at every letter")
     perms = []
-    for m, inv in zip(images, sources):
-        free_targets = iter([i for i, s in enumerate(inv) if s < 0])
-        perms.append(tuple([d if d >= 0 else next(free_targets) for d in m]))
+    for x in range(1, len(g.alphabet) + 1):
+        free_targets = iter([i for i, s in enumerate(edges[-x]) if s < 0])
+        perms.append(tuple([d if d >= 0 else next(free_targets) for d in edges[x]]))
     if _fold(_perm_table(degree, perms), g.data, [0]) != [len(g)]:
         raise AssertionError("prefix path must lead from state 0 to state L")
     return PermRep(g.alphabet, degree, tuple([Permutation(p) for p in perms]))

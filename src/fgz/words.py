@@ -28,6 +28,7 @@ from .errors import (
     EvaluationLimitError,
     IdentityWordError,
     ParseError,
+    RootError,
     WholeGroupError,
 )
 
@@ -310,10 +311,20 @@ def _split_root(data: tuple[int, ...]) -> _RootSplit:
     """Split reduced data into ``u k u^-1`` with k cyclically reduced."""
     i, j = 0, len(data)
     while j - i >= 2 and data[i] == -data[j - 1]:
-        i += 1
-        j -= 1
+        i, j = i + 1, j - 1
     u, k = data[:i], data[i:j]
     return _RootSplit(u, _invert_data(u), k, _invert_data(k))
+
+
+def _primitive_split(root: Word, trivial: str, tail: str = "") -> _RootSplit:
+    """The split of a nontrivial primitive root; else RootError: ``trivial``, or the power and ``tail``."""
+    if root.is_identity:
+        raise RootError(trivial)
+    split = _split_root(root.data)
+    if split.period() != len(split.k):
+        dec = root.primitive_root()
+        raise RootError(f"root {root} is a proper power ({dec.root})^{dec.exponent}{tail}")
+    return split
 
 
 def _shortlex_key(data: tuple[int, ...]) -> tuple:

@@ -20,7 +20,9 @@ from fgz.algset import (
 )
 from fgz.errors import AlphabetError, BallLimitError, EvaluationLimitError, RootError
 from fgz.onevar import ParametricWord, PowerBlock, _line_candidates, reduce_parametric
-from fgz.words import MAX_BALL_LETTERS, MAX_PARSE_LETTERS, Alphabet, Word, _split_root, enumerate_ball, parse_word
+from fgz.words import (
+    MAX_BALL_LETTERS, MAX_PARSE_LETTERS, Alphabet, Word, _invert_data, _split_root, enumerate_ball, parse_word,
+)
 
 from helpers import AB, ABC, random_lines, random_reduced_data, random_word, reduced_data, reference_elements_within, reference_member
 from test_reference_outputs import _load_workloads
@@ -190,12 +192,17 @@ class TestCyclicCoset:
         assert [reduce_parametric(pw) for pw in lines] == solved
 
     def test_rejects_trivial_root(self):
-        with pytest.raises(RootError):
+        with pytest.raises(RootError) as excinfo:
             coset("a", "1")
+        assert str(excinfo.value) == "coset root must be nontrivial"
 
     def test_rejects_proper_power_root(self):
-        with pytest.raises(RootError, match="proper power"):
+        with pytest.raises(RootError) as excinfo:
             coset("1", "a^2")
+        assert str(excinfo.value) == (
+            "root a^2 is a proper power (a)^2; only cosets of maximal cyclic subgroups (full centralizers) "
+            "are representable - use the primitive root"
+        )
 
     def test_canonical_orientation_and_rep(self):
         c = CyclicCoset.make(w("a^3"), w("a^-1"))
@@ -449,6 +456,19 @@ class TestIntersectCosets:
         assert (expected.points, ()) == span_intersect(c1, c2)
 
     @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(st.integers(1, 3).flatmap(lambda rank: st.tuples(st.just(rank), reduced_data(rank, 24), st.integers(0, 24))))
+    def test_read_opens_a_vertex_per_letter_and_follows_back_edges(self, case):
+        # on the one-vertex graph a reduced word opens one vertex per letter,
+        # its prefix path; the inverse of a suffix read on runs back along it
+        rank, data, back = case
+        n = len(data)
+        back = min(back, n)
+        edges = [[-1] * (n + 1) for _ in range(2 * rank + 1)]
+        assert algset._read(edges, data + _invert_data(data[n - back:]), 0, 1) == (n - back, n + 1)
+        set_edges = {(x, v): e for x in range(-rank, rank + 1) if x for v, e in enumerate(edges[x]) if e >= 0}
+        assert set_edges == {(x, i): i + 1 for i, x in enumerate(data)} | {(-x, i + 1): i for i, x in enumerate(data)}
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
     @given(cosets_with_lengths())
     @example((coset("b^-1", "b a b^-1"), 6))  # the rep runs back along the stem: the start is on the cycle
     @example((coset("b a^-1", "a b"), 4))  # the rep's last letter runs back along the cycle
@@ -465,7 +485,7 @@ class TestIntersectCosets:
             if v == 0 and len(label) <= length:
                 read.append(label)
             if len(label) < length:
-                paths += [(edges[v, x], label + (x,)) for x in letters if (v, x) in edges and (not label or x != -label[-1])]
+                paths += [(edges[x][v], label + (x,)) for x in letters if edges[x][v] >= 0 and (not label or x != -label[-1])]
         assert sorted(read) == sorted(g.data for g in c.elements_within(length))
 
     def test_long_reps_in_linear_time(self):
@@ -507,6 +527,15 @@ class TestSetOps:
         other = AlgebraicSet.empty(Alphabet(("c",)))
         with pytest.raises(AlphabetError):
             union(aset(), other)
+
+    def test_coset_alphabet_mismatch(self):
+        # the cosets share the element a, but a letter code names a different
+        # letter over each alphabet
+        c1 = coset("a", "b")
+        c2 = CyclicCoset.make(Word(Alphabet(("b", "a")), ()), parse_word("a", Alphabet(("b", "a"))))
+        for first, second in ((c1, c2), (c2, c1)):
+            with pytest.raises(AlphabetError, match="^operands over different alphabets$"):
+                intersect_cosets(first, second)
 
     def test_commutative_associative_absorb(self):
         rng = random.Random(34)

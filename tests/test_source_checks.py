@@ -7,9 +7,10 @@ explicitly instead; a test parses every module and fails on any
 honest: each name once, each one there, and no name beyond those README's
 quickstart imports from the package root.  One more holds every name a
 dataclass sets with ``object.__setattr__`` to its declared fields, so that
-state kept beside them is declared, and out of equality and repr.  The set
-algebra rests on the word kernel alone: ``algset`` imports no package
-module but ``errors`` and ``words``.
+state kept beside them is declared, and out of equality and repr.  A table
+names the package modules that ``algset`` and ``residual`` may import: the
+set algebra rests on the word kernel alone, and the witnesses on it and the
+folded graphs of ``algset``.
 """
 
 import ast
@@ -69,17 +70,27 @@ def test_dataclasses_set_only_declared_fields():
     assert checked and not found, f"undeclared dataclass state: {found}"
 
 
-def test_algset_imports_only_errors_and_words():
-    # coset intersection walks the cosets' own folded graphs, with no
-    # equation layer under it
-    imported = set()
-    for node in ast.walk(ast.parse((PACKAGE / "algset.py").read_text())):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("fgz")):
-            module = (node.module or "").removeprefix("fgz").strip(".")
-            imported |= {module} if module else {alias.name for alias in node.names}
-        elif isinstance(node, ast.Import):
-            imported |= {alias.name.removeprefix("fgz.") for alias in node.names if alias.name.startswith("fgz")}
-    assert imported == {"errors", "words"}, f"algset imports {sorted(imported)}"
+#: the package modules each module may import: the set algebra and the
+#: witnesses rest on the word kernel, with no equation layer under them
+IMPORT_LAYERS = {
+    "algset": {"errors", "words"},
+    "residual": {"algset", "errors", "words"},
+}
+
+
+def test_modules_import_only_their_layers():
+    found = {}
+    for name, allowed in IMPORT_LAYERS.items():
+        imported = set()
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("fgz")):
+                module = (node.module or "").removeprefix("fgz").strip(".")
+                imported |= {module} if module else {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name.removeprefix("fgz.") for alias in node.names if alias.name.startswith("fgz")}
+        if imported != allowed:
+            found[name] = sorted(imported)
+    assert not found, f"modules importing outside their layers: {found}"
 
 
 def test_every_exported_name_resolves_once():
