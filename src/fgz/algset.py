@@ -11,7 +11,7 @@ the labels shared by their folded graphs, at most one.  Canonical forms are
 unique, which turns equality and inclusion into structural checks and
 makes serialized output reproducible.  The lengths of a coset's elements
 are bounded, and the walk over them stopped, in one place:
-:meth:`CyclicCoset.elements_within`.
+:meth:`CyclicCoset._data_within`.
 
 The whole group F, the solution set of the trivial equation and the top of
 the lattice of closed sets, is an :class:`AlgebraicSet` with ``whole_group``
@@ -24,11 +24,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import AlphabetError, BallLimitError, ParseError
 from .words import (
-    MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _primitive_split, _RootSplit, _shortlex_key,
+    MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _primitive_split, _RootSplit, _shortlex_less,
     enumerate_ball, parse_word,
 )
 
@@ -47,8 +47,6 @@ class CyclicCoset:
     root: Word
     #: the root's :class:`~fgz.words._RootSplit`, found once on construction
     _split: _RootSplit = field(init=False, repr=False, compare=False)
-    #: :meth:`sort_key`, found once on construction
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rep, root = self.rep, self.root
@@ -56,13 +54,12 @@ class CyclicCoset:
             raise AlphabetError("rep and root must share an alphabet")
         split = _primitive_split(root, "coset root must be nontrivial", "; only cosets of maximal cyclic subgroups"
                                  " (full centralizers) are representable - use the primitive root")
-        if _shortlex_key(split.ki) < _shortlex_key(split.k):
+        if _shortlex_less(split.ki, split.k):
             # ``root^-1 = u k^-1 u^-1`` shares u and the length, so its core decides
             split = split.inverse()
             object.__setattr__(self, "root", Word(root.alphabet, split.power(1)))
         object.__setattr__(self, "_split", split)
         object.__setattr__(self, "rep", _least_element(rep, split))
-        object.__setattr__(self, "_key", (self.rep.sort_key(), self.root.sort_key()))
 
     @classmethod
     def make(cls, rep: Word, root: Word) -> "CyclicCoset":
@@ -70,7 +67,12 @@ class CyclicCoset:
         return cls(rep, root)
 
     def elements_within(self, length: int) -> list[Word]:
-        """The elements ``rep * root^m`` of length at most ``length``, in order of m.
+        """The elements ``rep * root^m`` of length at most ``length``, in order of m:
+        the words of :meth:`_data_within`."""
+        return [Word(self.alphabet, d) for d in self._data_within(length)]
+
+    def _data_within(self, length: int) -> list[tuple[int, ...]]:
+        """The data of the elements ``rep * root^m`` of length at most ``length``, in order of m.
 
         With ``root = u k u^-1``, k cyclically reduced, and m != 0,
         ``|rep root^m| >= |root^m| - |rep| = 2|u| + |m| |k| - |rep|``, so
@@ -87,12 +89,13 @@ class CyclicCoset:
         for ``root^-1`` likewise.  So t < |k| on both sides, q = 0, and by the
         lemma ``|rep root^m|`` rises strictly for m >= 1 and for m <= -1.
         The rep is also the shortest element, so a shorter ``length`` gives
-        none.  Only the elements kept become words.
+        none.
         """
-        if len(self.rep) > length:
+        rep = self.rep.data
+        if len(rep) > length:
             return []
         split = self._split
-        window = max(0, (length + len(self.rep) - 2 * len(split.u)) // len(split.k))
+        window = max(0, (length + len(rep) - 2 * len(split.u)) // len(split.k))
         if (letters := (2 * window + 1) * length) > MAX_BALL_LETTERS:
             raise BallLimitError(
                 f"coset {self} within length {length:,} has a window of {2 * window + 1:,} elements "
@@ -101,13 +104,13 @@ class CyclicCoset:
         sides = []
         for step in (split.power(-1), self.root.data):
             side = []
-            d = _concat_data(self.rep.data, step)
+            d = _concat_data(rep, step)
             while len(d) <= length:
-                side.append(Word(self.alphabet, d))
+                side.append(d)
                 d = _concat_data(d, step)
             sides.append(side)
         below, above = sides
-        return [*reversed(below), self.rep, *above]
+        return [*reversed(below), rep, *above]
 
     @property
     def alphabet(self) -> Alphabet:
@@ -115,8 +118,24 @@ class CyclicCoset:
 
     def member(self, g: Word) -> bool:
         """True iff ``rep^-1 * g`` is a power ``root^m`` of the root (m = 0
-        included), found by :meth:`~fgz.words._RootSplit.exponent`."""
-        return self._split.exponent(_concat_data(_invert_data(self.rep.data), g.data)) is not None
+        included), found by :meth:`~fgz.words._RootSplit.exponent`.
+
+        With t the length of the common prefix of rep and g, ``rep^-1 g`` is
+        ``rep[t:]^-1 g[t:]``, reduced as written, of ``|rep| + |g| - 2t``
+        letters.  A nontrivial power has ``2|u| + |m| |k|`` of them, so a
+        length of no such form rules g out before ``rep^-1 g`` is built.
+        """
+        rep, data = self.rep.data, g.data
+        t = 0
+        for x, y in zip(rep, data):
+            if x != y:
+                break
+            t += 1
+        split = self._split
+        size, stem = len(rep) + len(data) - 2 * t, 2 * len(split.u)
+        if size and (size <= stem or (size - stem) % len(split.k)):
+            return False
+        return split.exponent(_invert_data(rep[t:]) + data[t:]) is not None
 
     def element(self, m: int) -> Word:
         """``rep * root^m``; a ``root^m`` over :data:`~fgz.words.MAX_PARSE_LETTERS` letters is refused."""
@@ -124,7 +143,7 @@ class CyclicCoset:
 
     def sort_key(self) -> tuple:
         """The shortlex keys of the rep and the root."""
-        return self._key
+        return self.rep.sort_key(), self.root.sort_key()
 
     def __str__(self) -> str:
         return f"({self.rep})<{self.root}>"
@@ -149,21 +168,19 @@ def _least_element(rep: Word, split: _RootSplit) -> Word:
     nonzero.  The least element is the shortlex least of rep and these.
     """
     u, _, k, ki = split
-    p = _concat_data(rep.data, u)
+    p = _concat_data(rep.data, u) if u else rep.data
     n, size = len(p), len(k)
-    candidates = []
+    least = rep.data
     for sign, tail in ((1, ki), (-1, k)):
         t = 0
         while t < n and p[n - 1 - t] == tail[size - 1 - t % size]:
             t += 1
         if t:
             q = t // size
-            candidates += [_concat_data(rep.data, split.power(sign * m)) for m in (q, q + 1)]
-    if candidates:
-        least = min(candidates, key=_shortlex_key)
-        if _shortlex_key(least) < rep.sort_key():
-            return Word(rep.alphabet, least)
-    return rep
+            for m in (q, q + 1):
+                if _shortlex_less(d := _concat_data(rep.data, split.power(sign * m)), least):
+                    least = d
+    return rep if least is rep.data else Word(rep.alphabet, least)
 
 
 @dataclass(frozen=True)
@@ -191,19 +208,21 @@ class AlgebraicSet:
         for c in self.cosets:
             if c.alphabet != alphabet:
                 raise AlphabetError("coset over a different alphabet")
-            canon[c.sort_key()] = c
+            canon[c.rep.data, c.root.data] = c
         if self.whole_group or (canon and len(alphabet) == 1):
             # at rank 1 the one maximal cyclic subgroup is F itself
             object.__setattr__(self, "whole_group", True)
             object.__setattr__(self, "points", ())
             object.__setattr__(self, "cosets", ())
             return
-        cosets = [canon[k] for k in sorted(canon)]
-        kept: dict[tuple, Word] = {}
-        for p in self.points:
-            if not any(c.member(p) for c in cosets):
-                kept[p.sort_key()] = p
-        object.__setattr__(self, "points", tuple([kept[k] for k in sorted(kept)]))
+        # keys are built only to sort, and data tells equal values apart
+        cosets = list(canon.values())
+        if len(cosets) > 1:
+            cosets.sort(key=CyclicCoset.sort_key)
+        points = list({p.data: p for p in self.points if not any(c.member(p) for c in cosets)}.values())
+        if len(points) > 1:
+            points.sort(key=Word.sort_key)
+        object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "cosets", tuple(cosets))
 
     @classmethod
@@ -292,14 +311,21 @@ def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
     one predecessor per state, visits no state twice, so it does not turn
     back and reads a reduced word; with no path the cosets are disjoint.
     """
-    alphabet = c1.alphabet
-    if c2.alphabet != alphabet:
+    if c2.alphabet != c1.alphabet:
         raise AlphabetError("operands over different alphabets")
+    return AlgebraicSet(c1.alphabet, *_meet(c1, c2, _coset_graph))
+
+
+def _meet(c1: CyclicCoset, c2: CyclicCoset, graph: Callable[[CyclicCoset], tuple]) -> tuple[tuple, tuple]:
+    """The points and the cosets of the intersection of two cosets over one
+    alphabet, as :func:`intersect_cosets` finds it; ``graph`` gives the
+    :func:`_coset_graph` of a coset."""
     if c1 == c2:
-        return AlgebraicSet(alphabet, (), (c1,))
+        return (), (c1,)
     if c1.root == c2.root:
-        return AlgebraicSet.empty(alphabet)
-    (g1, s1), (g2, s2) = _coset_graph(c1), _coset_graph(c2)
+        return (), ()
+    alphabet = c1.alphabet
+    (g1, s1), (g2, s2) = graph(c1), graph(c2)
     letters = [*range(-len(alphabet), 0), *range(1, len(alphabet) + 1)]
     came: dict[tuple[int, int], tuple] = {(s1, s2): ()}
     todo = [(s1, s2)]
@@ -310,12 +336,12 @@ def intersect_cosets(c1: CyclicCoset, c2: CyclicCoset) -> AlgebraicSet:
                 came[w1, w2] = (state, x)
                 todo.append((w1, w2))
     if (step := came.get((0, 0))) is None:
-        return AlgebraicSet.empty(alphabet)
+        return (), ()
     data = []
     while step:
         data.append(step[1])
         step = came[step[0]]
-    return AlgebraicSet(alphabet, (Word(alphabet, tuple(data[::-1])),))
+    return (Word(alphabet, tuple(data[::-1])),), ()
 
 
 def union(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:
@@ -333,11 +359,19 @@ def intersect(s1: AlgebraicSet, s2: AlgebraicSet) -> AlgebraicSet:
     points = [p for p in s1.points if s2.member(p)]
     points += [p for p in s2.points if s1.member(p)]
     cosets: list[CyclicCoset] = []
+    # each coset's graph is built once, for the first pair that needs it
+    graphs: dict[int, tuple] = {}
+
+    def graph(c: CyclicCoset) -> tuple:
+        if (found := graphs.get(id(c))) is None:
+            found = graphs[id(c)] = _coset_graph(c)
+        return found
+
     for c1 in s1.cosets:
         for c2 in s2.cosets:
-            piece = intersect_cosets(c1, c2)
-            points.extend(piece.points)
-            cosets.extend(piece.cosets)
+            more_points, more_cosets = _meet(c1, c2, graph)
+            points += more_points
+            cosets += more_cosets
     return AlgebraicSet(s1.alphabet, points, cosets)
 
 

@@ -46,11 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, takewhile
+from typing import Sequence
 
 from .algset import AlgebraicSet, CyclicCoset, to_json_dict
 from .errors import SolverError
 from .onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
-from .words import Word, _invert_data, _letters_text, _reduce_data, _split_root
+from .words import Word, _ball_data, _invert_data, _letters_text, _reduce_data, _shortlex_key, _split_root
 
 DEFAULT_DISCOVERY_RADIUS = 6
 #: Escalations of the discovery radius, by 2 each, before a persistent oracle mismatch is an error.
@@ -176,11 +177,12 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
             return None
         core = dec.root.data
     (j,) = hits
-    c1, c2 = Word(alphabet, rest[:j]), Word(alphabet, rest[j + 1 :])
+    c1, c2 = rest[:j], rest[j + 1 :]
     if rest[j] == vc:
+        c1, c2 = Word(alphabet, c1), Word(alphabet, c2)
         y = _root(~c2 * c1, 2)
         return AlgebraicSet(alphabet, () if y is None else (y * ~c1,))
-    s1, sd = _split_root(c1.data), _split_root(_invert_data(c2.data))
+    s1, sd = _split_root(c1), _split_root(_invert_data(c2))
     k1, kd = s1.k, sd.k
     shift = (_letters_text(k1) * 2).find(_letters_text(kd)) if len(k1) == len(kd) else -1
     if shift < 0:
@@ -188,6 +190,20 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     x0 = Word(alphabet, _reduce_data((sd.u, _invert_data(k1[:shift]), s1.ui)))
     root = Word(alphabet, s1.u + k1[: s1.period()] + s1.ui)
     return AlgebraicSet(alphabet, (), (CyclicCoset.make(x0, root),))
+
+
+def _member_data(exact: AlgebraicSet, radius: int) -> Sequence[tuple[int, ...]]:
+    """The data of the members of an :func:`exact_solution_set` within ``radius``, each once.
+
+    Such a set has at most one component: a point, a coset, whose
+    :meth:`~fgz.algset.CyclicCoset._data_within` walks its members, or, at
+    rank 1 where a coset is the whole group, F, whose members are the ball.
+    """
+    if exact.whole_group:
+        return _ball_data(len(exact.alphabet), radius)
+    if exact.cosets:
+        return exact.cosets[0]._data_within(radius)
+    return [p.data for p in exact.points if len(p) <= radius]
 
 
 def _candidate_components(w: OneVarWord, discovered: list[Word]) -> tuple[list[CyclicCoset], list[Word]]:
@@ -247,7 +263,7 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     cfg = cfg or SolveConfig()
     if not w.contains_variable:
         return SolveReport(AlgebraicSet(w.alphabet, whole_group=w.body.is_identity), cfg.verify_radius, 0)
-    exact = exact_solution_set(w)
+    exact, alphabet = exact_solution_set(w), w.alphabet
 
     discovery = cfg.discovery_radius
     gap = cfg.verify_radius - discovery
@@ -258,20 +274,21 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
             solutions = brute_solutions(w, radius)
             discovered = list(takewhile(lambda g: len(g) <= discovery, solutions))
             cosets, extra_points = _candidate_components(w, discovered)
-            result = AlgebraicSet(w.alphabet, discovered + extra_points, cosets)
+            result = AlgebraicSet(alphabet, discovered + extra_points, cosets)
             last_report = verify_against_oracle(w, result, radius, solutions)
             if last_report.match:
                 return SolveReport(result, last_report.radius, escalation)
         else:
-            members = exact.members_within(radius)
-            discovered = [g for g in members if len(g) <= discovery]
+            # data until the round decides: only the points it returns or reports become words
+            members = _member_data(exact, radius)
+            discovered = [d for d in members if len(d) <= discovery]
             if len(discovered) > 1:
                 # pairing would prove exactly this set, so the oracle check could only match
                 return SolveReport(exact, radius, escalation)
             if len(discovered) == len(members):
-                return SolveReport(AlgebraicSet(w.alphabet, discovered), radius, escalation)
-            missing = sorted([g for g in members if len(g) > discovery], key=Word.sort_key)
-            last_report = OracleReport(False, tuple(missing), (), radius)
+                return SolveReport(AlgebraicSet(alphabet, [Word(alphabet, d) for d in discovered]), radius, escalation)
+            missing = sorted([d for d in members if len(d) > discovery], key=_shortlex_key)
+            last_report = OracleReport(False, tuple([Word(alphabet, d) for d in missing]), (), radius)
         discovery += 2
     raise SolverError(
         "escalation exhausted with persistent oracle mismatch at radius "

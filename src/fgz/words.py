@@ -333,6 +333,17 @@ def _shortlex_key(data: tuple[int, ...]) -> tuple:
     return (len(data), tuple([2 * abs(v) + (v < 0) for v in data]))
 
 
+def _shortlex_less(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """``_shortlex_key(a) < _shortlex_key(b)``, without either key: the
+    lengths, then the ranks of the first letters where a and b differ."""
+    if len(a) != len(b):
+        return len(a) < len(b)
+    for x, y in zip(a, b):
+        if x != y:
+            return 2 * abs(x) + (x < 0) < 2 * abs(y) + (y < 0)
+    return False
+
+
 def _letters_text(data: tuple[int, ...]) -> str:
     """One character per letter code, distinct codes to distinct characters,
     so that rotation and period searches on words run as string searches."""

@@ -1,5 +1,6 @@
 import random
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,8 @@ from fgz.algset import (
 from fgz.errors import AlphabetError, BallLimitError, EvaluationLimitError, RootError
 from fgz.onevar import ParametricWord, PowerBlock, _line_candidates, reduce_parametric
 from fgz.words import (
-    MAX_BALL_LETTERS, MAX_PARSE_LETTERS, Alphabet, Word, _invert_data, _split_root, enumerate_ball, parse_word,
+    MAX_BALL_LETTERS, MAX_PARSE_LETTERS, Alphabet, Word, _invert_data, _RootSplit, _split_root, enumerate_ball,
+    parse_word,
 )
 
 from helpers import AB, ABC, random_lines, random_reduced_data, random_word, reduced_data, reference_elements_within, reference_member
@@ -172,6 +174,19 @@ class TestCyclicCoset:
         c, m, tail = case
         g = c.element(m) * tail
         assert c.member(g) == reference_member(c, g)
+
+    def test_member_tests_the_length_first(self, monkeypatch):
+        # root b (a b a) b^-1: rep^-1 g is a power only at 0 or 2 + 3m letters,
+        # m >= 1, and only those g reach the exponent of the root's split
+        c = coset("a", "b a b a b^-1")
+        ball = enumerate_ball(AB, 6)
+        expected = [reference_member(c, g) for g in ball]
+        sizes = [len(~c.rep * g) for g in ball]
+        calls = []
+        exponent = _RootSplit.exponent
+        monkeypatch.setattr(_RootSplit, "exponent", lambda split, h: calls.append(h) or exponent(split, h))
+        assert [c.member(g) for g in ball] == expected and any(expected)
+        assert len(calls) == sum(n == 0 or (n > 2 and (n - 2) % 3 == 0) for n in sizes) < len(ball) // 2
 
     def test_member_and_line_reduction_stay_on_data(self, monkeypatch):
         # once a coset or a line is built, membership and line reduction
@@ -520,6 +535,18 @@ class TestSetOps:
         assert not subset(aset(cosets=(("a", "b"),)), aset(cosets=(("1", "b"),)))
         assert union(aset(points=("a^2",)), aset(cosets=(("1", "a"),))) == aset(cosets=(("1", "a"),))
         assert subset(aset(points=("1", "a")), aset(cosets=(("1", "a"),)))
+
+    def test_intersect_builds_each_coset_graph_once(self, monkeypatch):
+        # two cosets a side: four pairs, each coset in two of them
+        s1 = aset(cosets=(("1", "a"), ("b", "a b")))
+        s2 = aset(cosets=(("1", "b"), ("a", "b a^2")))
+        expected = reduce(union, [intersect_cosets(c1, c2) for c1 in s1.cosets for c2 in s2.cosets])
+        assert str(expected) == "{1, a, b}"
+        built = []
+        coset_graph = algset._coset_graph
+        monkeypatch.setattr(algset, "_coset_graph", lambda c: built.append(c) or coset_graph(c))
+        assert intersect(s1, s2) == expected
+        assert sorted(built, key=CyclicCoset.sort_key) == sorted(s1.cosets + s2.cosets, key=CyclicCoset.sort_key)
 
     def test_alphabet_mismatch(self):
         from fgz.words import Alphabet

@@ -167,10 +167,17 @@ class TestSolvePipeline:
         assert report.result == AlgebraicSet.of(AB, points=[w("a^3")])
 
     def test_escalation_disabled_raises(self, monkeypatch):
+        # the members of (1)<a> in the verification ball and not in the discovery ball, in shortlex order
         monkeypatch.setattr(solver_module, "MAX_ESCALATIONS", 0)
         cfg = SolveConfig(discovery_radius=0, verify_radius=2)
-        with pytest.raises(SolverError, match="mismatch"):
+        message = (
+            "escalation exhausted with persistent oracle mismatch at radius 2: "
+            "missing=['a', 'a^-1', 'a^2', 'a^-2'] extra=[]; the discovery radius went from 0 to 0 "
+            "in MAX_ESCALATIONS = 0 escalations; re-run with a larger --radius"
+        )
+        with pytest.raises(SolverError, match="mismatch") as info:
             solve(ov("x a x^-1 a^-1"), cfg)
+        assert str(info.value) == message
 
     def test_exhausted_escalation_names_its_knobs(self, monkeypatch):
         # a^5 lies in each verification ball but never in the discovery ball
@@ -222,6 +229,36 @@ class TestSolvePipeline:
         monkeypatch.setattr(Word, "primitive_root", refuse)
         monkeypatch.setattr(solver_module, "verify_against_oracle", refuse)
         assert [wl.op(wl.make_input(entry)) for entry in entries] == expected
+
+    def test_the_exact_round_builds_no_member_words(self, monkeypatch):
+        # rank-2 closed forms of each shape, some escalating: the round
+        # decides on member data, and no member list of words is built
+        wl = _load_workloads().WORKLOADS["coset-solve"]
+        texts = wl.universe()[::40] + ["x a^-3", "x a x b", "x^2 a^-2 b^-2", "x a^3 b^3 x^-1 b^-1 a^-3 b^-2"]
+        cases = [(ov(text), cfg) for text in texts for cfg in (SolveConfig(0, 2), SolveConfig(1, 3), FAST)]
+        expected = [solve(word, cfg) for word, cfg in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("member words built on the exact path")
+
+        monkeypatch.setattr(AlgebraicSet, "members_within", refuse)
+        monkeypatch.setattr(CyclicCoset, "elements_within", refuse)
+        assert [solve(word, cfg) for word, cfg in cases] == expected
+
+    @pytest.mark.parametrize(
+        "discovery, verify, answer, radius, escalations",
+        [
+            (0, 0, "{1}", 0, 0),  # the identity alone in both balls: the point
+            (0, 2, "whole group", 4, 1),  # a^+-1 and a^+-2 to verify: escalate
+            (1, 3, "whole group", 3, 0),  # three discovered: F
+        ],
+    )
+    def test_a_rank_one_exact_set_is_the_whole_group(self, discovery, verify, answer, radius, escalations):
+        # at rank 1 the coset (1)<a> of x a x^-1 a^-1 is F, whose members are the ball
+        word = OneVarWord.parse("x a x^-1 a^-1", Alphabet(("a",)))
+        assert exact_solution_set(word).whole_group
+        report = solve(word, SolveConfig(discovery, verify))
+        assert (str(report.result), report.complete_on_radius, report.escalations) == (answer, radius, escalations)
 
     # the members of (b^2)<a^3 b^3> by length: b^2, b^-1 a^-3, then 8 letters and more
     @pytest.mark.parametrize(

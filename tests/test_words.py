@@ -27,6 +27,8 @@ from fgz.words import (
     _concat_data,
     _invert_data,
     _reduce_data,
+    _shortlex_key,
+    _shortlex_less,
     _signed_code_table,
     _split_root,
     ball_size,
@@ -50,6 +52,16 @@ from helpers import (
 
 def w(text, alphabet=AB):
     return parse_word(text, alphabet)
+
+
+@st.composite
+def data_pairs(draw):
+    """Two reduced int tuples over 1-3 letters, half of them of equal
+    length; at rank 1 equal lengths are often equal words."""
+    rank = draw(st.integers(1, 3))
+    a = draw(reduced_data(rank, 6))
+    size = len(a) if draw(st.booleans()) else draw(st.integers(0, 6))
+    return a, draw(reduced_data(rank, size, min_len=size))
 
 
 def in_centralizer(g, h):
@@ -297,6 +309,16 @@ class TestGroupOps:
             alphabet = Alphabet("abc"[:rank])
             words = [random_word(rng, alphabet, 5) for _ in range(300)]
             assert sorted(words, key=Word.sort_key) == sorted(words, key=reference_sort_key)
+
+    @settings(deadline=None, derandomize=True, max_examples=500)
+    @given(data_pairs())
+    @example(((1,), (-1,)))  # a before a^-1, though the code of a^-1 is the lesser int
+    @example(((-1, 2), (2, 1)))  # the first letters decide: a^-1 before b
+    @example(((1, 2, -1), (1, 2, -1)))  # equal: not less
+    @example(((2, 2), (1,)))  # the length decides first
+    def test_shortlex_less_compares_as_the_keys(self, pair):
+        a, b = pair
+        assert _shortlex_less(a, b) == (_shortlex_key(a) < _shortlex_key(b))
 
 
 class TestCyclicReduce:
