@@ -24,12 +24,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import AlphabetError, BallLimitError, ParseError
 from .words import (
-    MAX_BALL_LETTERS, Alphabet, Word, _concat_data, _invert_data, _primitive_split, _RootSplit, _shortlex_less,
-    enumerate_ball, parse_word,
+    MAX_BALL_LETTERS, Alphabet, Word, _ball_data, _concat_data, _invert_data, _primitive_split, _RootSplit,
+    _shortlex_less, parse_word,
 )
 
 
@@ -121,9 +121,7 @@ class CyclicCoset:
         included), found by :meth:`~fgz.words._RootSplit.exponent`.
 
         With t the length of the common prefix of rep and g, ``rep^-1 g`` is
-        ``rep[t:]^-1 g[t:]``, reduced as written, of ``|rep| + |g| - 2t``
-        letters.  A nontrivial power has ``2|u| + |m| |k|`` of them, so a
-        length of no such form rules g out before ``rep^-1 g`` is built.
+        ``rep[t:]^-1 g[t:]``, reduced as written.
         """
         rep, data = self.rep.data, g.data
         t = 0
@@ -131,11 +129,7 @@ class CyclicCoset:
             if x != y:
                 break
             t += 1
-        split = self._split
-        size, stem = len(rep) + len(data) - 2 * t, 2 * len(split.u)
-        if size and (size <= stem or (size - stem) % len(split.k)):
-            return False
-        return split.exponent(_invert_data(rep[t:]) + data[t:]) is not None
+        return self._split.exponent(_invert_data(rep[t:]) + data[t:]) is not None
 
     def element(self, m: int) -> Word:
         """``rep * root^m``; a ``root^m`` over :data:`~fgz.words.MAX_PARSE_LETTERS` letters is refused."""
@@ -246,15 +240,23 @@ class AlgebraicSet:
         return self.whole_group or g in self.points or any(c.member(g) for c in self.cosets)
 
     def members_within(self, length: int) -> set[Word]:
-        """Members of length at most ``length``: the short points and the
-        :meth:`CyclicCoset.elements_within` of each coset; for F, the ball,
-        under the limits of :func:`~fgz.words.check_ball_limit`."""
+        """Members of length at most ``length``: the words of :meth:`_data_within`."""
+        return {Word(self.alphabet, d) for d in self._data_within(length)}
+
+    def _data_within(self, length: int) -> Collection[tuple[int, ...]]:
+        """The data of the members of length at most ``length``, each once:
+        the short points and the :meth:`CyclicCoset._data_within` of each
+        coset; for F, the ball, under the limits of
+        :func:`~fgz.words.check_ball_limit`.  One component lists each
+        member once, so only two or more are merged in a set: merging one
+        as well made the coset-solve ops 10% slower."""
         if self.whole_group:
-            return set(enumerate_ball(self.alphabet, length))
-        members = {p for p in self.points if len(p) <= length}
-        for c in self.cosets:
-            members.update(c.elements_within(length))
-        return members
+            if length < 0:
+                raise ValueError("radius must be >= 0")
+            return _ball_data(len(self.alphabet), length)
+        parts = [[p.data for p in self.points if len(p) <= length]] if self.points else []
+        parts += [c._data_within(length) for c in self.cosets]
+        return parts[0] if len(parts) == 1 else {d for part in parts for d in part}
 
     def __contains__(self, g: Word) -> bool:
         return self.member(g)

@@ -46,12 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, takewhile
-from typing import Sequence
 
 from .algset import AlgebraicSet, CyclicCoset, to_json_dict
 from .errors import SolverError
 from .onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
-from .words import Word, _ball_data, _invert_data, _letters_text, _reduce_data, _shortlex_key, _split_root
+from .words import Word, _invert_data, _letters_text, _reduce_data, _shortlex_key, _split_root
 
 DEFAULT_DISCOVERY_RADIUS = 6
 #: Escalations of the discovery radius, by 2 each, before a persistent oracle mismatch is an error.
@@ -192,20 +191,6 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     return AlgebraicSet(alphabet, (), (CyclicCoset.make(x0, root),))
 
 
-def _member_data(exact: AlgebraicSet, radius: int) -> Sequence[tuple[int, ...]]:
-    """The data of the members of an :func:`exact_solution_set` within ``radius``, each once.
-
-    Such a set has at most one component: a point, a coset, whose
-    :meth:`~fgz.algset.CyclicCoset._data_within` walks its members, or, at
-    rank 1 where a coset is the whole group, F, whose members are the ball.
-    """
-    if exact.whole_group:
-        return _ball_data(len(exact.alphabet), radius)
-    if exact.cosets:
-        return exact.cosets[0]._data_within(radius)
-    return [p.data for p in exact.points if len(p) <= radius]
-
-
 def _candidate_components(w: OneVarWord, discovered: list[Word]) -> tuple[list[CyclicCoset], list[Word]]:
     """Turn ball solutions into verified cosets and extra verified points.
 
@@ -280,7 +265,7 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
                 return SolveReport(result, last_report.radius, escalation)
         else:
             # data until the round decides: only the points it returns or reports become words
-            members = _member_data(exact, radius)
+            members = exact._data_within(radius)
             discovered = [d for d in members if len(d) <= discovery]
             if len(discovered) > 1:
                 # pairing would prove exactly this set, so the oracle check could only match

@@ -175,18 +175,17 @@ class TestCyclicCoset:
         g = c.element(m) * tail
         assert c.member(g) == reference_member(c, g)
 
-    def test_member_tests_the_length_first(self, monkeypatch):
-        # root b (a b a) b^-1: rep^-1 g is a power only at 0 or 2 + 3m letters,
-        # m >= 1, and only those g reach the exponent of the root's split
-        c = coset("a", "b a b a b^-1")
+    def test_member_reads_rep_inverse_g_once_reduced(self, monkeypatch):
+        # the common prefix of rep and g cancels before the split's exponent
+        # reads rep^-1 g, so it gets the reduced word, one call per g
+        c = coset("a b", "b a b a b^-1")
         ball = enumerate_ball(AB, 6)
         expected = [reference_member(c, g) for g in ball]
-        sizes = [len(~c.rep * g) for g in ball]
         calls = []
         exponent = _RootSplit.exponent
         monkeypatch.setattr(_RootSplit, "exponent", lambda split, h: calls.append(h) or exponent(split, h))
         assert [c.member(g) for g in ball] == expected and any(expected)
-        assert len(calls) == sum(n == 0 or (n > 2 and (n - 2) % 3 == 0) for n in sizes) < len(ball) // 2
+        assert calls == [(~c.rep * g).data for g in ball]
 
     def test_member_and_line_reduction_stay_on_data(self, monkeypatch):
         # once a coset or a line is built, membership and line reduction
@@ -698,6 +697,15 @@ class TestWholeGroup:
         one = Alphabet(("a",))
         with pytest.raises(AlphabetError, match="point over a different alphabet"):
             AlgebraicSet(one, foreign, (CyclicCoset.make(parse_word("a", one), parse_word("a", one)),))
+
+    def test_member_data_lists_each_member_once(self):
+        # (1)<a> and (1)<b> share the identity, which is also a point
+        s = aset(points=("1", "a b", "b^2 a"), cosets=(("1", "a"), ("1", "b"), ("b", "a b")))
+        for radius in range(6):
+            ball = enumerate_ball(AB, radius)
+            assert sorted(s._data_within(radius)) == sorted(g.data for g in ball if s.member(g))
+            assert sorted(WHOLE._data_within(radius)) == sorted(g.data for g in ball)
+            assert s.members_within(radius) == {g for g in ball if s.member(g)}
 
     def test_members_within_is_the_ball(self):
         for radius in range(5):
