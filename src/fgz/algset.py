@@ -118,18 +118,8 @@ class CyclicCoset:
 
     def member(self, g: Word) -> bool:
         """True iff ``rep^-1 * g`` is a power ``root^m`` of the root (m = 0
-        included), found by :meth:`~fgz.words._RootSplit.exponent`.
-
-        With t the length of the common prefix of rep and g, ``rep^-1 g`` is
-        ``rep[t:]^-1 g[t:]``, reduced as written.
-        """
-        rep, data = self.rep.data, g.data
-        t = 0
-        for x, y in zip(rep, data):
-            if x != y:
-                break
-            t += 1
-        return self._split.exponent(_invert_data(rep[t:]) + data[t:]) is not None
+        included), found by :meth:`~fgz.words._RootSplit.exponent`."""
+        return self._split.exponent(_concat_data(_invert_data(self.rep.data), g.data)) is not None
 
     def element(self, m: int) -> Word:
         """``rep * root^m``; a ``root^m`` over :data:`~fgz.words.MAX_PARSE_LETTERS` letters is refused."""

@@ -2,28 +2,26 @@
 
 The solution set of ``w = 1`` is computed in coset normal form, in
 rounds at a discovery radius and a larger verification radius.  Each
-round takes the solutions in the verification ball.  When the body's
-cyclic core has the shape of a closed form, or the abelianization rules
-the word out, :func:`exact_solution_set` gives the whole set (empty, one
-point, or one cyclic coset) and the solutions are its members in the
-ball.  Otherwise one walk of the ball with the brute-force oracle finds
-them; it evaluates only the ball elements that the abelianization or the
-image in the finite quotient PSL(2, 7) does not rule out.
+round reads the solutions in the verification ball, as int data, from
+one of two sources.  When the body's cyclic core has the shape of a
+closed form, or the abelianization rules the word out,
+:func:`exact_solution_set` gives the whole set (empty, one point, or one
+cyclic coset) and the solutions are its members in the ball.  Otherwise
+one walk of the ball with the brute-force oracle finds them; it
+evaluates only the ball elements that the abelianization or the image in
+the finite quotient PSL(2, 7) does not rule out.
 
-The solutions inside the smaller discovery ball are a prefix of that
-shortlex-ordered list.  From an oracle walk, every pair of them proposes
-a cyclic line, and each proposed line is verified symbolically by
-parametric reduction; lines that vanish identically become cosets, the
-rest contribute isolated solutions; only pairing has a pair limit.  The
-assembled set's members in the ball are then compared, as a finite set,
-with the round's solutions, escalating the discovery radius on mismatch.
-A round on an exact set decides from counts alone, as its members in the
-ball are the solutions.  Two or more in the discovery ball make the exact
-set the answer: pairing would prove exactly its coset, and the comparison
-could only match.  With fewer, the discovered points are the answer when
-they are all the members; otherwise the undiscovered members are the
-mismatch the comparison would report, and the radius escalates.  Both
-paths give the same output.
+The round keeps the solutions in the smaller discovery ball.  With fewer
+than two kept it decides by counts, whatever the source: all of them
+kept, they are the answer, as points; otherwise the others, in shortlex
+order, are the mismatch, and the discovery radius escalates.  Two or
+more kept make an exact set the answer.  From an oracle walk, every pair
+of them proposes a cyclic line, and each proposed line is verified
+symbolically by parametric reduction; lines that vanish identically
+become cosets, the rest contribute isolated solutions; only pairing has
+a pair limit.  The assembled set's members in the ball are then
+compared, as a finite set, with the round's solutions, escalating the
+discovery radius on mismatch.
 
 Soundness is unconditional: every emitted component is proved, by
 parametric reduction or by the closed forms.  Completeness is certified
@@ -45,7 +43,7 @@ whose intersection is trivial (Magnus; Magnus-Karrass-Solitar,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, takewhile
+from itertools import combinations
 
 from .algset import AlgebraicSet, CyclicCoset, to_json_dict
 from .errors import SolverError
@@ -231,19 +229,16 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     Words without the variable are degenerate: the solution set is the
     whole group when the coefficient word is trivial and empty otherwise.
 
-    When :func:`exact_solution_set` knows the whole set, each round takes
-    its members in the verification ball, the round's solutions, and keeps
-    those in the discovery ball.  Two or more kept: the set is the answer.
-    All kept: they are, as points.  Otherwise the discovery radius
-    escalates, and the last round's unkept members, in shortlex order,
-    are the mismatch an exhausted escalation reports.  Without a closed
-    form, an oracle walk at the verification radius finds the solutions
-    in shortlex order, so the discovery solutions are the prefix of those
-    with length at most the discovery radius; pairing, alone under
-    :data:`MAX_PAIRS`, proposes the lines, and the whole list verifies
-    the assembled set.  Both give the same output, as the oracle's
-    solutions are the exact set's members and pairing proves exactly the
-    exact set's coset.  Only the walk builds a ball, so only it refuses one.
+    Each round reads the solutions in the verification ball as data, from
+    the :func:`exact_solution_set` or an oracle walk, and keeps those in
+    the discovery ball.  Fewer than two kept: when they are all the
+    solutions they are the answer, as points; otherwise the radius
+    escalates, and the last round's unkept solutions, in shortlex order,
+    are the mismatch an exhausted escalation reports.  Two or more: an
+    exact set is the answer, as pairing would prove exactly its coset;
+    otherwise pairing, alone under :data:`MAX_PAIRS`, proposes the lines
+    and the whole list verifies the assembled set.  Only the walk builds
+    a ball, so only it refuses one.
     """
     cfg = cfg or SolveConfig()
     if not w.contains_variable:
@@ -252,33 +247,35 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
 
     discovery = cfg.discovery_radius
     gap = cfg.verify_radius - discovery
-    last_report = None
     for escalation in range(MAX_ESCALATIONS + 1):
         radius = discovery + gap
+        # as data: an exact set's members become words only as the points the round returns or reports
         if exact is None:
             solutions = brute_solutions(w, radius)
-            discovered = list(takewhile(lambda g: len(g) <= discovery, solutions))
-            cosets, extra_points = _candidate_components(w, discovered)
-            result = AlgebraicSet(alphabet, discovered + extra_points, cosets)
-            last_report = verify_against_oracle(w, result, radius, solutions)
-            if last_report.match:
-                return SolveReport(result, last_report.radius, escalation)
+            found = [g.data for g in solutions]
         else:
-            # data until the round decides: only the points it returns or reports become words
-            members = exact._data_within(radius)
-            discovered = [d for d in members if len(d) <= discovery]
-            if len(discovered) > 1:
-                # pairing would prove exactly this set, so the oracle check could only match
-                return SolveReport(exact, radius, escalation)
-            if len(discovered) == len(members):
+            found = exact._data_within(radius)
+        discovered = [d for d in found if len(d) <= discovery]
+        if len(discovered) < 2:
+            if len(discovered) == len(found):
                 return SolveReport(AlgebraicSet(alphabet, [Word(alphabet, d) for d in discovered]), radius, escalation)
-            missing = sorted([d for d in members if len(d) > discovery], key=_shortlex_key)
-            last_report = OracleReport(False, tuple([Word(alphabet, d) for d in missing]), (), radius)
+            missing = sorted([d for d in found if len(d) > discovery], key=_shortlex_key)
+            report = OracleReport(False, tuple([Word(alphabet, d) for d in missing]), (), radius)
+        elif exact is not None:
+            # pairing would prove exactly this set, so the oracle check could only match
+            return SolveReport(exact, radius, escalation)
+        else:
+            points = solutions[: len(discovered)]  # the walk lists them in shortlex order
+            cosets, extra_points = _candidate_components(w, points)
+            result = AlgebraicSet(alphabet, points + extra_points, cosets)
+            report = verify_against_oracle(w, result, radius, solutions)
+            if report.match:
+                return SolveReport(result, radius, escalation)
         discovery += 2
     raise SolverError(
         "escalation exhausted with persistent oracle mismatch at radius "
-        f"{last_report.radius}: missing={[str(g) for g in last_report.missing]} "
-        f"extra={[str(g) for g in last_report.extra]}; the discovery radius went from "
+        f"{radius}: missing={[str(g) for g in report.missing]} "
+        f"extra={[str(g) for g in report.extra]}; the discovery radius went from "
         f"{cfg.discovery_radius} to {discovery - 2} in MAX_ESCALATIONS = {MAX_ESCALATIONS} escalations; "
         "re-run with a larger --radius"
     )

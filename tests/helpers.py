@@ -9,6 +9,7 @@ from itertools import accumulate, repeat
 
 from hypothesis import strategies as st
 
+from fgz.algset import AlgebraicSet, CyclicCoset
 from fgz.errors import ParseError
 from fgz.onevar import OneVarWord, ParametricWord, substitute_line
 from fgz.residual import Permutation
@@ -50,6 +51,30 @@ def signed_letters(word: Word) -> tuple[tuple[str, int], ...]:
     """The (name, sign) pairs of a word, in reading order."""
     names = word.alphabet.names
     return tuple((names[abs(v) - 1], 1 if v > 0 else -1) for v in word.data)
+
+
+def planted_conjugacy_words(seed: int, count: int) -> list[tuple[OneVarWord, AlgebraicSet]]:
+    """Distinct sigma = 0 words ``x c x^-1 d1 x c x^-1 d2`` over a, b, each with
+    its whole solution set ``t<r>``, for drawn y (1-4 letters), t (0-4) and d1
+    (0-3), ``c = t^-1 y t``, ``d2 = (y d1 y)^-1`` and r the primitive root of c.
+
+    With ``z = x c x^-1``, ``w(g) = z d1 z d2`` vanishes exactly when z = y:
+    as an equation in z it has exponent sum 2, so at most one solution
+    (:mod:`fgz.solver`), and y is one.  ``g c g^-1 = y`` holds exactly when
+    ``g t^-1`` centralizes y, that is when g lies in ``t<r>``."""
+    rng = random.Random(seed)
+    x = Word(AB.extend("x"), (3,))
+    out: list[tuple[OneVarWord, AlgebraicSet]] = []
+    seen: set[tuple[int, ...]] = set()
+    while len(out) < count:
+        y, t, d1 = (random_word(rng, AB, top, min_len=low) for low, top in ((1, 4), (0, 4), (0, 3)))
+        c = ~t * y * t
+        cx, d1x, d2x = (Word(x.alphabet, g.data) for g in (c, d1, ~(y * d1 * y)))
+        body = x * cx * ~x * d1x * x * cx * ~x * d2x
+        if body.data not in seen:
+            seen.add(body.data)
+            out.append((OneVarWord.from_body(body), AlgebraicSet(AB, (), (CyclicCoset.make(t, c.primitive_root().root),))))
+    return out
 
 
 def random_lines(rng: random.Random, count: int) -> list[ParametricWord]:

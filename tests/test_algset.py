@@ -19,7 +19,7 @@ from fgz.algset import (
     to_json_dict,
     union,
 )
-from fgz.errors import AlphabetError, BallLimitError, EvaluationLimitError, RootError
+from fgz.errors import AlphabetError, BallLimitError, EvaluationLimitError, ParseError, RootError
 from fgz.onevar import ParametricWord, PowerBlock, _line_candidates, reduce_parametric
 from fgz.words import (
     MAX_BALL_LETTERS, MAX_PARSE_LETTERS, Alphabet, Word, _invert_data, _RootSplit, _split_root, enumerate_ball,
@@ -150,6 +150,10 @@ class TestCyclicCoset:
 
     def test_member_translate(self):
         assert coset("b", "a").member(w("b a^-2"))
+
+    def test_rep_and_root_share_an_alphabet(self):
+        with pytest.raises(AlphabetError, match="^rep and root must share an alphabet$"):
+            CyclicCoset(Word(ABC, ()), w("a"))
 
     def test_non_member(self):
         c = coset("1", "a b")
@@ -342,6 +346,11 @@ class TestAlgebraicSet:
         assert s.member(w("b^-4"))
         assert not s.member(w("a"))
         assert not AlgebraicSet.empty(AB).member(w("1"))
+        assert w("b^-4") in s and w("a") not in s
+
+    def test_cosets_over_another_alphabet_are_refused(self):
+        with pytest.raises(AlphabetError, match="^coset over a different alphabet$"):
+            AlgebraicSet(AB, (), (CyclicCoset.make(Word(ABC, ()), Word(ABC, (3,))),))
 
     def test_canonicalize_absorbs_points(self):
         s = AlgebraicSet.of(
@@ -553,6 +562,9 @@ class TestSetOps:
         other = AlgebraicSet.empty(Alphabet(("c",)))
         with pytest.raises(AlphabetError):
             union(aset(), other)
+        for op in (intersect, subset):
+            with pytest.raises(AlphabetError, match="^operands over different alphabets$"):
+                op(aset(), other)
 
     def test_coset_alphabet_mismatch(self):
         # the cosets share the element a, but a letter code names a different
@@ -712,6 +724,8 @@ class TestWholeGroup:
             assert WHOLE.members_within(radius) == set(enumerate_ball(AB, radius))
         with pytest.raises(BallLimitError):
             WHOLE.members_within(12)  # 1,062,881 elements at rank 2
+        with pytest.raises(ValueError, match="^radius must be >= 0$"):
+            WHOLE.members_within(-1)
 
     def test_rank_one_forms_agree(self):
         # at rank 1 every coset a<r> is all of Z, so a set with a coset is F
@@ -738,3 +752,7 @@ class TestSerialization:
     def test_non_canonical_input_normalizes(self):
         d = {"points": ["a"], "cosets": [{"rep": "a^3", "root": "a^-1"}], "whole_group": False}
         assert from_json_dict(d, AB) == aset(cosets=(("1", "a"),))
+
+    def test_components_must_be_lists(self):
+        with pytest.raises(ParseError, match="^set JSON 'points' must be a list, got \"a\"$"):
+            from_json_dict({"points": "a"}, AB)

@@ -33,6 +33,12 @@ class TestHomomorphism:
         assert inverse_letters > 500
 
 
+    def test_apply_refuses_a_word_off_the_source(self):
+        hom = Homomorphism(AB, Y4, {"a": Y4.letter("b"), "b": Y4.letter("c")})
+        with pytest.raises(AlphabetError, match="^word is not over the source alphabet$"):
+            hom.apply(parse_word("a", ABC))
+
+
 class TestBuildPhiG:
     def test_fresh_letters_skip_common_ones(self):
         g = parse_word("a b a^-1", ABC)
@@ -324,6 +330,10 @@ class TestCheckMonoOnBall:
         report = check_mono_on_ball(AB, Alphabet(("c", "d", "f", "g")), 3)
         assert not report.failures and report.injective and report.fixes_common_letters
         assert report.index_count == 52 and report.ball_size == 53
+
+    def test_negative_radius(self):
+        with pytest.raises(ValueError, match="^radius must be >= 0$"):
+            check_mono_on_ball(AB, CD, -1)
 
     def test_rank_one(self):
         report = check_mono_on_ball(Alphabet(("a",)), Alphabet(("b",)), 4)

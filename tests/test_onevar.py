@@ -67,6 +67,12 @@ class TestOneVarWord:
         with pytest.raises(AlphabetError, match="variable 'x' collides"):
             OneVarWord.parse("a", Alphabet(("a", "x")))
 
+    def test_body_over_the_extended_alphabet(self):
+        with pytest.raises(AlphabetError, match="^body must be over the alphabet extended by the variable$"):
+            OneVarWord(AB, "x", w("a"))
+        with pytest.raises(AlphabetError, match="^expected 'x' as the last letter of the extended alphabet$"):
+            OneVarWord.from_body(Word(ABC, (3,)))
+
     def test_variable_override(self):
         word = OneVarWord.parse("t a t^-1", AB, variable="t")
         assert word.contains_variable
@@ -139,6 +145,10 @@ class TestBruteSolutions:
 
     def test_unique_solution(self):
         assert brute_solutions(ov("x a^-1"), 2) == [w("a")]
+
+    def test_negative_radius(self):
+        with pytest.raises(ValueError, match="^radius must be >= 0$"):
+            brute_solutions(ov("x a^-1"), -1)
 
     def test_no_solution_for_proper_power_equation(self):
         assert brute_solutions(ov("x^2 a"), 4) == []
@@ -385,6 +395,12 @@ class TestSubstituteLine:
         assert pw.blocks == ()
         for n in range(-5, 6):
             assert pw.at(n).is_identity
+
+    def test_base_and_root_over_the_coefficient_alphabet(self):
+        message = "^base and root must be over the coefficient alphabet$"
+        for base, root in ((Word(ABC, ()), w("a")), (w("1"), Word(ABC, (1,)))):
+            with pytest.raises(AlphabetError, match=message):
+                substitute_line(ov("x a x^-1 a^-1"), base, root)
 
     def test_no_cancellation_blocks(self):
         pw = substitute_line(ov("x b x^-1 b^-1"), w("1"), w("a"))

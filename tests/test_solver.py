@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fgz import solver as solver_module
-from fgz.algset import AlgebraicSet, CyclicCoset
+from fgz.algset import AlgebraicSet, CyclicCoset, subset
 from fgz.errors import BallLimitError, SolverError
 from fgz.onevar import OneVarWord, brute_solutions, reduce_parametric, substitute_line
 from fgz.solver import (
@@ -24,6 +24,7 @@ from helpers import (
     ABC,
     one_var_words,
     plain_solutions,
+    planted_conjugacy_words,
     random_reduced_data,
     reduced_data,
     with_inverted_variable,
@@ -275,6 +276,33 @@ class TestSolvePipeline:
         report = solve(ov("x a^3 b^3 x^-1 b^-1 a^-3 b^-2"), SolveConfig(discovery, verify))
         assert (str(report.result), report.complete_on_radius, report.escalations) == (answer, radius, escalations)
 
+    def test_the_radius_path_decides_rounds_of_at_most_one_by_counts(self, monkeypatch):
+        # the corpus words without a closed form all have sigma != 0, so at
+        # most one solution: no round forms a pair or checks the oracle
+        workloads = _load_workloads()
+        words = [ov(text) for text in workloads.corpus_universe()]
+        words = [word for word in words if word.contains_variable and exact_solution_set(word) is None]
+        expected = [solve(word, workloads.CORPUS_CFG) for word in words]
+        late = ov("x b x^-1 b x b")  # its one solution b^-3 lies past discovery radius 2
+        assert exact_solution_set(late) is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called in a round with fewer than two discovered solutions")
+
+        monkeypatch.setattr(solver_module, "verify_against_oracle", refuse)
+        monkeypatch.setattr(solver_module, "_candidate_components", refuse)
+        assert len(words) == 16 and [solve(word, workloads.CORPUS_CFG) for word in words] == expected
+        report = solve(late, SolveConfig(2, 4))
+        assert (str(report.result), report.complete_on_radius, report.escalations) == ("{b^-3}", 6, 1)
+        monkeypatch.setattr(solver_module, "MAX_ESCALATIONS", 0)
+        message = (
+            "escalation exhausted with persistent oracle mismatch at radius 4: missing=['b^-3'] extra=[]; "
+            "the discovery radius went from 2 to 2 in MAX_ESCALATIONS = 0 escalations; re-run with a larger --radius"
+        )
+        with pytest.raises(SolverError, match="mismatch") as info:
+            solve(late, SolveConfig(2, 4))
+        assert str(info.value) == message
+
     def test_only_the_radius_path_refuses_its_ball(self):
         # a closed form builds no ball: only the members it lists are bounded
         commutator = ov("x a x^-1 a^-1")
@@ -512,6 +540,19 @@ class TestCandidatePairing:
             patch.setattr(solver_module, "MAX_PAIRS", n * (n - 1))
             assert _candidate_components(word, discovered) == expected
 
+    def test_a_line_that_does_not_vanish_adds_its_zeros(self):
+        # [[x, a], [x, b]] vanishes on three cosets; the other lines through
+        # its 11 discovered solutions vanish at finitely many points
+        word = ov("x a x^-1 a^-1 x b x^-1 b^-1 a x a^-1 x^-1 b x b^-1 x^-1")
+        report = solve(word, SolveConfig(2, 4))
+        assert (str(report.result), report.complete_on_radius, report.escalations) == (
+            "(1)<a> u (1)<b> u (1)<a^-1 b>", 4, 0
+        )
+        discovered = [g for g in brute_solutions(word, 4) if len(g) <= 2]
+        cosets, extra_points = _candidate_components(word, discovered)
+        assert len(discovered) == 11 and cosets == list(report.result.cosets)
+        assert len(extra_points) == 64 and set(extra_points) <= set(discovered)
+
     def test_pair_limit_counts_ordered_pairs(self, monkeypatch):
         word = ov("x a x^-1 a^-1")
         discovered = brute_solutions(word, 3)
@@ -521,6 +562,32 @@ class TestCandidatePairing:
         message = r"7 ball solutions give 21 candidate pairs, and n\(n-1\) = 42 is over MAX_PAIRS = 41"
         with pytest.raises(SolverError, match=message):
             _candidate_components(word, discovered)
+
+
+@pytest.fixture(scope="module")
+def planted():
+    return [(word, true, solve(word, FAST)) for word, true in planted_conjugacy_words(7, 300)]
+
+
+class TestPlantedConjugacyWords:
+    """sigma = 0 words with four occurrences of x and a known coset as their
+    whole solution set (:func:`helpers.planted_conjugacy_words`)."""
+
+    def test_radius_answers_lie_in_the_true_set(self, planted):
+        # equal to it exactly when the last round discovers two members,
+        # through which pairing proves the coset
+        gap = FAST.verify_radius - FAST.discovery_radius
+        for word, true, report in planted:
+            assert subset(report.result, true), str(word)
+            discovered = len(true._data_within(report.complete_on_radius - gap))
+            assert (report.result == true) == (discovered >= 2), str(word)
+
+    def test_census(self, planted):
+        # closed forms, then radius answers equal to the true set and strict subsets of it
+        exact = [exact_solution_set(word) for word, _, _ in planted]
+        assert all(e == true for e, (_, true, _) in zip(exact, planted) if e is not None)
+        radius = [report.result == true for e, (_, true, report) in zip(exact, planted) if e is None]
+        assert (len(planted) - len(radius), radius.count(True), radius.count(False)) == (90, 199, 11)
 
 
 def exponent_sum(word: OneVarWord) -> int:

@@ -8,9 +8,10 @@ honest: each name once, each one there, and no name beyond those README's
 quickstart imports from the package root.  One more holds every name a
 dataclass sets with ``object.__setattr__`` to its declared fields, so that
 state kept beside them is declared, and out of equality and repr.  A table
-names the package modules that ``algset`` and ``residual`` may import: the
-set algebra rests on the word kernel alone, and the witnesses on it and the
-folded graphs of ``algset``.
+names the package modules that each layer may import, as they stand: the
+set algebra rests on the word kernel alone, the witnesses on it and the
+folded graphs of ``algset``, and the solver on the set algebra and the
+equation layer of ``onevar``.
 """
 
 import ast
@@ -73,8 +74,13 @@ def test_dataclasses_set_only_declared_fields():
 #: the package modules each module may import: the set algebra and the
 #: witnesses rest on the word kernel, with no equation layer under them
 IMPORT_LAYERS = {
+    "errors": set(),
+    "words": {"errors"},
     "algset": {"errors", "words"},
+    "embed": {"errors", "words"},
     "residual": {"algset", "errors", "words"},
+    "onevar": {"errors", "residual", "words"},
+    "solver": {"algset", "errors", "onevar", "words"},
 }
 
 
