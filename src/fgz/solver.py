@@ -14,7 +14,9 @@ the finite quotient PSL(2, 7) does not rule out.
 The round keeps the solutions in the smaller discovery ball.  With fewer
 than two kept it decides by counts, whatever the source: all of them
 kept, they are the answer, as points; otherwise the others, in shortlex
-order, are the mismatch, and the discovery radius escalates.  Two or
+order, are the mismatch, and the discovery radius escalates.  So an
+empty exact set is the first round's answer, at the verification radius,
+and is returned before any round reads member data.  Two or
 more kept make an exact set the answer.  From an oracle walk, every pair
 of them proposes a cyclic line, and each proposed line is verified
 symbolically by parametric reduction; lines that vanish identically
@@ -166,7 +168,7 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
         hits = [j for j, v in enumerate(rest) if abs(v) == vc]
         if not hits:
             x = _root(Word(alphabet, _invert_data(rest)), m) if m else None
-            return AlgebraicSet(alphabet, () if x is None else (x,))
+            return AlgebraicSet.empty(alphabet) if x is None else AlgebraicSet(alphabet, (x,))
         if m == 1 and len(hits) == 1:
             break
         dec = Word(w.body.alphabet, core).primitive_root()
@@ -178,7 +180,7 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     if rest[j] == vc:
         c1, c2 = Word(alphabet, c1), Word(alphabet, c2)
         y = _root(~c2 * c1, 2)
-        return AlgebraicSet(alphabet, () if y is None else (y * ~c1,))
+        return AlgebraicSet.empty(alphabet) if y is None else AlgebraicSet(alphabet, (y * ~c1,))
     s1, sd = _split_root(c1), _split_root(_invert_data(c2))
     k1, kd = s1.k, sd.k
     shift = (_letters_text(k1) * 2).find(_letters_text(kd)) if len(k1) == len(kd) else -1
@@ -238,12 +240,16 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     exact set is the answer, as pairing would prove exactly its coset;
     otherwise pairing, alone under :data:`MAX_PAIRS`, proposes the lines
     and the whole list verifies the assembled set.  Only the walk builds
-    a ball, so only it refuses one.
+    a ball, so only it refuses one.  An empty exact set is its first round
+    written out: nothing to keep, so it is the answer at the verification
+    radius, with no escalation and no member data read.
     """
     cfg = cfg or SolveConfig()
     if not w.contains_variable:
         return SolveReport(AlgebraicSet(w.alphabet, whole_group=w.body.is_identity), cfg.verify_radius, 0)
     exact, alphabet = exact_solution_set(w), w.alphabet
+    if exact is not None and exact.is_empty:
+        return SolveReport(exact, cfg.verify_radius, 0)
 
     discovery = cfg.discovery_radius
     gap = cfg.verify_radius - discovery

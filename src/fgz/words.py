@@ -59,7 +59,7 @@ class Alphabet:
     enumeration and every tie-break downstream.
     """
 
-    __slots__ = ("names", "_codes")
+    __slots__ = ("names", "_codes", "_extension")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -75,12 +75,14 @@ class Alphabet:
         object.__setattr__(self, "names", names)
         #: name -> int code of the letter, the one lookup table of parsing
         object.__setattr__(self, "_codes", codes)
+        #: the last (name, alphabet) :meth:`extend` built, or None; one tuple, read and replaced whole
+        object.__setattr__(self, "_extension", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Alphabet is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.names == other.names
+        return self is other or (isinstance(other, Alphabet) and self.names == other.names)
 
     def __hash__(self):
         return hash(self.names)
@@ -114,8 +116,19 @@ class Alphabet:
         return Word(self, (self.value(name, sign),))
 
     def extend(self, name: str) -> "Alphabet":
-        """New alphabet with one extra letter appended (codes are stable)."""
-        return Alphabet(self.names + (name,))
+        """This alphabet with one extra letter appended (codes are stable).
+
+        One slot keeps the last extension, so calls with the same name, as in
+        parsing one equation after another, share one object and validate its
+        names once.  A refused name raises before the slot is written: it is
+        never stored, and raises on every call.
+        """
+        last = self._extension
+        if last is not None and last[0] == name:
+            return last[1]
+        extended = Alphabet(self.names + (name,))
+        object.__setattr__(self, "_extension", (name, extended))
+        return extended
 
 
 def _reduce_data(pieces: Iterable[Sequence[int]]) -> tuple[int, ...]:

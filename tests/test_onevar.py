@@ -78,6 +78,9 @@ class TestOneVarWord:
         assert word.contains_variable
         assert word.evaluate(w("b")) == w("b a b^-1")
 
+    def test_parses_share_one_extended_alphabet(self):
+        assert ov("x a").body.alphabet is ov("b x^-1").body.alphabet
+
     def test_variable_parses_like_a_letter(self):
         assert ov("x x^-1 a").body == ov("a").body
         assert ov("x^2").body.data == (3, 3)

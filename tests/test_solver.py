@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from fgz import solver as solver_module
 from fgz.algset import AlgebraicSet, CyclicCoset, subset
 from fgz.errors import BallLimitError, SolverError
-from fgz.onevar import OneVarWord, brute_solutions, reduce_parametric, substitute_line
+from fgz.onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
 from fgz.solver import (
     OracleReport,
     SolveConfig,
@@ -302,6 +303,51 @@ class TestSolvePipeline:
         with pytest.raises(SolverError, match="mismatch") as info:
             solve(late, SolveConfig(2, 4))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, rejected",
+        [
+            ("x a x^-1 b", True),  # ruled out by the abelianization
+            ("x^2 a^2 b^2", False),  # sigma = 2, and b^-2 a^-2 has no square root
+            ("x a^2 b^2 x^-1 b^-1 a^-1 b^-1 a^-1", False),  # sigma = 0, and a b a b is no rotation of a^2 b^2
+        ],
+    )
+    def test_an_empty_exact_set_is_answered_before_any_round(self, monkeypatch, text, rejected):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a round ran for an empty exact set")
+
+        monkeypatch.setattr(AlgebraicSet, "_data_within", refuse)
+        monkeypatch.setattr(CyclicCoset, "_data_within", refuse)
+        monkeypatch.setattr(solver_module, "brute_solutions", refuse)
+        word = ov(text)
+        assert (abelian_constraint(word) is None) == rejected
+        report = solve(word, SolveConfig(3, 5))
+        assert report.result is AlgebraicSet.empty(AB)
+        assert (report.complete_on_radius, report.escalations) == (5, 0)
+        assert report.to_json_dict() == {
+            "points": [], "cosets": [], "whole_group": False, "complete_on_radius": 5, "sound": True
+        }
+
+    def test_census_of_solve_paths(self):
+        # the path each workload word takes; a change of path changes these counts on purpose
+        def census(texts):
+            paths = Counter()
+            for text in texts:
+                word = ov(text)
+                if not word.contains_variable:
+                    paths["variable-free"] += 1
+                elif abelian_constraint(word) is None:
+                    paths["rejected"] += 1
+                else:
+                    exact = exact_solution_set(word)
+                    paths["radius" if exact is None else "empty" if exact.is_empty else "closed form"] += 1
+            return dict(paths)
+
+        workloads = _load_workloads()
+        assert census(workloads.corpus_universe()) == {
+            "variable-free": 218, "rejected": 15917, "empty": 1620, "closed form": 2242, "radius": 16
+        }
+        assert census(workloads.coset_universe()) == {"closed form": 8480}
 
     def test_only_the_radius_path_refuses_its_ball(self):
         # a closed form builds no ball: only the members it lists are bounded

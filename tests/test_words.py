@@ -137,6 +137,36 @@ class TestAlphabet:
         assert al.index("z") == 0
         assert al.letter("z") < al.letter("a")
 
+    def test_extend_keeps_one_object(self):
+        extended = AB.extend("x")
+        assert AB.extend("x") is extended
+        assert extended == Alphabet(("a", "b", "x")) and hash(extended) == hash(Alphabet(("a", "b", "x")))
+        assert [extended.value(name) for name in AB] == [AB.value(name) for name in AB] == [1, 2]
+        assert extended.value("x", -1) == -3
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("a", "duplicate letter 'a'"),
+            ("e", "letter name 'e' is reserved for the identity"),
+            ("2x", "invalid letter name '2x'"),
+        ],
+    )
+    def test_extend_refuses_a_bad_name_on_every_call(self, name, message):
+        for _ in range(2):
+            with pytest.raises(AlphabetError) as info:
+                AB.extend(name)
+            assert str(info.value) == message
+            assert AB._extension is None or AB._extension[0] != name
+
+    def test_extend_keeps_one_extension(self):
+        al = Alphabet(("a", "b"))
+        first = al.extend("y0")
+        for i in range(100):
+            al.extend(f"y{i}")
+        assert al._extension == ("y99", al.extend("y99"))
+        assert al.extend("y0") == first and al.extend("y0") is not first
+
 
 class TestParse:
     def test_direct_transcription(self):
