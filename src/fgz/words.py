@@ -56,10 +56,13 @@ class Alphabet:
     """Ordered finite set of generator names.
 
     The declaration order is canonical: it drives word ordering, ball
-    enumeration and every tie-break downstream.
+    enumeration and every tie-break downstream.  ``_codes`` maps each name
+    to its letter code; ``_terms`` also maps each ``name^-1`` to minus its
+    code, for :func:`parse_word`.  A name never holds ``^``, so the 2n keys
+    are distinct, and name lookup reads ``_codes`` only.
     """
 
-    __slots__ = ("names", "_codes", "_extension")
+    __slots__ = ("names", "_codes", "_terms", "_extension")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -73,13 +76,18 @@ class Alphabet:
                 raise AlphabetError(f"duplicate letter {name!r}")
             codes[name] = len(codes) + 1
         object.__setattr__(self, "names", names)
-        #: name -> int code of the letter, the one lookup table of parsing
+        #: name -> int code of the letter, the one table of name lookup
         object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_terms", {**codes, **{f"{n}^-1": -c for n, c in codes.items()}})
         #: the last (name, alphabet) :meth:`extend` built, or None; one tuple, read and replaced whole
         object.__setattr__(self, "_extension", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Alphabet is immutable")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild from the names: the slots cannot be set.
+        return (Alphabet, (self.names,))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Alphabet) and self.names == other.names)
@@ -380,12 +388,14 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     absolute values may sum to at most :data:`MAX_PARSE_LETTERS`.  The
     result is reduced.
 
-    One pass reads each term as its name, one lookup in the alphabet's
-    table, and its digits, and cancels it against the reduced output so
-    far.  A term it does not take, with an unknown name, a malformed or
-    zero exponent or one over the limit, goes to :func:`_checked_term`,
-    whose checks and messages are those of the grammar, and fails one of
-    them.
+    One pass cancels each term against the reduced output so far.  A bare
+    name or ``name^-1``, most terms of real text, is one letter: one lookup
+    in the alphabet's ``_terms`` table, while the letter count is under the
+    limit.  Any other term is read as its name, one lookup in ``_codes``,
+    and its digits.  A term neither way takes, with an unknown name, a
+    malformed or zero exponent or one over the limit, goes to
+    :func:`_checked_term`, whose checks and messages are those of the
+    grammar, and fails one of them.
 
     >>> al = Alphabet(("a", "b"))
     >>> str(parse_word("a b^-1 a", al))
@@ -398,10 +408,18 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         return alphabet.identity()
     if not stripped:
         raise ParseError("empty word text (use '1' or 'e' for the identity)")
-    codes = alphabet._codes
+    codes, terms = alphabet._codes, alphabet._terms
     out: list[int] = []
     total = 0
     for term in stripped.split():
+        v = terms.get(term)
+        if v is not None and total < MAX_PARSE_LETTERS:
+            total += 1
+            if out and out[-1] == -v:
+                out.pop()
+            else:
+                out.append(v)
+            continue
         name, caret, digits = term.partition("^")
         code = codes.get(name)
         exp = 1

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from collections import Counter
@@ -394,6 +396,28 @@ class TestSolvePipeline:
         report = solve(word, SolveConfig(discovery_radius=3, verify_radius=5))
         oracle = verify_against_oracle(word, report.result, 7)
         assert oracle.match
+
+
+class TestCopies:
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_values_holding_an_alphabet_copy_and_pickle(self, clone):
+        """An alphabet copies by rebuilding from its names, so it and a word,
+        a set with a coset and a solve report copy, each equal to its original."""
+        report = solve(ov("x a x^-1 a^-1"), FAST)
+        points_and_coset = AlgebraicSet.of(AB, points=[w("b")], cosets=[(w("b"), w("a"))])
+        assert report.result.cosets and points_and_coset.cosets
+        for value, alphabet_of in (
+            (AB, lambda alphabet: alphabet),
+            (w("a b^-1 a"), lambda word: word.alphabet),
+            (points_and_coset, lambda s: s.alphabet),
+            (report, lambda r: r.result.alphabet),
+        ):
+            twin = clone(value)
+            assert twin == value
+            assert parse_word("a^-1 b", alphabet_of(twin)).data == (-1, 2)
 
 
 @st.composite

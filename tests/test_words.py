@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fgz import words as words_module
 from fgz.errors import (
     AlphabetError,
     BallLimitError,
@@ -48,6 +49,7 @@ from helpers import (
     signed_letters,
     word_from_letters,
 )
+from test_reference_outputs import _load_workloads
 
 
 def w(text, alphabet=AB):
@@ -80,9 +82,12 @@ def parse_outcome(parse, text):
 
 #: exponent suffixes at the edges of the grammar's INT: bad forms, zeros,
 #: leading zeros, non-ASCII decimal digits (which \d and int() take) and a
-#: superscript (which they do not), and exponents past int()'s digit limit
+#: superscript (which they do not), exponents past int()'s digit limit,
+#: and ``^-1`` with its look-alikes: a leading zero, a trailing caret and
+#: a minus sign (U+2212) for the hyphen
 EXPONENT_EDGES = (
     "", "^", "^-", "^+1", "^1^2", "^1_0", "^--1", "^007", "^-007", "^0", "^-0", "^00",
+    "^-1", "^-01", "^-1^", "^\u22121",
     "^\u0661", "^-\u0661\u0662", "^\u0660", "^\u00b2", "^1\u00b2",
     "^" + "9" * 5000, "^-" + "0" * 4999 + "1",
 )
@@ -92,12 +97,17 @@ LIMIT_EXPONENTS = (MAX_PARSE_LETTERS // 2, MAX_PARSE_LETTERS // 2 + 1, MAX_PARSE
 
 @st.composite
 def term_texts(draw):
-    """Word text: 0-5 terms joined by spaces, tabs or no-break spaces.  A
-    term is a known name with no exponent or a small one, or, one time in
-    three, a name that may be unknown or malformed with an edge exponent."""
+    """Word text: 0-5 parts joined by spaces, tabs or no-break spaces.  A
+    part is a known name with no exponent or a small one, a run of bare
+    letters and inverses, or, one time in four, a name that may be unknown
+    or malformed with an edge exponent."""
     terms = []
     for _ in range(draw(st.integers(0, 5))):
-        if draw(st.integers(0, 2)):
+        kind = draw(st.integers(0, 3))
+        if kind == 1:
+            terms += draw(st.lists(st.sampled_from(("a", "b", "a^-1", "b^-1")), min_size=1, max_size=6))
+            continue
+        if kind:
             terms.append(draw(st.sampled_from(("a", "b"))) + draw(st.sampled_from(("", "^-2", "^-1", "^2", "^3"))))
             continue
         name = draw(st.sampled_from(("a", "b", "q", "e", "1", "ab", "a_1", "A", "\u00e9", "")))
@@ -109,6 +119,20 @@ def term_texts(draw):
     separator = draw(st.sampled_from((" ", "\t", "\u00a0", " \u00a0 ")))
     pad = draw(st.sampled_from(("", " ", "\t")))
     return pad + separator.join(terms) + pad
+
+
+class _CountingDict(dict):
+    """A dict that counts its ``get`` and ``[]`` lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
 
 
 def as_letters(data):
@@ -167,6 +191,18 @@ class TestAlphabet:
         assert al._extension == ("y99", al.extend("y99"))
         assert al.extend("y0") == first and al.extend("y0") is not first
 
+    def test_term_table_stays_out_of_name_lookup(self):
+        for lookup in (AB.index, AB.value):
+            with pytest.raises(ParseError) as info:
+                lookup("a^-1")
+            assert str(info.value) == "unknown identifier 'a^-1' (alphabet: a, b)"
+        assert len(AB._terms) == 2 * len(AB) and len(AB.extend("x")._terms) == 2 * len(AB) + 2
+        bare = Alphabet(("a", "b"))
+        object.__setattr__(bare, "_terms", {})
+        assert bare == AB and hash(bare) == hash(AB) and Alphabet(("b", "a")) != AB
+        with pytest.raises(AttributeError, match="immutable"):
+            AB._terms = {}
+
 
 class TestParse:
     def test_direct_transcription(self):
@@ -218,8 +254,36 @@ class TestParse:
     @example("q^" + "9" * 5000)
     @example("a\u00a0b^-2\tb^2 a^-1")
     @example(f"a^{MAX_PARSE_LETTERS // 2} a^-{MAX_PARSE_LETTERS // 2}")
+    @example(f"a^{MAX_PARSE_LETTERS - 1} b b")  # a bare letter reaches the limit, the next crosses it
+    @example(f"a^{MAX_PARSE_LETTERS} a^-1")  # an inverse term past the limit, though it would cancel
+    @example(f"b^{MAX_PARSE_LETTERS} q^-1")  # the limit is checked before the name
+    @example("a^-01 b")
+    @example("a^-1^ b")
+    @example("b a^\u22121")
     def test_matches_the_reference_parser(self, text):
         assert parse_outcome(parse_word, text) == parse_outcome(reference_parse_word, text)
+
+    def test_bare_letters_and_inverses_skip_name_lookup(self):
+        al = Alphabet(("a", "b", "x"))
+        codes = _CountingDict(al._codes)
+        object.__setattr__(al, "_codes", codes)
+        assert str(parse_word("a b^-1 x a^-1 x^-1", al)) == "a b^-1 x a^-1 x^-1"
+        assert codes.lookups == 0
+        parse_word("a^2", al)
+        assert codes.lookups == 1
+
+    def test_workload_texts_never_reach_the_checked_term(self, monkeypatch):
+        """Every corpus-solve and coset-solve text parses on the two fast
+        paths, so none of the workloads' terms is sent to the regex."""
+
+        def refuse(term, total, alphabet):
+            raise AssertionError(f"term {term!r} reached _checked_term")
+
+        workloads = _load_workloads()
+        monkeypatch.setattr(words_module, "_checked_term", refuse)
+        for name in ("corpus-solve", "coset-solve"):
+            for text in workloads.WORKLOADS[name].universe():
+                parse_word(text, workloads.X)
 
     def test_round_trip_and_collapse(self):
         assert str(w("a a a")) == "a^3"
