@@ -50,7 +50,7 @@ class CyclicCoset:
 
     def __post_init__(self):
         rep, root = self.rep, self.root
-        if rep.alphabet != root.alphabet:
+        if rep.alphabet is not root.alphabet and rep.alphabet != root.alphabet:
             raise AlphabetError("rep and root must share an alphabet")
         split = _primitive_split(root, "coset root must be nontrivial", "; only cosets of maximal cyclic subgroups"
                                  " (full centralizers) are representable - use the primitive root")
@@ -184,30 +184,29 @@ class AlgebraicSet:
     whole_group: bool = False
 
     def __post_init__(self):
-        alphabet = self.alphabet
-        for p in self.points:
-            if p.alphabet != alphabet:
+        # each is read once, so any iterable will do
+        alphabet, points, cosets = self.alphabet, tuple(self.points), tuple(self.cosets)
+        for p in points:
+            if p.alphabet is not alphabet and p.alphabet != alphabet:
                 raise AlphabetError("point over a different alphabet")
-        canon: dict[tuple, CyclicCoset] = {}
-        for c in self.cosets:
-            if c.alphabet != alphabet:
+        for c in cosets:
+            if c.alphabet is not alphabet and c.alphabet != alphabet:
                 raise AlphabetError("coset over a different alphabet")
-            canon[c.rep.data, c.root.data] = c
-        if self.whole_group or (canon and len(alphabet) == 1):
+        if self.whole_group or (cosets and len(alphabet) == 1):
             # at rank 1 the one maximal cyclic subgroup is F itself
             object.__setattr__(self, "whole_group", True)
             object.__setattr__(self, "points", ())
             object.__setattr__(self, "cosets", ())
             return
-        # keys are built only to sort, and data tells equal values apart
-        cosets = list(canon.values())
+        # one component needs no merging; keys are built only to sort, and data tells equal values apart
         if len(cosets) > 1:
-            cosets.sort(key=CyclicCoset.sort_key)
-        points = list({p.data: p for p in self.points if not any(c.member(p) for c in cosets)}.values())
+            cosets = tuple(sorted({(c.rep.data, c.root.data): c for c in cosets}.values(), key=CyclicCoset.sort_key))
+        if points and cosets:
+            points = tuple([p for p in points if not any(c.member(p) for c in cosets)])
         if len(points) > 1:
-            points.sort(key=Word.sort_key)
-        object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "cosets", tuple(cosets))
+            points = tuple(sorted({p.data: p for p in points}.values(), key=Word.sort_key))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "cosets", cosets)
 
     @classmethod
     def of(

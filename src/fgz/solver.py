@@ -50,7 +50,7 @@ from itertools import combinations
 from .algset import AlgebraicSet, CyclicCoset, to_json_dict
 from .errors import SolverError
 from .onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
-from .words import Word, _invert_data, _letters_text, _reduce_data, _shortlex_key, _split_root
+from .words import Word, _core_start, _invert_data, _letters_text, _reduce_data, _shortlex_key, _split_root
 
 DEFAULT_DISCOVERY_RADIUS = 6
 #: Escalations of the discovery radius, by 2 each, before a persistent oracle mismatch is an error.
@@ -131,9 +131,10 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     None without the variable; the empty set at once if the abelianization
     rules the word out (:func:`abelian_constraint`).  Otherwise take the
     cyclic core of the body over the letters and x, invert it if it has no
-    ``x^+1``, and rotate it to begin at a syllable ``x^m``, m > 0.  Each step
-    keeps the solution set, as it conjugates or inverts ``w(g)``: the core v
-    of ``u v u^-1`` by ``u(g)``, a rotation ``q p = p^-1 (p q) p`` by ``p(g)``.
+    ``x^+1``, and rotate it to the first start of a syllable ``x^m``, m > 0,
+    taken cyclically.  Each step keeps the solution set, as it conjugates or
+    inverts ``w(g)``: the core v of ``u v u^-1`` by ``u(g)``, a rotation
+    ``q p = p^-1 (p q) p`` by ``p(g)``.
     In a free group roots are unique (:func:`_root`), and cyclically reduced
     conjugates are rotations of each other (Lyndon-Schupp, *Combinatorial
     Group Theory*, ch. I).  So:
@@ -148,6 +149,10 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
       ``x0 = ud t^-1 u1^-1`` and ``r = u1 k1[:p] u1^-1`` the primitive root
       of c1, p the least period of k1, as ``x0^-1 x`` must centralize c1.
 
+    The counts of x and x^-1 in the core tell the shapes apart: all of them
+    in the leading syllable make ``x^m c``, and two in two syllables make
+    ``x c1 x c2`` or ``x c1 x^-1 c2``.
+
     A core of no such shape that is a proper power ``v^k`` is split again as
     v, its primitive root, which keeps the start at ``x^m``: F is torsion-free,
     so ``v(g)^k = 1`` exactly when ``v(g) = 1``.  Other cores give None.
@@ -157,37 +162,49 @@ def exact_solution_set(w: OneVarWord) -> AlgebraicSet | None:
     vc, alphabet = w._var_code, w.alphabet
     if abelian_constraint(w) is None:
         return AlgebraicSet.empty(alphabet)
-    core = _split_root(w.body.data).k
+    data = w.body.data
+    i = _core_start(data)
+    core = data[i : len(data) - i]
     if vc not in core:
         core = _invert_data(core)
-    i = next((i for i, v in enumerate(core) if v == vc and core[i - 1] != vc), 0)
+        if vc not in core:  # no x in the core: m = 0
+            return AlgebraicSet.empty(alphabet)
+    i = core.index(vc)
+    if not i and core[-1] == vc:
+        # the run at 0 wraps past the end, so the first start is the next x after it
+        i = 1
+        while i < len(core) and core[i] == vc:
+            i += 1
+        i = core.index(vc, i) if i < len(core) else 0
     core = core[i:] + core[:i]
     while True:
-        m = next((j for j, v in enumerate(core) if v != vc), len(core))
-        rest = core[m:]
-        hits = [j for j, v in enumerate(rest) if abs(v) == vc]
-        if not hits:
-            x = _root(Word(alphabet, _invert_data(rest)), m) if m else None
+        plus, minus = core.count(vc), core.count(-vc)
+        if not minus and core[:plus] == (vc,) * plus:
+            # every occurrence is in the leading run: x^m c with m = plus
+            x = _root(Word(alphabet, _invert_data(core[plus:])), plus)
             return AlgebraicSet.empty(alphabet) if x is None else AlgebraicSet(alphabet, (x,))
-        if m == 1 and len(hits) == 1:
-            break
+        if plus + minus == 2:
+            break  # two occurrences in two runs: the leading run is one x
         dec = Word(w.body.alphabet, core).primitive_root()
         if dec.exponent == 1:
             return None
         core = dec.root.data
-    (j,) = hits
-    c1, c2 = rest[:j], rest[j + 1 :]
-    if rest[j] == vc:
+    j = core.index(-vc) if minus else core.index(vc, 1)
+    c1, c2 = core[1:j], core[j + 1 :]
+    if not minus:
         c1, c2 = Word(alphabet, c1), Word(alphabet, c2)
         y = _root(~c2 * c1, 2)
         return AlgebraicSet.empty(alphabet) if y is None else AlgebraicSet(alphabet, (y * ~c1,))
-    s1, sd = _split_root(c1), _split_root(_invert_data(c2))
+    s1, sd = _split_root(c1), _split_root(c2).inverse()
     k1, kd = s1.k, sd.k
-    shift = (_letters_text(k1) * 2).find(_letters_text(kd)) if len(k1) == len(kd) else -1
+    text = _letters_text(k1)
+    twice = text + text
+    shift = twice.find(_letters_text(kd)) if len(k1) == len(kd) else -1
     if shift < 0:
         return AlgebraicSet.empty(alphabet)
     x0 = Word(alphabet, _reduce_data((sd.u, _invert_data(k1[:shift]), s1.ui)))
-    root = Word(alphabet, s1.u + k1[: s1.period()] + s1.ui)
+    # the least period of k1, as _RootSplit.period finds it, on the text built once
+    root = Word(alphabet, s1.u + k1[: twice.find(text, 1)] + s1.ui)
     return AlgebraicSet(alphabet, (), (CyclicCoset.make(x0, root),))
 
 
@@ -265,8 +282,7 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
         if len(discovered) < 2:
             if len(discovered) == len(found):
                 return SolveReport(AlgebraicSet(alphabet, [Word(alphabet, d) for d in discovered]), radius, escalation)
-            missing = sorted([d for d in found if len(d) > discovery], key=_shortlex_key)
-            report = OracleReport(False, tuple([Word(alphabet, d) for d in missing]), (), radius)
+            report = None  # the mismatch is the unkept data, written out only if escalation is exhausted
         elif exact is not None:
             # pairing would prove exactly this set, so the oracle check could only match
             return SolveReport(exact, radius, escalation)
@@ -278,6 +294,9 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
             if report.match:
                 return SolveReport(result, radius, escalation)
         discovery += 2
+    if report is None:
+        missing = sorted([d for d in found if len(d) > discovery - 2], key=_shortlex_key)
+        report = OracleReport(False, tuple([Word(alphabet, d) for d in missing]), (), radius)
     raise SolverError(
         "escalation exhausted with persistent oracle mismatch at radius "
         f"{radius}: missing={[str(g) for g in report.missing]} "

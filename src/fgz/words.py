@@ -328,12 +328,19 @@ class _RootSplit(NamedTuple):
         return (text + text).find(text, 1)
 
 
-def _split_root(data: tuple[int, ...]) -> _RootSplit:
-    """Split reduced data into ``u k u^-1`` with k cyclically reduced."""
+def _core_start(data: tuple[int, ...]) -> int:
+    """The length i of u in reduced data ``u k u^-1`` with k cyclically
+    reduced: k is ``data[i : len(data) - i]``, with no inverse built."""
     i, j = 0, len(data)
     while j - i >= 2 and data[i] == -data[j - 1]:
         i, j = i + 1, j - 1
-    u, k = data[:i], data[i:j]
+    return i
+
+
+def _split_root(data: tuple[int, ...]) -> _RootSplit:
+    """Split reduced data into ``u k u^-1`` with k cyclically reduced."""
+    i = _core_start(data)
+    u, k = data[:i], data[i : len(data) - i]
     return _RootSplit(u, _invert_data(u), k, _invert_data(k))
 
 

@@ -393,6 +393,40 @@ class TestAlgebraicSet:
         with pytest.raises(RootError, match="proper power"):
             CyclicCoset(w("1"), w("a^2"))
 
+    @pytest.mark.parametrize("once", [iter, lambda items: (x for x in items)], ids=["iterator", "generator"])
+    def test_one_shot_iterables_are_read_once(self, once):
+        # a^3 lies in (1)<a>, so the points are read for the alphabet check and again for the filter
+        points = [w("b^2"), w("a^3"), w("a b"), w("b^2")]
+        pairs = [(w("b a"), w("a")), (w("1"), w("a^-1")), (w("b"), w("a b"))]
+        cosets = [CyclicCoset.make(rep, root) for rep, root in pairs]
+        expected = AlgebraicSet(AB, tuple(points), tuple(cosets))
+        assert (len(expected.points), len(expected.cosets)) == (2, 3)
+        assert AlgebraicSet(AB, once(points), once(cosets)) == expected
+        assert AlgebraicSet.of(AB, once(points), once(pairs)) == expected
+        assert AlgebraicSet(AB, once(points)) == AlgebraicSet(AB, points)
+        assert AlgebraicSet.of(AB, once(points)).points == (w("a b"), w("b^2"), w("a^3"))
+
+    def test_an_equal_alphabet_object_is_the_same_alphabet(self):
+        # the alphabet checks test identity first, and equal names after it
+        twin = Alphabet(("a", "b"))
+        assert twin == AB and twin is not AB
+
+        def tw(text):
+            return parse_word(text, twin)
+
+        assert CyclicCoset(tw("b a^3"), w("a^-1")) == CyclicCoset(w("b a^3"), tw("a^-1")) == coset("b", "a")
+        expected = aset(points=("b^2", "a b"), cosets=(("b", "a"), ("1", "a b")))
+        assert AlgebraicSet(twin, (w("a b"), tw("b^2")), (coset("b", "a"), CyclicCoset.make(tw("1"), tw("a b")))) == expected
+        assert AlgebraicSet(AB, (tw("a b"), tw("b^2")), (CyclicCoset.make(tw("b"), tw("a")), coset("1", "a b"))) == expected
+        assert AlgebraicSet.of(twin, [w("a b"), tw("b^2")], [(tw("b"), w("a")), (w("1"), tw("a b"))]) == expected
+        other = Alphabet(("a", "c"))
+        with pytest.raises(AlphabetError, match="^rep and root must share an alphabet$"):
+            CyclicCoset(tw("b"), parse_word("a", other))
+        with pytest.raises(AlphabetError, match="^point over a different alphabet$"):
+            AlgebraicSet(twin, (parse_word("c", other),))
+        with pytest.raises(AlphabetError, match="^coset over a different alphabet$"):
+            AlgebraicSet(twin, (), (CyclicCoset.make(parse_word("c", other), parse_word("a", other)),))
+
     def test_duplicate_cosets_merge(self):
         s = AlgebraicSet.of(AB, cosets=[(w("1"), w("a")), (w("a^2"), w("a^-1"))])
         assert len(s.cosets) == 1

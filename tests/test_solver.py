@@ -5,7 +5,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fgz import solver as solver_module
@@ -16,11 +16,14 @@ from fgz.solver import (
     OracleReport,
     SolveConfig,
     _candidate_components,
+    _root,
     exact_solution_set,
     solve,
     verify_against_oracle,
 )
-from fgz.words import Alphabet, Word, _reduce_data, enumerate_ball, parse_word
+from fgz.words import (
+    Alphabet, Word, _core_start, _invert_data, _letters_text, _reduce_data, _split_root, enumerate_ball, parse_word,
+)
 
 from helpers import (
     AB,
@@ -249,6 +252,23 @@ class TestSolvePipeline:
         monkeypatch.setattr(CyclicCoset, "elements_within", refuse)
         assert [solve(word, cfg) for word, cfg in cases] == expected
 
+    def test_an_escalating_round_builds_no_report(self, monkeypatch):
+        # a round that escalates keeps its data: the report is built only when escalation is exhausted
+        workloads = _load_workloads()
+        wl = workloads.WORKLOADS["coset-solve"]
+        cases = [(ov("x a x^-1 a^-1"), SolveConfig(0, 2)), (ov("x a^-5"), FAST)]
+        cases += [(ov(text), workloads.COSET_CFG) for text in wl.universe()[::40]]
+        expected = [solve(word, cfg) for word, cfg in cases]
+        cases = [case for case, report in zip(cases, expected) if report.escalations]
+        expected = [report for report in expected if report.escalations]
+        assert len(cases) == 2 + 80  # 80 of the 212 coset-solve entries escalate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an OracleReport built on an escalating round")
+
+        monkeypatch.setattr(solver_module, "OracleReport", refuse)
+        assert [solve(word, cfg) for word, cfg in cases] == expected
+
     @pytest.mark.parametrize(
         "discovery, verify, answer, radius, escalations",
         [
@@ -441,6 +461,102 @@ def planted_words(draw, alphabet):
     return word
 
 
+def parent_exact_solution_set(w):
+    """Reference for :func:`exact_solution_set`: the same rules, with the
+    core's shape read by per-letter scans and each split built in full."""
+    if not w.contains_variable:
+        return None
+    vc, alphabet = w._var_code, w.alphabet
+    if abelian_constraint(w) is None:
+        return AlgebraicSet.empty(alphabet)
+    core = _split_root(w.body.data).k
+    if vc not in core:
+        core = _invert_data(core)
+    i = next((i for i, v in enumerate(core) if v == vc and core[i - 1] != vc), 0)
+    core = core[i:] + core[:i]
+    while True:
+        m = next((j for j, v in enumerate(core) if v != vc), len(core))
+        rest = core[m:]
+        hits = [j for j, v in enumerate(rest) if abs(v) == vc]
+        if not hits:
+            x = _root(Word(alphabet, _invert_data(rest)), m) if m else None
+            return AlgebraicSet.empty(alphabet) if x is None else AlgebraicSet(alphabet, (x,))
+        if m == 1 and len(hits) == 1:
+            break
+        dec = Word(w.body.alphabet, core).primitive_root()
+        if dec.exponent == 1:
+            return None
+        core = dec.root.data
+    (j,) = hits
+    c1, c2 = rest[:j], rest[j + 1 :]
+    if rest[j] == vc:
+        c1, c2 = Word(alphabet, c1), Word(alphabet, c2)
+        y = _root(~c2 * c1, 2)
+        return AlgebraicSet.empty(alphabet) if y is None else AlgebraicSet(alphabet, (y * ~c1,))
+    s1, sd = _split_root(c1), _split_root(_invert_data(c2))
+    k1, kd = s1.k, sd.k
+    shift = (_letters_text(k1) * 2).find(_letters_text(kd)) if len(k1) == len(kd) else -1
+    if shift < 0:
+        return AlgebraicSet.empty(alphabet)
+    x0 = Word(alphabet, _reduce_data((sd.u, _invert_data(k1[:shift]), s1.ui)))
+    root = Word(alphabet, s1.u + k1[: s1.period()] + s1.ui)
+    return AlgebraicSet(alphabet, (), (CyclicCoset.make(x0, root),))
+
+
+@st.composite
+def shaped_words(draw):
+    """Strategy: one-variable words at rank 2 or 3 whose cyclic cores take
+    each turn of the shape reader: a syllable ``x^m c``, ``x c1 x c2``,
+    ``x c1 x^-1 c2`` with conjugate cores, with cores of one abelianization
+    but in another order, or with free coefficients, a core with no x left,
+    ``x^m`` alone, or any word.  Three in four of the shapes with no solution
+    built in are planted to vanish at a drawn point, so the abelianization
+    lets them through.  The core is then raised to a power,
+    rotated (so an x-run may wrap past its end), conjugated and, half the
+    time, inverted."""
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    rank = len(alphabet)
+    var = rank + 1
+    extended = alphabet.extend("x")
+    shape = draw(st.sampled_from(("syllable", "square", "conjugacy", "conjugate", "shuffled", "no x", "alone", "any")))
+    planted = shape in ("syllable", "square", "conjugacy", "alone", "any") and draw(st.integers(0, 3))
+    if shape == "syllable":
+        pieces = [(var,) * draw(st.integers(1, 3)), draw(reduced_data(rank, 4))]
+    elif shape == "square":
+        pieces = [(var,), draw(reduced_data(rank, 3)), (var,), draw(reduced_data(rank, 3))]
+    elif shape == "conjugacy":
+        pieces = [(var,), draw(reduced_data(rank, 4)), (-var,), draw(reduced_data(rank, 5))]
+    elif shape == "conjugate":  # c2^-1 = z^-1 c1 z, so the solutions are z^-1 <c1>
+        c1, z = draw(reduced_data(rank, 4, min_len=1)), draw(reduced_data(rank, 3))
+        pieces = [(var,), c1, (-var,), _invert_data(z), _invert_data(c1), z]
+    elif shape == "shuffled":  # c2^-1 has the letters of c1 in another order
+        c1 = draw(reduced_data(rank, 5, min_len=2))
+        pieces = [(var,), c1, (-var,), _invert_data(_reduce_data([(v,) for v in draw(st.permutations(c1))]))]
+    elif shape == "no x":  # [s, t], conjugated below by a word with x
+        s, t = draw(reduced_data(rank, 2, min_len=1)), draw(reduced_data(rank, 2, min_len=1))
+        pieces = [s, t, _invert_data(s), _invert_data(t)]
+    elif shape == "alone":
+        pieces = [(var,) * draw(st.integers(1, 4))]
+    else:
+        pieces = [draw(reduced_data(var, 8))]
+    body = _reduce_data(pieces)
+    if planted and (var in body or -var in body):
+        g = Word(alphabet, draw(reduced_data(rank, 3)))
+        body = _reduce_data([body, _invert_data(OneVarWord.from_body(Word(extended, body)).evaluate(g).data)])
+    i = _core_start(body)
+    core = _reduce_data([body[i : len(body) - i]] * draw(st.integers(1, 3)))
+    if core:
+        r = draw(st.integers(0, len(core) - 1))
+        core = core[r:] + core[:r]
+    p = draw(reduced_data(var, 3))
+    if shape == "no x":
+        p = _reduce_data([(draw(st.sampled_from((var, -var))),), p])
+    body = _reduce_data([p, core, _invert_data(p)])
+    if draw(st.booleans()):
+        body = _invert_data(body)
+    return OneVarWord.from_body(Word(extended, body))
+
+
 class TestExactSolutionSet:
     @pytest.mark.parametrize(
         "text, points, cosets",
@@ -471,6 +587,20 @@ class TestExactSolutionSet:
     def test_closed_forms(self, text, points, cosets):
         expected = AlgebraicSet.of(AB, [w(p) for p in points], [(w(r), w(t)) for r, t in cosets])
         assert exact_solution_set(ov(text)) == expected
+
+    @settings(deadline=None, derandomize=True, max_examples=600)
+    @given(word=shaped_words())
+    @example(word=ov("x a^3 x^2"))  # an x-run that wraps past the end of the core: x^3 a^3
+    @example(word=ov("x^-1 b^2 a x^-2"))  # the same with x^-1
+    @example(word=ov("x a^2 x^-1 a^-2 x"))  # a wrapped run with more occurrences
+    @example(word=ov("x a x^-1"))  # no x left in the core
+    @example(word=ov("x^3"))  # x^m alone
+    @example(word=ov("x a x a x a"))  # a proper power (x a)^3
+    @example(word=ov("a^-1 x^-1 a^-1 x^-1"))  # (x a)^-2
+    @example(word=ov("x a b x^-1 a^-1 b^-1"))  # conjugate cores of equal length, rotated by one letter
+    @example(word=ov("x a^2 b x^-1 b a b^-1 a^-1 b^-1 a^-2"))  # admitted, cores of lengths 3 and 7
+    def test_shape_reader_matches_the_reference(self, word):
+        assert exact_solution_set(word) == parent_exact_solution_set(word)
 
     def test_none_without_a_closed_form(self):
         assert exact_solution_set(ov("x a x^-1 a^-1 x a^2 x^-1 a^-2")) is None  # four occurrences, no proper power
