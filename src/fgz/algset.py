@@ -54,8 +54,10 @@ class CyclicCoset:
             raise AlphabetError("rep and root must share an alphabet")
         split = _primitive_split(root, "coset root must be nontrivial", "; only cosets of maximal cyclic subgroups"
                                  " (full centralizers) are representable - use the primitive root")
-        if _shortlex_less(split.ki, split.k):
-            # ``root^-1 = u k^-1 u^-1`` shares u and the length, so its core decides
+        if _shortlex_less((split.ki[0],), (split.k[0],)):
+            # ``root^-1 = u k^-1 u^-1`` shares u and the length, so its core decides, and
+            # its first letter alone: ``k^-1`` begins with ``-k[-1]``, which is not ``k[0]``
+            # as k is cyclically reduced (nor is it when |k| = 1)
             split = split.inverse()
             object.__setattr__(self, "root", Word(root.alphabet, split.power(1)))
         object.__setattr__(self, "_split", split)
@@ -88,8 +90,9 @@ class CyclicCoset:
         is reduced as written and ``rep root = p' u^-1`` is shorter; with k
         for ``root^-1`` likewise.  So t < |k| on both sides, q = 0, and by the
         lemma ``|rep root^m|`` rises strictly for m >= 1 and for m <= -1.
-        The rep is also the shortest element, so a shorter ``length`` gives
-        none.
+        The rep is also a shortest element, so a shorter ``length`` gives
+        none.  Only *a* shortest one: in ``(a^-1)<a b>`` the element b at
+        m = 1 ties a^-1 in length, and a^-1 is the rep as the shortlex lesser.
         """
         rep = self.rep.data
         if len(rep) > length:
@@ -118,8 +121,29 @@ class CyclicCoset:
 
     def member(self, g: Word) -> bool:
         """True iff ``rep^-1 * g`` is a power ``root^m`` of the root (m = 0
-        included), found by :meth:`~fgz.words._RootSplit.exponent`."""
-        return self._split.exponent(_concat_data(_invert_data(self.rep.data), g.data)) is not None
+        included), found by :meth:`~fgz.words._RootSplit.exponent`.
+
+        The canonical form decides most words before ``rep^-1 g`` is built.
+        The rep is a shortest element (:meth:`_data_within`), so a shorter g
+        is no member; one of the same length may be (b in ``(a^-1)<a b>``).
+        Otherwise ``g = rep root^m = p k^m u^-1`` with m != 0, for the split
+        ``root = u k u^-1`` and ``p = rep u``.  By the argument of
+        :meth:`_data_within` the seam ``p | k^m`` cancels t < |k| letters,
+        so some of k^m is left, ending in ``k[-1]``, and it does not cancel
+        against ``u^-1``, as ``u k u^-1`` is reduced.  So g ends in
+        ``k[-1] u^-1`` for m > 0, and in ``k^-1[-1] u^-1`` for m < 0 likewise;
+        a g that ends otherwise is no member.
+        """
+        rep, d = self.rep.data, g.data
+        if len(d) < len(rep):
+            return False
+        if d == rep:
+            return True
+        _, ui, k, ki = self._split
+        n = len(d) - len(ui)
+        if n < 1 or (d[n - 1] != k[-1] and d[n - 1] != ki[-1]) or d[n:] != ui:
+            return False
+        return self._split.exponent(_concat_data(_invert_data(rep), d)) is not None
 
     def element(self, m: int) -> Word:
         """``rep * root^m``; a ``root^m`` over :data:`~fgz.words.MAX_PARSE_LETTERS` letters is refused."""
@@ -202,7 +226,14 @@ class AlgebraicSet:
         if len(cosets) > 1:
             cosets = tuple(sorted({(c.rep.data, c.root.data): c for c in cosets}.values(), key=CyclicCoset.sort_key))
         if points and cosets:
-            points = tuple([p for p in points if not any(c.member(p) for c in cosets)])
+            kept = []
+            for p in points:
+                for c in cosets:
+                    if c.member(p):
+                        break
+                else:
+                    kept.append(p)
+            points = tuple(kept)
         if len(points) > 1:
             points = tuple(sorted({p.data: p for p in points}.values(), key=Word.sort_key))
         object.__setattr__(self, "points", points)

@@ -217,7 +217,8 @@ def _candidate_components(w: OneVarWord, discovered: list[Word]) -> tuple[list[C
     the symbolic check.  The reverse order would add nothing: with
     ``h = g r^k`` it proposes ``h<r^-1> = g<r>``, the same coset.  Other
     lines add ``g r^m`` for each m of :func:`reduce_parametric`, exactly
-    where they vanish.  Over :data:`MAX_PAIRS` ordered pairs are refused.
+    where they vanish, but none that is already a discovered solution.
+    Over :data:`MAX_PAIRS` ordered pairs are refused.
     """
     n = len(discovered)
     if n * (n - 1) > MAX_PAIRS:
@@ -228,6 +229,7 @@ def _candidate_components(w: OneVarWord, discovered: list[Word]) -> tuple[list[C
     cosets: list[CyclicCoset] = []
     extra_points: list[Word] = []
     seen_lines: set[CyclicCoset] = set()
+    known = set(discovered)
     for g, h in combinations(discovered, 2):
         root = (~g * h).primitive_root().root
         line = CyclicCoset.make(g, root)
@@ -238,7 +240,7 @@ def _candidate_components(w: OneVarWord, discovered: list[Word]) -> tuple[list[C
         if solutions.all_integers:
             cosets.append(line)
         else:
-            extra_points.extend(g * root ** m for m in solutions.values)
+            extra_points.extend([p for m in solutions.values if (p := g * root ** m) not in known])
     return cosets, extra_points
 
 

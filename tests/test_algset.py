@@ -22,8 +22,8 @@ from fgz.algset import (
 from fgz.errors import AlphabetError, BallLimitError, EvaluationLimitError, ParseError, RootError
 from fgz.onevar import ParametricWord, PowerBlock, _line_candidates, reduce_parametric
 from fgz.words import (
-    MAX_BALL_LETTERS, MAX_PARSE_LETTERS, Alphabet, Word, _invert_data, _RootSplit, _split_root, enumerate_ball,
-    parse_word,
+    MAX_BALL_LETTERS, MAX_PARSE_LETTERS, Alphabet, Word, _invert_data, _RootSplit, _shortlex_less, _split_root,
+    enumerate_ball, parse_word,
 )
 
 from helpers import AB, ABC, random_lines, random_reduced_data, random_word, reduced_data, reference_elements_within, reference_member
@@ -171,25 +171,69 @@ class TestCyclicCoset:
     @example((coset("a b", "b a b^-1 a"), 0, w("1")))  # h is the identity
     @example((coset("1", "b^2 a b^-2"), 0, w("b^2 a^3 b^2")))  # near miss: 2|u| + 3|k| letters, no power
     @example((coset("1", "a b"), 0, w("b a b a")))  # near miss: a rotation of root^2
+    # near miss c a b b a c^-1 under u = c: its middle a b b a has 2|k| letters and begins with k = a b
     @example((CyclicCoset.make(Word(ABC, (3,)), Word(ABC, (3, 1, 2, -3))), 0, Word(ABC, (3, 1, 2, 2, 1, -3))))
+    @example((coset("b", "a b a^-1"), 0, w("1")))  # g is the rep, under a conjugator
+    @example((coset("a^-1", "a b"), 1, w("1")))  # b: a member as long as its rep a^-1
+    @example((coset("a^-1", "a b"), 0, w("a b^-1")))  # b^-1: a non-member as long as the rep
+    @example((coset("1", "b^2 a b^-2"), 0, w("b^-2")))  # |g| = |u|: no letter before u^-1
+    @example((coset("1", "b^2 a b^-2"), 0, w("b a")))  # |g| > |u|, but g does not end in u^-1
+    @example((coset("1", "b^2 a b^-2"), 0, w("a^2 b a b^-2")))  # near miss ending in k[-1] u^-1
+    @example((coset("1", "b^2 a b^-2"), -2, w("1")))  # m < 0: g ends in k^-1[-1] u^-1
+    @example((coset("a^-1", "a b"), -1, w("1")))  # m < 0 with no conjugator: a^-1 b^-1 a^-1
     def test_member_matches_primitive_root_reference(self, case):
-        # the last example is a near miss c a b b a c^-1 under u = c: its
-        # middle a b b a has 2 |k| letters and begins with k = a b
         c, m, tail = case
         g = c.element(m) * tail
         assert c.member(g) == reference_member(c, g)
 
     def test_member_reads_rep_inverse_g_once_reduced(self, monkeypatch):
-        # the common prefix of rep and g cancels before the split's exponent
-        # reads rep^-1 g, so it gets the reduced word, one call per g
+        # only a g that the canonical form leaves open reaches the split's
+        # exponent: not shorter than the rep, not the rep, and ending in the
+        # last letter of k or of k^-1 before u^-1.  The common prefix of rep
+        # and g cancels first, so exponent gets the reduced rep^-1 g, one call per such g
         c = coset("a b", "b a b a b^-1")
+        _, ui, k, ki = c._split
         ball = enumerate_ball(AB, 6)
         expected = [reference_member(c, g) for g in ball]
+        open_words = [
+            g for g in ball
+            if len(g) >= len(c.rep) and g != c.rep and g.data[-len(ui) - 1 :] in (k[-1:] + ui, ki[-1:] + ui)
+        ]
         calls = []
         exponent = _RootSplit.exponent
         monkeypatch.setattr(_RootSplit, "exponent", lambda split, h: calls.append(h) or exponent(split, h))
         assert [c.member(g) for g in ball] == expected and any(expected)
-        assert calls == [(~c.rep * g).data for g in ball]
+        assert calls == [(~c.rep * g).data for g in open_words]
+        assert len(calls) < len(ball)
+
+    def test_member_decides_at_the_edges_of_the_canonical_form(self, monkeypatch):
+        # the rep itself, a word shorter than it, and one not ending in
+        # k[-1] u^-1 or k^-1[-1] u^-1 are decided with no exponent call; in
+        # (a^-1)<a b> the member b = element(1) ties the rep in length
+        c = coset("a^-1", "a b")
+        assert (c.rep, c.root, c.element(1)) == (w("a^-1"), w("a b"), w("b"))
+        conjugated = coset("1", "b^2 a b^-2")
+        calls = []
+        exponent = _RootSplit.exponent
+        monkeypatch.setattr(_RootSplit, "exponent", lambda split, h: calls.append(h) or exponent(split, h))
+        assert c.member(c.rep) and conjugated.member(conjugated.rep)
+        assert not any(conjugated.member(w(g)) for g in ("b^-2", "b^2", "b a", "a b^-1", "b^2 a^2 b^-1"))
+        assert not coset("a^2", "b").member(w("a"))
+        assert not coset("1", "a^2 b a^-1").member(w("a^-1"))  # g = u^-1 ends in k^-1[-1], but has no room for it
+        assert calls == []
+        assert not conjugated.member(w("a^2 b a b^-2")) and calls == [w("a^2 b a b^-2").data]
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(st.integers(1, 3).flatmap(lambda rank: reduced_data(rank, 8, min_len=1)).filter(lambda k: k[0] != -k[-1]))
+    def test_orientation_reads_the_first_letters(self, k):
+        # for cyclically reduced k, k^-1 begins with -k[-1], never k[0], so
+        # the first letters decide the shortlex order of the equal-length cores
+        ki = _invert_data(k)
+        assert ki[0] != k[0]
+        assert _shortlex_less((ki[0],), (k[0],)) == _shortlex_less(ki, k)
+        alphabet = Alphabet("abc"[: max(map(abs, k))])
+        root = Word(alphabet, k).primitive_root().root
+        assert CyclicCoset.make(alphabet.identity(), root).root == min(root, ~root, key=Word.sort_key)
 
     def test_member_and_line_reduction_stay_on_data(self, monkeypatch):
         # once a coset or a line is built, membership and line reduction

@@ -3,6 +3,7 @@ import pickle
 import random
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -689,7 +690,8 @@ class TestExactSolutionSet:
 
 def ordered_pair_components(w, discovered):
     """Reference for ``_candidate_components``: every ordered pair of
-    distinct solutions proposes its line, deduplicated by canonical coset."""
+    distinct solutions proposes its line, deduplicated by canonical coset;
+    a zero of a line that does not vanish is added unless it was discovered."""
     cosets, extra_points, seen = [], [], set()
     for g in discovered:
         for h in discovered:
@@ -706,7 +708,7 @@ def ordered_pair_components(w, discovered):
             else:
                 for m in solutions.values:
                     candidate = g * root ** m
-                    if w.evaluate(candidate).is_identity:
+                    if w.evaluate(candidate).is_identity and candidate not in discovered:
                         extra_points.append(candidate)
     return cosets, extra_points
 
@@ -742,7 +744,8 @@ class TestCandidatePairing:
 
     def test_a_line_that_does_not_vanish_adds_its_zeros(self):
         # [[x, a], [x, b]] vanishes on three cosets; the other lines through
-        # its 11 discovered solutions vanish at finitely many points
+        # its 11 discovered solutions vanish at 64 points, 10 of them
+        # distinct, all discovered already, so pairing adds none of them
         word = ov("x a x^-1 a^-1 x b x^-1 b^-1 a x a^-1 x^-1 b x b^-1 x^-1")
         report = solve(word, SolveConfig(2, 4))
         assert (str(report.result), report.complete_on_radius, report.escalations) == (
@@ -751,7 +754,14 @@ class TestCandidatePairing:
         discovered = [g for g in brute_solutions(word, 4) if len(g) <= 2]
         cosets, extra_points = _candidate_components(word, discovered)
         assert len(discovered) == 11 and cosets == list(report.result.cosets)
-        assert len(extra_points) == 64 and set(extra_points) <= set(discovered)
+        lines = {CyclicCoset.make(g, (~g * h).primitive_root().root) for g, h in combinations(discovered, 2)}
+        zeros = [
+            c.rep * c.root ** m
+            for c in lines - set(cosets)
+            for m in reduce_parametric(substitute_line(word, c.rep, c.root)).values
+        ]
+        assert len(zeros) == 64 and len(set(zeros)) == 10 and set(zeros) <= set(discovered)
+        assert extra_points == []
 
     def test_pair_limit_counts_ordered_pairs(self, monkeypatch):
         word = ov("x a x^-1 a^-1")
