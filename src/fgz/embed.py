@@ -12,8 +12,9 @@ The coordinate at g depends only on supp(g), so the product has at most
 equal letter images are equal.  Two elements collide in the product
 exactly when they collide under the distinct maps, which is how the ball
 check computes it.  It works on the int-coded ball: for each distinct
-map, one walk from prefix to word extends each element's image by at
-most one letter, and collisions are looked up by the image data.
+map, one walk from prefix to word extends each element's image, held as
+one int, by at most one letter, and one set of the images decides
+injectivity; collisions are looked up only when it finds some.
 
 The infinite target alphabet and index set are replaced by finite
 surrogates; the target must merely be large enough to host an injection
@@ -75,26 +76,23 @@ def _phi_images(source: Alphabet, target: Alphabet, support_codes: tuple[int, ..
     fewer target letters outside the source than source letters outside
     the target), the map is injective.
     """
-    source_names, names = source.names, target.names
-    support = [source_names[i - 1] for i in support_codes]
-    needs_fresh = [x for x in support if x not in names]
-    # prefer target letters outside the common alphabet, then common
-    # letters outside the support (those are fixed by other source
-    # letters, which cannot break injectivity on the support)
-    outside = [y for y in names if y not in source_names]
-    fresh_pool = outside + [y for y in names if y in source_names and y not in support]
-    if len(needs_fresh) > len(fresh_pool):
-        raise AlphabetError(
-            f"target alphabet {tuple(names)} is too small: "
-            f"cannot map support {tuple(support)} injectively while fixing common letters"
-        )
-    assignment = dict(zip(needs_fresh, fresh_pool))
-    spare = iter(outside[len(needs_fresh):])
-    images = []
-    for x in source_names:
-        y = x if x in names else assignment[x] if x in assignment else next(spare, names[0])
-        images.append((names.index(y) + 1,))
-    return images
+    source_names, codes, source_codes = source.names, target._codes, source._codes
+    outside = [c for y, c in codes.items() if y not in source_codes]
+    needs_fresh = len([i for i in support_codes if source_names[i - 1] not in codes])
+    # prefer target letters outside the common alphabet, then, once those
+    # run out, common letters outside the support (those are fixed by other
+    # source letters, which cannot break injectivity on the support)
+    fresh_pool = outside
+    if needs_fresh > len(outside):
+        fresh_pool = outside + [c for y, c in codes.items() if y in source_codes and source_codes[y] not in support_codes]
+        if needs_fresh > len(fresh_pool):
+            raise AlphabetError(
+                f"target alphabet {target.names} is too small: cannot map support "
+                f"{tuple([source_names[i - 1] for i in support_codes])} injectively while fixing common letters"
+            )
+    fresh, spare = iter(fresh_pool), iter(outside[needs_fresh:])
+    # codes are >= 1, so `or` falls through exactly on a letter outside the target
+    return [(codes.get(x) or next(fresh if i in support_codes else spare, 1),) for i, x in enumerate(source_names, 1)]
 
 
 def build_phi_g(g: Word, target: Alphabet) -> Homomorphism:
@@ -105,9 +103,32 @@ def build_phi_g(g: Word, target: Alphabet) -> Homomorphism:
     return Homomorphism(g.alphabet, target, {x: Word(target, d) for x, d in zip(g.alphabet.names, images)})
 
 
-def _seam(image: tuple[int, ...], letter: tuple[int, ...]) -> tuple[int, ...]:
-    """``_concat_data(image, letter)`` for a reduced ``image`` and a ``letter`` of at most one letter."""
-    return image[:-1] if image and letter and image[-1] == -letter[0] else image + letter
+def _step(letter: tuple[int, ...], m: int) -> tuple[int, int, int]:
+    """The :func:`_seam` step of a ``letter`` of at most one letter over a
+    target of m letters: ``(base, digit, inverse digit)`` with base 2m + 1,
+    where code c > 0 has digit c and code c < 0 digit m - c.  The empty
+    letter's step is ``(1, 0, 0)``: x % 1 is always 0, so x // 1 = x.
+    A longer letter raises AssertionError: one seam cancels one letter at most."""
+    if not letter:
+        return (1, 0, 0)
+    if len(letter) > 1:
+        raise AssertionError("a coordinate map sends a letter to more than one letter")
+    c = letter[0]
+    return (2 * m + 1, c, m + c) if c > 0 else (2 * m + 1, m - c, -c)
+
+
+def _inverse_step(step: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The :func:`_step` of the inverse letter: the digit and the inverse digit swap."""
+    base, digit, inverse = step
+    return (base, inverse, digit)
+
+
+def _seam(image: int, step: tuple[int, int, int]) -> int:
+    """The numeral of ``_concat_data(image, letter)`` for the numeral ``image``
+    of a reduced word and the :func:`_step` of ``letter``: the last letter,
+    ``image % base``, cancels against the inverse digit, or the digit is appended."""
+    base, digit, inverse = step
+    return image // base if image % base == inverse else image * base + digit
 
 
 def _support_mask(data: tuple[int, ...]) -> int:
@@ -137,26 +158,37 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
     index's coordinate.
 
     Maps with equal letter images give equal images on every word, so
-    the walk keeps one signed table per distinct map, and ``slot`` sends
-    each support to its map's coordinate.  The per-index tuple of images
-    and the tuple over distinct tables determine each other: the first
-    lists the second's entries through ``slot``, and every entry of the
-    second occurs in the first.  So two ball elements share an image in
-    the per-index product exactly when their tuples agree, the
-    coordinate at index h is entry ``slot[supp(h)]``, and a support's
-    map moves a common letter exactly when its table does: every
-    collision, vanished witness and moved letter is found.
+    the walk keeps one step table per distinct map, and ``slot`` sends
+    each support, as a bitmask, to its map's coordinate.  The per-index
+    tuple of images and the tuple over distinct maps determine each
+    other: the first lists the second's entries through ``slot``, and
+    every entry of the second occurs in the first.  So two ball elements
+    share an image in the per-index product exactly when their tuples
+    agree, the coordinate at index h is entry ``slot[supp(h)]``, and a
+    support's map moves a common letter exactly when its letter images
+    do: every collision, vanished witness and moved letter is found.
 
-    For each distinct table, one walk over the int-coded ball, from
-    prefix to word (:func:`~fgz.words._ball_images`), gives each
-    element's image as :func:`_seam` of the prefix's image and the
-    letter's: the value ``Homomorphism.apply`` gives, since each table
-    entry has at most one letter (a longer one raises AssertionError).
-    So the walks keep the ball's letters once per table at most, and
-    more than :data:`~fgz.words.MAX_BALL_LETTERS` in all are refused
-    before them.  Failures are listed by ball index, which is shortlex
-    order, so the report is the one a loop over ``enumerate_ball`` gives.
-    Words are built only for failure messages.
+    An image is held as an int.  With m target letters and base
+    B = 2m + 1, a reduced target word is its bijective base-B numeral,
+    the last letter its least significant digit: code c > 0 has digit c,
+    code c < 0 digit m - c, and the identity is 0.  No digit is 0 or
+    reaches B, so distinct reduced words have distinct numerals, and
+    ``x % B`` is the last letter of the word x codes.  For each distinct
+    map, one walk over the int-coded ball, from prefix to word
+    (:func:`~fgz.words._ball_images`), gives each element's image as
+    :func:`_seam` of the prefix's image and the letter's :func:`_step`:
+    it drops the last digit when it is the inverse of the letter's, and
+    appends the letter's digit otherwise, which is the numeral of the
+    value ``Homomorphism.apply`` gives, since each letter image has at
+    most one letter (a longer one raises AssertionError).  The walks
+    keep the ball's letters once per map at most, and more than
+    :data:`~fgz.words.MAX_BALL_LETTERS` in all are refused before them.
+    The images are injective exactly when one set of them has an entry
+    per ball element; only when it has fewer are the colliding elements
+    looked up.  A coordinate vanishes where its column holds 0.
+    Failures are listed by ball index, which is shortlex order, so the
+    report is the one a loop over ``enumerate_ball`` gives.  Words are
+    built only for failure messages.
 
     Checks: the restriction of phi to the ball is injective; for every
     nontrivial h the coordinate at index h is nontrivial; every
@@ -173,24 +205,25 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
     slot: dict[int, int] = {}
     for codes in chain.from_iterable(combinations(range(1, rank + 1), n) for n in range(1, min(rank, radius) + 1)):
         phi = tuple(_phi_images(source, target, codes))
-        slot[_support_mask(codes)] = coords.setdefault(phi, len(coords))
-    if any(len(d) > 1 for phi in coords for d in phi):
-        raise AssertionError("a coordinate map sends a letter to more than one letter")
+        slot[sum([1 << (c - 1) for c in codes])] = coords.setdefault(phi, len(coords))
     if (letters := _ball_letters(rank, radius)) * len(coords) > MAX_BALL_LETTERS:
         raise BallLimitError(
             f"{len(coords)} distinct coordinate maps of a ball of {letters:,} letters keep "
             f"{len(coords) * letters:,} image letters, over the limit of {MAX_BALL_LETTERS:,}"
         )
-    tables = [_signed_code_table((), phi, _invert_data) for phi in coords]
-    columns = [list(chain.from_iterable(_ball_images(rank, radius, table, _seam, ()))) for table in tables]
+    m = len(target)
+    tables = [_signed_code_table(_step((), m), [_step(d, m) for d in phi], _inverse_step) for phi in coords]
+    columns = [list(chain.from_iterable(_ball_images(rank, radius, table, _seam, 0))) for table in tables]
     images = columns[0] if len(columns) == 1 else list(zip(*columns))  # one map: its coordinate
-    # later entries overwrite earlier ones, so each image keeps its first index
-    first = dict(zip(reversed(images), range(len(ball) - 1, -1, -1)))
-    collided = set() if len(first) == len(ball) else {i for i, image in enumerate(images) if first[image] != i}
-    vanished = {  # entry 0, the identity's, is () in every column
+    collided: set[int] = set()
+    if len(set(images)) < len(ball):
+        # later entries overwrite earlier ones, so each image keeps its first index
+        first = dict(zip(reversed(images), range(len(ball) - 1, -1, -1)))
+        collided = {i for i, image in enumerate(images) if first[image] != i}
+    vanished = {  # entry 0, the identity's, is 0 in every column
         i
         for c, column in enumerate(columns)
-        if column.count(()) > 1
+        if column.count(0) > 1
         for i, coord in enumerate(column)
         if not coord and i and slot[_support_mask(ball[i])] == c
     }
@@ -201,11 +234,12 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
             failures.append(f"not injective: {Word(source, ball[first[images[i]]])} and {h} share an image")
         if i in vanished:
             failures.append(f"witness coordinate vanished for {h}")
-    common = [x for x in source.names if x in set(target.names)]
+    target_codes = target._codes
+    common = [x for x in source.names if x in target_codes]
     fixes = True
     for x in common:
-        fixed, v = (target.value(x),), source.value(x)
-        moved = {c: table[v] for c, table in enumerate(tables) if table[v] != fixed}
+        fixed, v = (target_codes[x],), source.index(x)
+        moved = {c: phi[v] for c, phi in enumerate(coords) if phi[v] != fixed}
         if moved:
             fixes = False
             for gd in ball[1:]:
@@ -216,7 +250,7 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
         index_count=len(ball) - 1,
         ball_size=len(ball),
         checked=len(ball) + len(common),
-        injective=len(first) == len(ball),
+        injective=not collided,
         fixes_common_letters=fixes,
         failures=tuple(failures),
     )

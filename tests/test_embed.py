@@ -1,13 +1,16 @@
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fgz import embed
-from fgz.embed import EmbedCheckReport, Homomorphism, _seam, build_phi_g, check_mono_on_ball
+from fgz.embed import EmbedCheckReport, Homomorphism, _seam, _step, build_phi_g, check_mono_on_ball
 from fgz.errors import AlphabetError, BallLimitError, IdentityWordError
-from fgz.words import MAX_BALL_LETTERS, Alphabet, Word, _ball_letters, _concat_data, enumerate_ball, parse_word
+from fgz.words import (
+    MAX_BALL_LETTERS, Alphabet, Word, _ball_images, _ball_letters, _concat_data, enumerate_ball, parse_word,
+)
 
 from helpers import AB, ABC, random_word, reduced_data, signed_letters
 
@@ -267,6 +270,14 @@ class TestBallWalk:
             check_mono_on_ball(AB, CD, 2)
 
 
+    def test_long_radius_at_rank_one(self):
+        # a into b, c at radius 300: images of up to 300 letters are numerals
+        # in base 5 of up to 697 bits, past every machine word
+        a, bc = Alphabet(("a",)), Alphabet(("b", "c"))
+        report = same_report_or_error(a, bc, 300)
+        assert report.injective and report.failures == () and report.ball_size == 601
+
+
 class TestWalkCost:
     """The walk extends each nontrivial ball element once per distinct coordinate map."""
 
@@ -315,14 +326,96 @@ class TestWalkCost:
             check_mono_on_ball(source, target, 3)
 
 
-@settings(deadline=None, derandomize=True, max_examples=300)
-@given(st.integers(1, 3).flatmap(lambda rank: st.tuples(reduced_data(rank, 8), reduced_data(rank, 1))))
-@example(((), ()))
-@example(((1, -2), (2,)))
-@example(((-1,), (1,)))
-def test_seam_is_the_product_for_one_letter(pair):
-    image, letter = pair
-    assert _seam(image, letter) == _concat_data(image, letter)
+def numeral(data: tuple[int, ...], m: int) -> int:
+    """The bijective base-(2m + 1) numeral of a reduced word over m letters,
+    its last letter the least significant digit: code c > 0 has digit c,
+    code c < 0 digit m - c."""
+    x = 0
+    for c in data:
+        x = x * (2 * m + 1) + (c if c > 0 else m - c)
+    return x
+
+
+def word_of(x: int, m: int) -> tuple[int, ...]:
+    """The reduced word whose :func:`numeral` over m letters is x."""
+    data = []
+    while x:
+        x, digit = divmod(x, 2 * m + 1)
+        data.append(digit if digit <= m else m - digit)
+    return tuple(reversed(data))
+
+
+@st.composite
+def seam_cases(draw):
+    """A target of 1-12 letters (base 3-25, ranks 1-3 among them), a
+    reduced image of up to 8 letters over it, the empty one included, and
+    one of its letters or the empty letter."""
+    m = draw(st.integers(1, 12))
+    return m, draw(reduced_data(m, 8)), draw(reduced_data(m, 1))
+
+
+@settings(deadline=None, derandomize=True, max_examples=500)
+@given(seam_cases())
+@example((1, (), ()))
+@example((2, (), (-2,)))
+@example((2, (1, -2), ()))
+@example((2, (1, -2), (2,)))
+@example((1, (-1,), (1,)))
+# the digit boundaries: code m (digit m), -1 (digit m + 1) and -m (digit 2m)
+@example((3, (3,), (-3,)))
+@example((3, (2, 3), (3,)))
+@example((3, (-1,), (1,)))
+@example((3, (2, -1), (-1,)))
+@example((3, (3,), (1,)))
+@example((3, (-1,), (3,)))
+@example((3, (-3,), (3,)))
+@example((3, (1, -3), (-3,)))
+@example((12, (12, -12, -1), (1,)))
+@example((12, (-12, -1), (-12,)))
+def test_seam_is_the_product_for_one_letter(case):
+    m, image, letter = case
+    assert word_of(numeral(image, m), m) == image
+    assert word_of(_seam(numeral(image, m), _step(letter, m)), m) == _concat_data(image, letter)
+
+
+class TestImageColumns:
+    """Each column the walk builds holds the numerals of ``Homomorphism.apply``."""
+
+    @pytest.mark.parametrize("careless", [False, True], ids=["rule", "careless"])
+    @pytest.mark.parametrize(
+        "source, target",
+        [(AB, CD), (AB, AB), (ABC, Y4), (ABC, Alphabet(("d", "f", "g"))), (Alphabet(("a",)), CD)],
+        ids=["ab-cd", "ab-ab", "abc-bcdf", "abc-dfg", "a-cd"],
+    )
+    def test_columns_decode_to_apply(self, monkeypatch, source, target, careless):
+        phi_images = embed._phi_images
+
+        def rule(source, target, support_codes):
+            if careless:  # the careless map of TestBallWalk
+                return [() if v == support_codes[0] else (1,) for v in range(1, len(source) + 1)]
+            return phi_images(source, target, support_codes)
+
+        maps, columns = [], []
+
+        def recording_phi_images(source, target, support_codes):
+            images = rule(source, target, support_codes)
+            maps.append(tuple(images))
+            return images
+
+        def recording_ball_images(rank, radius, table, op, identity):
+            column = list(chain.from_iterable(_ball_images(rank, radius, table, op, identity)))
+            columns.append(column)
+            return [column]
+
+        monkeypatch.setattr(embed, "_phi_images", recording_phi_images)
+        monkeypatch.setattr(embed, "_ball_images", recording_ball_images)
+        check_mono_on_ball(source, target, 4)
+        distinct = list(dict.fromkeys(maps))
+        assert len(columns) == len(distinct) > 0
+        ball = enumerate_ball(source, 4)
+        for phi, column in zip(distinct, columns):
+            hom = Homomorphism(source, target, {x: Word(target, d) for x, d in zip(source.names, phi)})
+            assert [word_of(x, len(target)) for x in column] == [hom.apply(h).data for h in ball]
 
 
 class TestCheckMonoOnBall:
