@@ -58,7 +58,7 @@ class OneVarWord:
     def from_body(cls, body: Word, variable: str = DEFAULT_VARIABLE) -> "OneVarWord":
         """Wrap a word already over an extended alphabet (variable last)."""
         names = body.alphabet.names
-        if names[-1] != variable:
+        if names[-1:] != (variable,):
             raise AlphabetError(f"expected {variable!r} as the last letter of the extended alphabet")
         return cls(Alphabet(names[:-1]), variable, body)
 

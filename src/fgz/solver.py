@@ -11,19 +11,24 @@ one walk of the ball with the brute-force oracle finds them; it
 evaluates only the ball elements that the abelianization or the image in
 the finite quotient PSL(2, 7) does not rule out.
 
-The round keeps the solutions in the smaller discovery ball.  With fewer
-than two kept it decides by counts, whatever the source: all of them
-kept, they are the answer, as points; otherwise the others, in shortlex
-order, are the mismatch, and the discovery radius escalates.  So an
-empty exact set is the first round's answer, at the verification radius,
-and is returned before any round reads member data.  Two or
-more kept make an exact set the answer.  From an oracle walk, every pair
-of them proposes a cyclic line, and each proposed line is verified
-symbolically by parametric reduction; lines that vanish identically
-become cosets, the rest contribute isolated solutions; only pairing has
-a pair limit.  The assembled set's members in the ball are then
-compared, as a finite set, with the round's solutions, escalating the
-discovery radius on mismatch.
+The round keeps the solutions in the smaller discovery ball and returns
+exactly when the list, as data, of the solutions its answer misses is
+empty; otherwise the discovery radius escalates, and the last round's
+list, in shortlex order, is the mismatch an exhausted escalation reports.
+With fewer than two kept, whatever the source, they are the answer, as
+points, and the list is the others.  So an empty exact set is the first
+round's answer, at the verification radius, and is returned before any
+round reads member data.  Two or more kept make an exact set the answer.
+From an oracle walk, every pair of them proposes a cyclic line, and each
+proposed line is verified symbolically by parametric reduction; lines
+that vanish identically become cosets, the rest contribute isolated
+solutions; only pairing has a pair limit.  The list is then the walk's
+solutions outside the discovery ball that the assembled set rejects.
+Nothing else can be missing, as the discovered solutions are its points,
+and none of its members in the ball is other than a walk solution: its
+points are walk solutions or zeros that parametric reduction found by
+exact evaluation, and a coset joins only when its line's normalized
+block form is empty.
 
 Soundness is unconditional: every emitted component is proved, by
 parametric reduction or by the closed forms.  Completeness is certified
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algset import AlgebraicSet, CyclicCoset, to_json_dict
-from .errors import SolverError
+from .errors import AlphabetError, SolverError
 from .onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
 from .words import Word, _core_start, _invert_data, _letters_text, _reduce_data, _shortlex_key, _split_root
 
@@ -99,18 +104,16 @@ class SolveReport:
         return d
 
 
-def verify_against_oracle(
-    w: OneVarWord, s: AlgebraicSet, radius: int, solutions: list[Word] | None = None
-) -> OracleReport:
+def verify_against_oracle(w: OneVarWord, s: AlgebraicSet, radius: int) -> OracleReport:
     """Compare ``s`` with the brute-force solutions on a ball.
 
-    ``solutions`` is ``brute_solutions(w, radius)`` when the caller has it
-    already.  As every solution lies in the ball, ``missing`` (solutions
-    not members) and ``extra`` (members not solutions) are exact.  Both
-    are in shortlex order.
+    As every solution lies in the ball, ``missing`` (solutions not
+    members) and ``extra`` (members not solutions) are exact.  Both are
+    in shortlex order.  ``s`` must be over the alphabet of ``w``.
     """
-    if solutions is None:
-        solutions = brute_solutions(w, radius)
+    if s.alphabet != w.alphabet:
+        raise AlphabetError("operands over different alphabets")
+    solutions = brute_solutions(w, radius)
     members = s.members_within(radius)
     missing = tuple([g for g in solutions if g not in members])
     extra = tuple(sorted(members.difference(solutions), key=Word.sort_key))
@@ -251,17 +254,16 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
     whole group when the coefficient word is trivial and empty otherwise.
 
     Each round reads the solutions in the verification ball as data, from
-    the :func:`exact_solution_set` or an oracle walk, and keeps those in
-    the discovery ball.  Fewer than two kept: when they are all the
-    solutions they are the answer, as points; otherwise the radius
-    escalates, and the last round's unkept solutions, in shortlex order,
-    are the mismatch an exhausted escalation reports.  Two or more: an
-    exact set is the answer, as pairing would prove exactly its coset;
-    otherwise pairing, alone under :data:`MAX_PAIRS`, proposes the lines
-    and the whole list verifies the assembled set.  Only the walk builds
-    a ball, so only it refuses one.  An empty exact set is its first round
-    written out: nothing to keep, so it is the answer at the verification
-    radius, with no escalation and no member data read.
+    the :func:`exact_solution_set` or an oracle walk, and returns exactly
+    when its answer misses none of them.  Fewer than two in the discovery
+    ball are the answer, as points.  Two or more make an exact set the
+    answer, or else the set that pairing, alone under :data:`MAX_PAIRS`,
+    assembles: its points are walk solutions or zeros that exact evaluation
+    found, and a coset joins only when its line's normalized block form is
+    empty, so its members in the ball are walk solutions, and only the
+    walk's solutions outside the discovery ball need a membership test.
+    Only the walk builds a ball, so only it refuses one.  An empty exact
+    set is its first round written out, with no member data read.
     """
     cfg = cfg or SolveConfig()
     if not w.contains_variable:
@@ -282,27 +284,23 @@ def solve(w: OneVarWord, cfg: SolveConfig | None = None) -> SolveReport:
             found = exact._data_within(radius)
         discovered = [d for d in found if len(d) <= discovery]
         if len(discovered) < 2:
-            if len(discovered) == len(found):
+            missing = [d for d in found if len(d) > discovery]
+            if not missing:
                 return SolveReport(AlgebraicSet(alphabet, [Word(alphabet, d) for d in discovered]), radius, escalation)
-            report = None  # the mismatch is the unkept data, written out only if escalation is exhausted
         elif exact is not None:
-            # pairing would prove exactly this set, so the oracle check could only match
+            # pairing would prove exactly this set
             return SolveReport(exact, radius, escalation)
         else:
             points = solutions[: len(discovered)]  # the walk lists them in shortlex order
             cosets, extra_points = _candidate_components(w, points)
             result = AlgebraicSet(alphabet, points + extra_points, cosets)
-            report = verify_against_oracle(w, result, radius, solutions)
-            if report.match:
+            missing = [g.data for g in solutions[len(points) :] if not result.member(g)]
+            if not missing:
                 return SolveReport(result, radius, escalation)
         discovery += 2
-    if report is None:
-        missing = sorted([d for d in found if len(d) > discovery - 2], key=_shortlex_key)
-        report = OracleReport(False, tuple([Word(alphabet, d) for d in missing]), (), radius)
+    shown = [str(Word(alphabet, d)) for d in sorted(missing, key=_shortlex_key)]
     raise SolverError(
-        "escalation exhausted with persistent oracle mismatch at radius "
-        f"{radius}: missing={[str(g) for g in report.missing]} "
-        f"extra={[str(g) for g in report.extra]}; the discovery radius went from "
-        f"{cfg.discovery_radius} to {discovery - 2} in MAX_ESCALATIONS = {MAX_ESCALATIONS} escalations; "
-        "re-run with a larger --radius"
+        f"escalation exhausted with persistent oracle mismatch at radius {radius}: missing={shown} extra=[]; "
+        f"the discovery radius went from {cfg.discovery_radius} to {discovery - 2} in "
+        f"MAX_ESCALATIONS = {MAX_ESCALATIONS} escalations; re-run with a larger --radius"
     )

@@ -73,6 +73,10 @@ class TestOneVarWord:
         with pytest.raises(AlphabetError, match="^expected 'x' as the last letter of the extended alphabet$"):
             OneVarWord.from_body(Word(ABC, (3,)))
 
+    def test_a_body_over_no_letters_has_no_variable(self):
+        with pytest.raises(AlphabetError, match="^expected 'x' as the last letter of the extended alphabet$"):
+            OneVarWord.from_body(Word(Alphabet(()), ()))
+
     def test_variable_override(self):
         word = OneVarWord.parse("t a t^-1", AB, variable="t")
         assert word.contains_variable

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import pickle
 import random
 import time
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from fgz import solver as solver_module
 from fgz.algset import AlgebraicSet, CyclicCoset, subset
-from fgz.errors import BallLimitError, SolverError
+from fgz.errors import AlphabetError, BallLimitError, SolverError
 from fgz.onevar import OneVarWord, abelian_constraint, brute_solutions, reduce_parametric, substitute_line
 from fgz.solver import (
     OracleReport,
@@ -160,6 +162,11 @@ class TestVerifyAgainstOracle:
         assert not report.match
         assert w("a") in report.missing
         assert not report.extra
+
+    def test_a_set_over_another_alphabet_is_refused(self):
+        word = OneVarWord.parse("x a", Alphabet(("a",)))
+        with pytest.raises(AlphabetError, match="^operands over different alphabets$"):
+            verify_against_oracle(word, AlgebraicSet.empty(Alphabet(("b",))), 2)
 
 
 class TestSolvePipeline:
@@ -326,6 +333,36 @@ class TestSolvePipeline:
         with pytest.raises(SolverError, match="mismatch") as info:
             solve(late, SolveConfig(2, 4))
         assert str(info.value) == message
+
+    def test_a_pairing_round_reports_the_walk_solutions_it_misses(self, monkeypatch):
+        # sigma = 0 and no closed form: 1 and b^-1 are discovered at radius 1,
+        # and pairing's line (1)<b> misses a b a^-1, a point of its own
+        word = ov("a b x a^-1 x a b^-1 x^-1 a^-1 x^-1")
+        assert exact_solution_set(word) is None
+        report = solve(word, SolveConfig(1, 3))
+        assert (str(report.result), report.complete_on_radius, report.escalations) == ("{1, b^-1, a b a^-1}", 5, 1)
+        monkeypatch.setattr(solver_module, "MAX_ESCALATIONS", 0)
+        message = (
+            "escalation exhausted with persistent oracle mismatch at radius 3: missing=['a b a^-1'] extra=[]; "
+            "the discovery radius went from 1 to 1 in MAX_ESCALATIONS = 0 escalations; re-run with a larger --radius"
+        )
+        with pytest.raises(SolverError, match="mismatch") as info:
+            solve(word, SolveConfig(1, 3))
+        assert str(info.value) == message
+
+    def test_a_pairing_round_needs_no_oracle_comparison(self, planted, monkeypatch):
+        # the round tests the walk's solutions for membership: no member of the set is listed
+        nested = ov("x a x^-1 a^-1 x b x^-1 b^-1 a x a^-1 x^-1 b x b^-1 x^-1")
+        cases = [(word, FAST) for word, _, _ in planted] + [(nested, SolveConfig(2, 4))]
+        expected = [report for _, _, report in planted] + [solve(nested, SolveConfig(2, 4))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle comparison ran in a pairing round")
+
+        monkeypatch.setattr(solver_module, "verify_against_oracle", refuse)
+        monkeypatch.setattr(AlgebraicSet, "members_within", refuse)
+        monkeypatch.setattr(CyclicCoset, "elements_within", refuse)
+        assert [solve(word, cfg) for word, cfg in cases] == expected
 
     @pytest.mark.parametrize(
         "text, rejected",
@@ -798,6 +835,15 @@ class TestPlantedConjugacyWords:
         assert all(e == true for e, (_, true, _) in zip(exact, planted) if e is not None)
         radius = [report.result == true for e, (_, true, report) in zip(exact, planted) if e is None]
         assert (len(planted) - len(radius), radius.count(True), radius.count(False)) == (90, 199, 11)
+
+    def test_answers_are_pinned(self, planted):
+        # every report at 3/5, 2/4 and 0/2, one sorted JSON line each: a change of any answer changes the digest
+        lines = [report for _, _, report in planted]
+        lines += [solve(word, cfg) for cfg in (SolveConfig(2, 4), SolveConfig(0, 2)) for word, _, _ in planted]
+        text = "".join(json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n" for r in lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fed8652505e1683aada9a1f7147a9bf0c8e9c1954d8db0c69fd35488f6bee24f"
+        )
 
 
 def exponent_sum(word: OneVarWord) -> int:
