@@ -70,7 +70,9 @@ class CyclicCoset:
 
     def elements_within(self, length: int) -> list[Word]:
         """The elements ``rep * root^m`` of length at most ``length``, in order of m:
-        the words of :meth:`_data_within`."""
+        the words of :meth:`_data_within`; a negative length is refused."""
+        if length < 0:
+            raise ValueError("radius must be >= 0")
         return [Word(self.alphabet, d) for d in self._data_within(length)]
 
     def _data_within(self, length: int) -> list[tuple[int, ...]]:
@@ -264,15 +266,15 @@ class AlgebraicSet:
         return {Word(self.alphabet, d) for d in self._data_within(length)}
 
     def _data_within(self, length: int) -> Collection[tuple[int, ...]]:
-        """The data of the members of length at most ``length``, each once:
+        """The data of the members of length at most ``length`` >= 0, each once:
         the short points and the :meth:`CyclicCoset._data_within` of each
         coset; for F, the ball, under the limits of
         :func:`~fgz.words.check_ball_limit`.  One component lists each
         member once, so only two or more are merged in a set: merging one
         as well made the coset-solve ops 10% slower."""
+        if length < 0:
+            raise ValueError("radius must be >= 0")
         if self.whole_group:
-            if length < 0:
-                raise ValueError("radius must be >= 0")
             return _ball_data(len(self.alphabet), length)
         parts = [[p.data for p in self.points if len(p) <= length]] if self.points else []
         parts += [c._data_within(length) for c in self.cosets]

@@ -197,6 +197,8 @@ def check_mono_on_ball(source: Alphabet, target: Alphabet, radius: int) -> Embed
     if radius < 0:
         raise ValueError("radius must be >= 0")
     rank = len(source)
+    if not rank:
+        raise AlphabetError("the source alphabet has no letters, so the index set is empty")
     ball = _ball_data(rank, radius)
     if len(ball) == 1:
         raise ValueError("index radius must be >= 1 so the index set is nonempty")

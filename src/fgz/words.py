@@ -11,7 +11,8 @@ any number of reduced pieces, which every n-ary product in the package
 goes through, and :func:`_concat_data` for the binary ``Word.__mul__``;
 :func:`parse_word` cancels each term against its output as it reads.
 Powers of a root ``r = u k u^-1``, k cyclically reduced, are written once,
-in its split :class:`_RootSplit`.
+in its split :class:`_RootSplit`, and every ball of reduced words is one
+walk, :func:`_ball_images` over the rule and order of :func:`_ball_steps`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -498,33 +499,18 @@ def check_ball_limit(rank: int, radius: int) -> None:
 
 @lru_cache(maxsize=BALL_CACHE_SIZE)
 def _ball_data(rank: int, radius: int) -> tuple[tuple[int, ...], ...]:
-    """All reduced int-tuples of length <= radius, in shortlex order.
-
-    Balls over the limits of :func:`check_ball_limit` are refused first.
-    """
-    check_ball_limit(rank, radius)
-    if radius <= 0:
-        return ((),)
-    signed = [v for i in range(1, rank + 1) for v in (i, -i)]
-    out: list[tuple[int, ...]] = [()]
-    layer: list[tuple[int, ...]] = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in layer:
-            last = w[-1] if w else 0
-            for v in signed:
-                if v != -last:
-                    nxt.append(w + (v,))
-        out.extend(nxt)
-        layer = nxt
-    return tuple(out)
+    """All reduced int-tuples of length <= radius, in shortlex order: the
+    letters walked by :func:`_ball_images`, refused first over the limits
+    of :func:`check_ball_limit`."""
+    letters = _signed_code_table((), [(v,) for v in range(1, rank + 1)], _invert_data)
+    return (*chain.from_iterable(_ball_images(rank, radius, letters, tuple.__add__, ())),)
 
 
 @lru_cache(maxsize=BALL_CACHE_SIZE)
 def _ball_steps(rank: int, radius: int) -> list[tuple[int, int]]:
-    """Step i is ``(p, v)``: word i + 1 of :func:`_ball_data` is word p of
-    the layer before it times the letter v.  Each layer is extended as the
-    ball's is, so the steps list the words in ball order."""
+    """Step i is ``(p, v)``: word i + 1 of the ball is word p of the layer
+    before it times a letter v other than the inverse of its last, in code
+    order ``1, -1, 2, -2, ...``: the one rule and order of every ball walk."""
     check_ball_limit(rank, radius)
     signed = [v for i in range(1, rank + 1) for v in (i, -i)]
     steps, lasts = [], [0]
@@ -536,7 +522,7 @@ def _ball_steps(rank: int, radius: int) -> list[tuple[int, int]]:
 
 
 def _ball_images(rank: int, radius: int, table: Sequence, op: Callable, identity) -> Iterator[list]:
-    """The images of the words of :func:`_ball_data`, one list per layer, in ball order.
+    """The images of the ball's words, one list per layer, in ball order.
 
     A word's image is ``op(image of its prefix, table[its last letter])``,
     read off :func:`_ball_steps`, and the empty word's is ``identity``.

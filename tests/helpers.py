@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import re
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 
 from hypothesis import strategies as st
 
@@ -13,7 +13,7 @@ from fgz.algset import AlgebraicSet, CyclicCoset
 from fgz.errors import ParseError
 from fgz.onevar import OneVarWord, ParametricWord, substitute_line
 from fgz.residual import Permutation
-from fgz.words import MAX_PARSE_LETTERS, RESERVED_NAMES, Alphabet, Word, _concat_data, _reduce_data, enumerate_ball
+from fgz.words import MAX_PARSE_LETTERS, RESERVED_NAMES, Alphabet, Word, _concat_data, _reduce_data, _shortlex_key, enumerate_ball
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -27,6 +27,18 @@ def random_reduced_data(rng: random.Random, rank: int, length: int) -> tuple[int
         choices = [v for v in signed if not data or v != -data[-1]]
         data.append(rng.choice(choices))
     return tuple(data)
+
+
+def reference_ball(rank: int, radius: int) -> list[tuple[int, ...]]:
+    """Every reduced int-tuple over the codes +-1..+-rank of length <= radius,
+    in shortlex order, built without the ball walk: all tuples of each length,
+    the unreduced ones dropped, sorted by :func:`_shortlex_key`.  A negative
+    radius keeps the empty word alone, as ``ball_size``'s series counts it."""
+    signed = [v for i in range(1, rank + 1) for v in (i, -i)]
+    return sorted(
+        (t for n in range(max(radius, 0) + 1) for t in product(signed, repeat=n) if all(x != -y for x, y in zip(t, t[1:]))),
+        key=_shortlex_key,
+    )
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, max_len: int, min_len: int = 0) -> Word:

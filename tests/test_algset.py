@@ -111,11 +111,12 @@ def raw_cosets(draw, alphabet, root=None):
 def cosets_with_lengths(draw):
     """A canonical coset over an alphabet of rank 2 or 3, its root
     conjugated by a word of length 0-3, and a length from ``|rep| - 1`` to
-    ``|rep| + 3 |root|``."""
+    ``|rep| + 3 |root|``, but at least 0: a negative length is refused
+    (``test_every_set_refuses_a_negative_length``)."""
     alphabet = draw(st.sampled_from((AB, ABC)))
     v = Word(alphabet, draw(reduced_data(len(alphabet), 3)))
     c = CyclicCoset.make(*draw(raw_cosets(alphabet, v * draw(primitive_roots(alphabet)) * ~v)))
-    return c, len(c.rep) + draw(st.integers(-1, 3 * len(c.root)))
+    return c, max(0, len(c.rep) + draw(st.integers(-1, 3 * len(c.root))))
 
 
 @st.composite
@@ -804,6 +805,19 @@ class TestWholeGroup:
             WHOLE.members_within(12)  # 1,062,881 elements at rank 2
         with pytest.raises(ValueError, match="^radius must be >= 0$"):
             WHOLE.members_within(-1)
+
+    def test_every_set_refuses_a_negative_length(self):
+        # F, the empty set, a point set and a coset set refuse it alike, as
+        # enumerate_ball does, and so does a coset's own element list
+        coset = CyclicCoset.make(parse_word("a", AB), parse_word("b", AB))
+        point = AlgebraicSet.of(AB, [parse_word("a", AB)])
+        for s in (WHOLE, AlgebraicSet.empty(AB), point, AlgebraicSet.of(AB, [], [(coset.rep, coset.root)])):
+            with pytest.raises(ValueError, match="^radius must be >= 0$"):
+                s.members_within(-1)
+        for c in (coset, CyclicCoset.make(AB.identity(), parse_word("a", AB))):
+            with pytest.raises(ValueError, match="^radius must be >= 0$"):
+                c.elements_within(-1)
+        assert coset.elements_within(0) == [] and point.members_within(0) == set()
 
     def test_rank_one_forms_agree(self):
         # at rank 1 every coset a<r> is all of Z, so a set with a coset is F

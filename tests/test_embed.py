@@ -187,6 +187,11 @@ class TestSupportLemma:
         with pytest.raises(ValueError, match="index radius must be >= 1"):
             check_mono_on_ball(AB, CD, 0)
 
+    def test_a_source_with_no_letters_is_named_as_the_cause(self):
+        # the radius is fine; the index set is empty because the source is
+        with pytest.raises(AlphabetError, match="^the source alphabet has no letters, so the index set is empty$"):
+            check_mono_on_ball(Alphabet(()), Alphabet(("a",)), 2)
+
     def test_coordinate_depends_only_on_support(self):
         rng = random.Random(71)
         first: dict[frozenset[str], Word] = {}

@@ -11,10 +11,12 @@ state kept beside them is declared, and out of equality and repr.  A table
 names the package modules that each layer may import, as they stand: the
 set algebra rests on the word kernel alone, the witnesses on it and the
 folded graphs of ``algset``, and the solver on the set algebra and the
-equation layer of ``onevar``.
+equation layer of ``onevar``.  Every cache decorator names an int
+``maxsize``, so what the package keeps between calls stays bounded.
 """
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -69,6 +71,28 @@ def test_dataclasses_set_only_declared_fields():
                     if not (isinstance(name, ast.Constant) and name.value in fields):
                         found.append(f"{path.name}:{node.lineno} {cls.name} sets {ast.unparse(name)}")
     assert checked and not found, f"undeclared dataclass state: {found}"
+
+
+def test_cache_decorators_have_an_int_maxsize():
+    # a decorator's cache lives as long as the process, so each names its
+    # bound, a literal or a module constant; a cache built by a call inside
+    # a function, like _quotient_buckets' lru_cache(maxsize=None)(_compose),
+    # is dropped with that call and is no decorator
+    checked, found = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("fgz" if path.stem == "__init__" else f"fgz.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            for d in getattr(node, "decorator_list", ()):
+                func = d.func if isinstance(d, ast.Call) else d
+                if ast.unparse(func).removeprefix("functools.") not in ("lru_cache", "cache"):
+                    continue
+                checked += 1
+                given = [k.value for k in getattr(d, "keywords", ()) if k.arg == "maxsize"] + getattr(d, "args", [])[:1]
+                bound = given[0] if given else None
+                value = getattr(module, bound.id, None) if isinstance(bound, ast.Name) else getattr(bound, "value", None)
+                if type(value) is not int:
+                    found.append(f"{path.name}:{d.lineno} {ast.unparse(d)}")
+    assert checked and not found, f"cache decorators without an int maxsize: {found}"
 
 
 #: the package modules each module may import: the set algebra and the

@@ -44,6 +44,7 @@ from helpers import (
     random_unreduced_letters,
     random_word,
     reduced_data,
+    reference_ball,
     reference_parse_word,
     reference_sort_key,
     signed_letters,
@@ -652,20 +653,28 @@ class TestEnumerateBall:
             assert _ball_letters(rank, radius) <= MAX_BALL_LETTERS
         assert _ball_letters(2, 11) == 3_720_088
 
+    def test_ball_is_the_reference_ball(self):
+        # a reference built apart from the steps: every tuple of each length,
+        # the unreduced ones dropped, sorted shortlex
+        for rank in range(0, 4):
+            for radius in range(-1, 6):
+                reference = reference_ball(rank, radius)
+                assert list(_ball_data(rank, radius)) == reference
+                assert ball_size(rank, radius) == len(reference)
+
     def test_ball_letters_count_the_words(self):
         for rank in range(0, 4):
-            for radius in range(0, 5):
-                assert _ball_letters(rank, radius) == sum(len(d) for d in _ball_data(rank, radius))
+            for radius in range(-1, 6):
+                assert _ball_letters(rank, radius) == sum(len(d) for d in reference_ball(rank, radius))
 
     def test_ball_images_of_the_letters_are_the_ball(self):
         # each letter's image is the letter itself, so each word's image is
         # the word, and the walk gives the ball back layer by layer
         for rank in range(0, 4):
             for radius in range(0, 5):
-                ball = _ball_data(rank, radius)
                 letters = _signed_code_table((), [(v,) for v in range(1, rank + 1)], _invert_data)
                 layers = list(_ball_images(rank, radius, letters, _concat_data, ()))
-                assert [d for layer in layers for d in layer] == list(ball)
+                assert [d for layer in layers for d in layer] == reference_ball(rank, radius)
                 assert all(len(d) == n for n, layer in enumerate(layers) for d in layer)
 
     def test_ball_steps_rebuild_the_ball(self):
@@ -678,7 +687,7 @@ class TestEnumerateBall:
                     size = ball_size(rank, n) - ball_size(rank, n - 1)
                     layer = [layer[p] + (v,) for p, v in islice(steps, size)]
                     rebuilt = rebuilt + layer
-                assert rebuilt == list(_ball_data(rank, radius))
+                assert rebuilt == reference_ball(rank, radius)
                 assert next(steps, None) is None
 
     def test_huge_radius_fails_at_once(self):
